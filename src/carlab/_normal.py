@@ -29,6 +29,13 @@ def normal_upper(x: float) -> float:
     return 1.0 - 0.5 * math.erfc(-x / _SQRT2)
 
 
+def normal_upper_array(x) -> np.ndarray:
+    """Vectorized :func:`normal_upper`, with the same two-branch evaluation."""
+    x = np.asarray(x, dtype=float)
+    tail = 0.5 * special.erfc(np.abs(x) / _SQRT2)
+    return np.where(x >= 0.0, tail, 1.0 - tail)
+
+
 def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT2PI
 

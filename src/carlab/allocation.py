@@ -5,21 +5,24 @@ whose hypothetical assignment leaves the trial least imbalanced.  Rules are
 symmetric under relabeling of arms and keep every probability strictly
 positive (away from deterministic minimization).
 
-Two-arm rules take the scalar difference between the two potential
-imbalances; multi-arm rules take the full vector.  The normal-CDF variants
-clamp their argument to +-cap before evaluating the tail, so far-from-balance
-states still receive a fixed small probability; cap = 3 is the conventional
-choice.  Any positive decreasing weight function would fit the same template;
-only the normal-tail variant is built in (see ``continuous_multi``).
+Two-arm rules take the difference between the two potential imbalances;
+multi-arm rules take the per-arm vector.  Every rule also accepts a leading
+axis of independent trials and returns one probability (vector) per trial.
+The normal-CDF variants clamp their argument to +-cap before evaluating the
+tail, so far-from-balance states still receive a fixed small probability;
+cap = 3 is the conventional choice.  Any positive decreasing weight function
+would fit the same template; only the normal-tail variant is built in (see
+``continuous_multi``).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from ._normal import normal_upper
+from ._normal import normal_upper_array
 from .errors import DomainError
 
 __all__ = [
@@ -60,8 +63,7 @@ class TwoTreatmentContinuous:
     cap: float = 3.0
 
     def __post_init__(self):
-        if not (self.cap > 0) or not math.isfinite(self.cap):
-            raise DomainError(f"clamp bound must be positive, got {self.cap!r}")
+        _check_cap(self.cap)
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,7 @@ class MultiContinuous:
     cap: float = 3.0
 
     def __post_init__(self):
-        if not (self.cap > 0) or not math.isfinite(self.cap):
-            raise DomainError(f"clamp bound must be positive, got {self.cap!r}")
+        _check_cap(self.cap)
 
 
 AllocationPolicy = Union[
@@ -109,38 +110,47 @@ def _validate_kappa(kappa):
         raise DomainError(f"rank probabilities must sum to 1, got {sum(kappa)!r}")
 
 
-def _check_finite(x, what):
-    if isinstance(x, float) or isinstance(x, int):
-        if math.isnan(x) or math.isinf(x):
-            raise DomainError(f"{what} must be finite, got {x!r}")
-        return float(x)
+def _check_finite(x, what) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
     return arr
 
 
-def efron_two_treatment(diff: float, rho: float) -> float:
+def _check_cap(cap):
+    if not (cap > 0) or not math.isfinite(cap):
+        raise DomainError(f"clamp bound must be positive, got {cap!r}")
+
+
+@functools.lru_cache(maxsize=64)
+def _tie_shares(kappa: tuple) -> np.ndarray:
+    """shares[lo, hi] = mean of kappa[lo:hi], the probability of each arm in a
+    tie group that occupies ranks lo .. hi - 1."""
+    _validate_kappa(kappa)
+    T = len(kappa)
+    shares = np.zeros((T + 1, T + 1))
+    for lo in range(T):
+        for hi in range(lo + 1, T + 1):
+            shares[lo, hi] = sum(kappa[lo:hi]) / (hi - lo)
+    shares.flags.writeable = False
+    return shares
+
+
+def efron_two_treatment(diff, rho: float):
     """Probability of arm 1 given the (arm 1 minus arm 2) potential-imbalance
     difference: rho when the difference is negative, 1 - rho when positive,
-    0.5 on an exact tie."""
+    0.5 on an exact tie.  ``diff`` may be a scalar or an array of trials."""
     diff = _check_finite(diff, "imbalance difference")
     if not (0.5 < rho < 1.0):
         raise DomainError(f"biased-coin rho must lie in (0.5, 1), got {rho!r}")
-    if diff < 0.0:
-        return rho
-    if diff > 0.0:
-        return 1.0 - rho
-    return 0.5
+    return np.where(diff < 0.0, rho, np.where(diff > 0.0, 1.0 - rho, 0.5))[()]
 
 
-def continuous_two_treatment(diff: float, cap: float) -> float:
+def continuous_two_treatment(diff, cap: float):
     """Probability of arm 1: upper normal tail of the clamped difference."""
     diff = _check_finite(diff, "imbalance difference")
-    if not (cap > 0) or not math.isfinite(cap):
-        raise DomainError(f"clamp bound must be positive, got {cap!r}")
-    x = min(max(diff, -cap), cap)
-    return normal_upper(x)
+    _check_cap(cap)
+    return normal_upper_array(np.clip(diff, -cap, cap))[()]
 
 
 def pocock_simon_multi(imbalances, kappa) -> np.ndarray:
@@ -149,40 +159,26 @@ def pocock_simon_multi(imbalances, kappa) -> np.ndarray:
     The arm with the t-th smallest potential imbalance receives kappa[t].
     Arms tied exactly share the arithmetic mean of their ranks' kappa values,
     which is the unique tie rule preserving symmetry across arm labels.
+    ``imbalances`` holds one row of T arms, or a (trials, T) array.
     """
-    imbalances = _check_finite(imbalances, "potential imbalances")
-    imbalances = np.atleast_1d(imbalances)
-    kappa = tuple(float(k) for k in kappa)
-    _validate_kappa(kappa)
-    T = imbalances.shape[0]
-    if len(kappa) != T:
+    imb = np.atleast_1d(_check_finite(imbalances, "potential imbalances"))
+    shares = _tie_shares(tuple(float(k) for k in kappa))
+    T = imb.shape[-1]
+    if shares.shape[0] != T + 1:
         raise DomainError(
-            f"rank probabilities have length {len(kappa)} but {T} arms were given"
+            f"rank probabilities have length {shares.shape[0] - 1} but {T} arms were given"
         )
-    order = sorted(range(T), key=lambda i: imbalances[i])
-    probs = np.empty(T)
-    i = 0
-    while i < T:
-        j = i
-        while j + 1 < T and imbalances[order[j + 1]] == imbalances[order[i]]:
-            j += 1
-        share = sum(kappa[i : j + 1]) / (j - i + 1)
-        for k in range(i, j + 1):
-            probs[order[k]] = share
-        i = j + 1
-    return probs
+    below = (imb[..., None, :] < imb[..., :, None]).sum(axis=-1)
+    tied = (imb[..., None, :] == imb[..., :, None]).sum(axis=-1)
+    return shares[below, below + tied]
 
 
 def continuous_multi(deviations, cap: float) -> np.ndarray:
-    """Normalized upper normal tails of clamped per-arm deviations."""
-    deviations = _check_finite(deviations, "imbalance deviations")
-    deviations = np.atleast_1d(deviations)
-    if not (cap > 0) or not math.isfinite(cap):
-        raise DomainError(f"clamp bound must be positive, got {cap!r}")
-    weights = np.array(
-        [normal_upper(min(max(float(x), -cap), cap)) for x in deviations]
-    )
-    return weights / weights.sum()
+    """Normalized upper normal tails of clamped per-arm deviations, per row."""
+    deviations = np.atleast_1d(_check_finite(deviations, "imbalance deviations"))
+    _check_cap(cap)
+    weights = normal_upper_array(np.clip(deviations, -cap, cap))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def complete_randomization(treatments: int) -> np.ndarray:

@@ -1,28 +1,37 @@
 """Sequential trial engine.
 
-The running state of a trial is the T x q matrix whose row t is the feature
-imbalance of arm t: the sum over assigned units of (indicator(unit in arm t)
-minus 1/T) times the unit's feature vector.  Rows always sum to the zero
-vector.  The total imbalance is the squared Frobenius norm of this matrix,
-and the potential imbalance of arm t is that norm recomputed as if the next
-unit joined arm t.  The incremental identity
+The running state of a trial is the T x q matrix S of per-arm feature sums:
+row t is the sum of the feature vectors of the units assigned to arm t.  The
+feature imbalance matrix Lambda, whose row t is S[t] minus the mean row of S,
+is derived from it; its rows sum to the zero vector and its squared Frobenius
+norm is the total imbalance.  The potential imbalance of arm t, that norm as
+if the next unit with features phi joined arm t, is
 
-    potential(t) = ||state||^2 + (1 - 1/T) * ||phi||^2 + 2 <state[t], phi>
+    potential(t) = ||Lambda||^2 + (1 - 1/T) * ||phi||^2 + 2 <Lambda[t], phi>
+                 = common + 2 * (d[t] - mean(d)),    d = S phi.
 
-makes each step O(T q) instead of O(n T q).
+Every allocation rule is invariant under adding one constant to all
+potentials, so the engine prices the arms by d alone: the rank rule takes d,
+the multi-arm normal-tail rule takes 2 * (d - mean(d)), and the two-arm rules
+take 4 * (d[0] - d[1]).  The common term and the 1/T update never enter, so
+with integer-valued features (stratum or margin indicators) S and d are exact
+integers and arms that tie, tie exactly, for any number of arms.
 
 Two-arm rules are parameterized on the scale of the two-arm formulation, in
 which the imbalance vector carries coefficients +-1 rather than +-1/2; the
-difference of potential imbalances on that scale is exactly twice the
-difference computed from the general state, so the engine doubles the
-difference before calling a two-arm rule.  This keeps the conventional
+difference of potential imbalances on that scale is twice the difference of
+the general potentials, 2 * 2 * (d[0] - d[1]).  This keeps the conventional
 clamp bound (cap = 3) meaningful for continuous allocation.
 
-Sampling uses a single uniform draw per unit against the cumulative
-probability vector in arm order, so seeded runs replay exactly.
+``simulate_assignments`` advances a batch of independent trials together,
+one unit at a time.  Each step takes one product d = S phi_i per trial, one
+call of the allocation rule over the batch, one uniform draw per trial
+against the cumulative probability vector in arm order, and adds phi_i to the
+sums of the drawn arm.  Every trial gets the assignments it would get alone,
+and ``assign_next`` is a batch of one, so seeded runs replay exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,54 +50,56 @@ from .allocation import (
 )
 from .errors import DomainError
 
+# Cap on the stacked feature matrices of one batch of trials (bytes).
+_BATCH_BYTES = 2 << 20
+
 __all__ = [
     "TrialState",
-    "AssignmentRecord",
     "new_trial",
     "potential_imbalances",
     "allocation_probabilities",
     "assign_next",
     "simulate_assignments",
+    "batch_size",
     "total_imbalance",
     "imbalance_metrics",
-    "ImbalanceAccumulator",
 ]
 
 
 @dataclass
-class AssignmentRecord:
-    """One step of the trial: which unit went where, and with what probabilities."""
-
-    unit: int
-    treatment: int
-    probabilities: np.ndarray
-    phi: np.ndarray
-
-
-@dataclass
 class TrialState:
+    """One trial in progress: per-arm feature sums and per-arm unit counts."""
+
     treatments: int
     q: int
     n: int
-    lam: np.ndarray
+    sums: np.ndarray
     counts: np.ndarray
-    history: list = field(default=None)
+
+    @property
+    def lam(self) -> np.ndarray:
+        """Feature imbalance matrix: each arm's sums minus the mean arm's."""
+        return self.sums - self.sums.mean(axis=0)
 
 
-def new_trial(treatments: int, q: int, track_history: bool = False) -> TrialState:
-    """Fresh state with zero imbalance."""
+def _check_arms(treatments) -> int:
     if int(treatments) != treatments or treatments < 2:
         raise DomainError(f"need at least 2 arms, got {treatments!r}")
+    return int(treatments)
+
+
+def new_trial(treatments: int, q: int) -> TrialState:
+    """Fresh state with zero imbalance."""
+    treatments = _check_arms(treatments)
     if int(q) != q or q < 1:
         raise DomainError(f"feature dimension must be >= 1, got {q!r}")
-    treatments, q = int(treatments), int(q)
+    q = int(q)
     return TrialState(
         treatments=treatments,
         q=q,
         n=0,
-        lam=np.zeros((treatments, q)),
+        sums=np.zeros((treatments, q)),
         counts=np.zeros(treatments, dtype=np.int64),
-        history=[] if track_history else None,
     )
 
 
@@ -103,72 +114,66 @@ def _check_phi(state: TrialState, phi_x) -> np.ndarray:
     return phi
 
 
-def _potentials(lam: np.ndarray, row: np.ndarray, treatments: int) -> np.ndarray:
-    common = float((lam * lam).sum()) + (1.0 - 1.0 / treatments) * float(row @ row)
-    return common + 2.0 * (lam @ row)
-
-
 def potential_imbalances(state: TrialState, phi_x) -> np.ndarray:
     """Total imbalance after hypothetically assigning the next unit to each arm."""
     phi = _check_phi(state, phi_x)
-    return _potentials(state.lam, phi, state.treatments)
+    lam = state.lam
+    common = float((lam * lam).sum()) + (1.0 - 1.0 / state.treatments) * float(phi @ phi)
+    return common + 2.0 * (lam @ phi)
+
+
+def _check_policy(policy: AllocationPolicy, T: int):
+    if isinstance(policy, (EfronBiasedCoin, TwoTreatmentContinuous)) and T != 2:
+        raise DomainError("two-arm allocation rule applied to a multi-arm trial")
+    if isinstance(policy, PocockSimonRank) and len(policy.kappa) != T:
+        raise DomainError(
+            f"rank probabilities have length {len(policy.kappa)} but trial has {T} arms"
+        )
+    if not isinstance(policy, AllocationPolicy):
+        raise DomainError(f"unknown allocation policy {policy!r}")
+
+
+def _probabilities(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
+    """(trials, T) assignment probabilities from the per-arm products d = S phi."""
+    if isinstance(policy, CompleteRandomization):
+        return np.broadcast_to(complete_randomization(d.shape[1]), d.shape)
+    if isinstance(policy, PocockSimonRank):
+        return pocock_simon_multi(d, policy.kappa)
+    if isinstance(policy, MultiContinuous):
+        return continuous_multi(2.0 * (d - d.mean(axis=1, keepdims=True)), policy.cap)
+    diff = 4.0 * (d[:, 0] - d[:, 1])  # two-arm scale
+    if isinstance(policy, EfronBiasedCoin):
+        p1 = efron_two_treatment(diff, policy.rho)
+    else:
+        p1 = continuous_two_treatment(diff, policy.cap)
+    return np.column_stack([p1, 1.0 - p1])
 
 
 def allocation_probabilities(potentials, policy: AllocationPolicy) -> np.ndarray:
     """Probability vector for the next assignment given potential imbalances."""
     pot = np.asarray(potentials, dtype=float)
-    T = pot.shape[0]
-    if isinstance(policy, CompleteRandomization):
-        return complete_randomization(T)
-    if isinstance(policy, (EfronBiasedCoin, TwoTreatmentContinuous)):
-        if T != 2:
-            raise DomainError("two-arm allocation rule applied to a multi-arm trial")
-        diff = 2.0 * (pot[0] - pot[1])  # two-arm scale
-        if isinstance(policy, EfronBiasedCoin):
-            p1 = efron_two_treatment(diff, policy.rho)
-        else:
-            p1 = continuous_two_treatment(diff, policy.cap)
-        return np.array([p1, 1.0 - p1])
-    if isinstance(policy, PocockSimonRank):
-        return pocock_simon_multi(pot, policy.kappa)
-    if isinstance(policy, MultiContinuous):
-        return continuous_multi(pot - pot.mean(), policy.cap)
-    raise DomainError(f"unknown allocation policy {policy!r}")
+    _check_policy(policy, pot.shape[0])
+    # potentials are common + 2 * (d - mean(d)); every rule ignores the shift
+    return _probabilities(policy, 0.5 * pot[None, :])[0]
 
 
-def _all_small_integers(phi: np.ndarray) -> bool:
-    return bool(np.all(phi == np.round(phi)) and np.abs(phi).max(initial=0.0) < 2**20)
-
-
-def _sample_cumulative(probs, u: float) -> int:
-    acc = 0.0
-    last = len(probs) - 1
-    for k in range(last):
-        acc += probs[k]
-        if u < acc:
-            return k
-    return last
-
-
-def _apply_assignment(state: TrialState, phi: np.ndarray, t: int):
-    T = state.treatments
-    state.lam -= phi * (1.0 / T)
-    state.lam[t] += phi
-    state.counts[t] += 1
-    state.n += 1
+def _step(sums: np.ndarray, phi_i: np.ndarray, policy, u: np.ndarray) -> np.ndarray:
+    """Assign one unit in every trial of the batch and add it to its arm's sums."""
+    d = np.einsum("btq,bq->bt", sums, phi_i)
+    cum = np.cumsum(_probabilities(policy, d), axis=1)
+    arms = (u[:, None] >= cum[:, :-1]).sum(axis=1)
+    sums[np.arange(sums.shape[0]), arms] += phi_i
+    return arms
 
 
 def assign_next(state: TrialState, phi_x, policy: AllocationPolicy, rng) -> int:
     """Draw the next assignment, update the state, and return the arm index."""
     phi = _check_phi(state, phi_x)
-    pot = potential_imbalances(state, phi)
-    probs = allocation_probabilities(pot, policy)
-    t = _sample_cumulative(probs, rng.random())
-    if state.history is not None:
-        state.history.append(
-            AssignmentRecord(unit=state.n, treatment=t, probabilities=probs, phi=phi)
-        )
-    _apply_assignment(state, phi, t)
+    _check_policy(policy, state.treatments)
+    u = np.array([rng.random()])
+    t = int(_step(state.sums[None], phi[None], policy, u)[0])
+    state.counts[t] += 1
+    state.n += 1
     return t
 
 
@@ -179,74 +184,40 @@ def simulate_assignments(
     rng=None,
     uniforms=None,
 ) -> np.ndarray:
-    """Run a whole trial over a feature matrix and return the assignment vector.
+    """Run whole trials over their feature matrices and return the assignments.
 
-    One uniform draw is consumed per unit, in unit order; ``uniforms`` may be
-    supplied directly for replay tests.  Each step evaluates exactly the same
-    arithmetic as :func:`assign_next`, so the two paths produce identical
-    trajectories on shared draws (complete randomization is vectorized).
+    ``phi`` is one trial's (n, q) feature matrix, giving an (n,) assignment
+    vector, or a (trials, n, q) batch, giving (trials, n).  One uniform draw
+    is consumed per unit, in unit order (trial by trial for a batch drawn
+    from ``rng``); ``uniforms`` of shape (n,) or (trials, n) may be supplied
+    instead.  A trial's assignments do not depend on the rest of its batch.
     """
-    if int(treatments) != treatments or treatments < 2:
-        raise DomainError(f"need at least 2 arms, got {treatments!r}")
-    T = int(treatments)
-    phi = np.ascontiguousarray(np.asarray(phi, dtype=float))
-    if phi.ndim != 2:
-        raise DomainError("feature matrix must be 2-d")
+    T = _check_arms(treatments)
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim not in (2, 3):
+        raise DomainError("feature matrix must be 2-d, or 3-d for a batch of trials")
     if not np.all(np.isfinite(phi)):
         raise DomainError("feature matrix must be finite")
-    n = phi.shape[0]
     if uniforms is None:
-        uniforms = rng.random(n)
-    else:
-        uniforms = np.asarray(uniforms, dtype=float)
-        if uniforms.shape != (n,):
-            raise DomainError("uniforms must have one entry per unit")
-    out = np.empty(n, dtype=np.int64)
-
-    if isinstance(policy, CompleteRandomization):
-        out[:] = np.minimum((uniforms * T).astype(np.int64), T - 1)
-        return out
-
-    if isinstance(policy, (EfronBiasedCoin, TwoTreatmentContinuous)) and T != 2:
-        raise DomainError("two-arm allocation rule applied to a multi-arm trial")
-
-    if isinstance(policy, EfronBiasedCoin) and _all_small_integers(phi):
-        # With integer features and two arms every quantity below is an exact
-        # float, so the sign of the running-difference inner product equals
-        # the sign of the potential-imbalance difference bit for bit.
-        lam_diff = np.zeros(phi.shape[1])
-        rho = policy.rho
-        for i in range(n):
-            row = phi[i]
-            d = float(lam_diff @ row)
-            p1 = 0.5 if d == 0.0 else (rho if d < 0.0 else 1.0 - rho)
-            if uniforms[i] < p1:
-                out[i] = 0
-                lam_diff += row
-            else:
-                out[i] = 1
-                lam_diff -= row
-        return out
-    if isinstance(policy, PocockSimonRank) and len(policy.kappa) != T:
-        raise DomainError(
-            f"rank probabilities have length {len(policy.kappa)} but trial has {T} arms"
-        )
-    if not isinstance(
-        policy,
-        (EfronBiasedCoin, TwoTreatmentContinuous, PocockSimonRank, MultiContinuous),
-    ):
-        raise DomainError(f"unknown allocation policy {policy!r}")
-
-    lam = np.zeros((T, phi.shape[1]))
-    inv_t = 1.0 / T
+        uniforms = rng.random(phi.shape[:-1])
+    uniforms = np.asarray(uniforms, dtype=float)
+    if uniforms.shape != phi.shape[:-1]:
+        raise DomainError("uniforms must have one entry per unit")
+    _check_policy(policy, T)
+    single = phi.ndim == 2
+    batch, u = (phi[None], uniforms[None]) if single else (phi, uniforms)
+    B, n, q = batch.shape
+    sums = np.zeros((B, T, q))
+    out = np.empty((B, n), dtype=np.int64)
     for i in range(n):
-        row = phi[i]
-        probs = allocation_probabilities(_potentials(lam, row, T), policy)
-        t = _sample_cumulative(probs, uniforms[i])
-        out[i] = t
-        lam -= row * inv_t
-        lam[t] += row
-    return out
+        out[:, i] = _step(sums, batch[:, i], policy, u[:, i])
+    return out[0] if single else out
+
+
+def batch_size(n: int, q: int) -> int:
+    """Trials per batch that keep a stacked (trials, n, q) feature array
+    within the engine's memory cap."""
+    return max(1, _BATCH_BYTES // (8 * n * q))
 
 
 def total_imbalance(state_or_lam) -> float:
@@ -254,52 +225,6 @@ def total_imbalance(state_or_lam) -> float:
     lam = state_or_lam.lam if isinstance(state_or_lam, TrialState) else state_or_lam
     lam = np.asarray(lam, dtype=float)
     return float((lam * lam).sum())
-
-
-class ImbalanceAccumulator:
-    """Streaming per-coordinate imbalance sums for long trials.
-
-    Keeps only the T x k matrix of running sums of (arm indicator - 1/T)
-    times the tracked covariate values (a leading constant column tracks the
-    treatment counts), so metrics are available without retaining history.
-    """
-
-    def __init__(self, treatments: int, n_covariates: int):
-        if treatments < 2:
-            raise DomainError("need at least 2 arms")
-        self.treatments = int(treatments)
-        self.sums = np.zeros((self.treatments, n_covariates + 1))
-        self.sq_totals = np.zeros(n_covariates)
-        self.n = 0
-
-    def update(self, treatment: int, covariate_row):
-        z = np.asarray(covariate_row, dtype=float)
-        if z.shape != (self.sums.shape[1] - 1,):
-            raise DomainError("covariate row has the wrong length")
-        row = np.concatenate([[1.0], z])
-        self.sums -= row / self.treatments
-        self.sums[treatment] += row
-        self.sq_totals += z * z
-        self.n += 1
-
-    def metrics(self, indices=None) -> dict:
-        if self.n == 0:
-            raise DomainError("no assignments accumulated")
-        k = self.sums.shape[1] - 1
-        indices = range(k + 1) if indices is None else indices
-        scale = 1.0 - 1.0 / self.treatments
-        out = {}
-        for j in indices:
-            s = self.sums[:, j]
-            raw = float(s @ s)
-            if j == 0:
-                out[0] = raw / scale
-            else:
-                msq = self.sq_totals[j - 1] / self.n
-                if msq == 0.0:
-                    raise DomainError(f"covariate {j} has zero mean square; metric undefined")
-                out[j] = raw / (scale * msq)
-        return out
 
 
 def imbalance_metrics(assignments, covariates, treatments, indices=(0, 1, 2, 3)) -> dict:

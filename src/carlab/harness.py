@@ -9,7 +9,9 @@ models, runs the requested tests, and reports rejection rates.
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
 (a documented avalanche mixer), so results are independent of worker-thread
-count and of which other procedures or tests appear in the run.  Replicate
+count and of which other procedures or tests appear in the run.  Replicates
+run in consecutive chunks, and each procedure randomizes a chunk's trials as
+one engine batch; a trial's assignments do not depend on its batch.  Replicate
 results land in pre-allocated indexed slots and aggregation is a fold in slot
 order, so identical (config, seed) produce identical output bytes.
 
@@ -25,7 +27,7 @@ import csv
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg as sla
@@ -50,7 +52,7 @@ from .datagen import (
     responses_given_noise,
     with_effect,
 )
-from .engine import imbalance_metrics, simulate_assignments
+from .engine import batch_size, imbalance_metrics, simulate_assignments
 from .errors import ConfigError, DomainError, EstimatorError, FitError
 from .features import (
     Composite,
@@ -99,6 +101,7 @@ _TAG_NOISE = 2
 
 ALL_TESTS = ("t_ls", "t_reg", "t_boot", "t_mb", "t_mbj", "t_mbb", "t_logi", "t_oracle")
 _PHI_TESTS = ("t_reg", "t_boot")
+_RNG_TESTS = ("t_mbb", "t_boot")
 _LOGISTIC_TESTS = ("t_logi", "t_oracle")
 _WORKING_MODELS = {"W1": (), "W2": (0,), "W3": (0, 1, 2)}
 PRESET_NAMES = ("CR", "SR", "PS", "HH", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con")
@@ -199,11 +202,7 @@ def procedure_preset(
                 kappa=default_kappa(treatments) if kappa is None else tuple(kappa)
             )
     spec = ProcedureSpec(name=name, policy=policy, feature=features[name])
-    if extra:
-        from dataclasses import replace as _replace
-
-        spec = _replace(spec, **extra)
-    return spec
+    return replace(spec, **extra)
 
 
 @dataclass(frozen=True)
@@ -408,36 +407,44 @@ def _aggregate_rate(slots: np.ndarray) -> tuple:
 
 
 def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
-    """Replicated imbalance study; see the module docstring for determinism."""
+    """Replicated imbalance study; see the module docstring for determinism.
+    Replicates whose metrics are undefined are counted and excluded; a cell
+    loses more than 1% of its replicates only by aborting."""
     validate_spec(spec)
     if spec.kind != "imbalance":
         raise ConfigError("run_imbalance_experiment needs kind=imbalance")
-    R, n, T = spec.replicates, spec.n, spec.treatments
+    R, T = spec.replicates, spec.treatments
     metrics = tuple(spec.metrics)
     slots = {
         p.name: np.full((R, len(metrics)), np.nan) for p in spec.procedures
     }
-    dummy_phi = np.zeros((n, 1))
 
-    def work(r: int):
-        X = gen_covariate_matrix(spec.setting, n, _stream(spec.base_seed, r, _TAG_COVARIATES))
+    def work(rs: range):
+        Xs = [_covariates(spec, r) for r in rs]
         for proc in spec.procedures:
-            rng = _stream(spec.base_seed, r, _name_tag(proc.name))
-            phi = build_phi(proc, spec.setting, X)
-            assign = simulate_assignments(
-                phi if phi is not None else dummy_phi, proc.policy, T, rng
-            )
-            vals = imbalance_metrics(assign, X, T, metrics)
-            slots[proc.name][r] = [vals[j] for j in metrics]
+            assigns = _assign_chunk(spec, proc, rs, Xs)[1]  # features freed here
+            for r, X, assign in zip(rs, Xs, assigns):
+                try:
+                    vals = imbalance_metrics(assign, X, T, metrics)
+                except DomainError:
+                    continue  # the slot stays NaN: a failed replicate
+                slots[proc.name][r] = [vals[j] for j in metrics]
 
-    _run_replicates(work, R, threads)
+    _run_chunks(work, spec, threads)
     table = ResultTable()
     for proc in spec.procedures:
         arr = slots[proc.name]
         for k, j in enumerate(metrics):
             col = arr[:, k]
-            value = float(col.mean())
-            se = float(col.std(ddof=1) / math.sqrt(R)) if R > 1 else math.nan
+            col = col[~np.isnan(col)]
+            cell = (proc.name, f"imb{j}")
+            fails = R - col.size
+            if fails:
+                table.failures[cell] = fails
+            if fails > 0.01 * R:
+                table.aborted.append(cell)
+                continue
+            m = col.size
             table.rows.append(
                 ResultRow(
                     kind="imbalance",
@@ -446,21 +453,58 @@ def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTa
                     test="",
                     delta=math.nan,
                     metric=f"imb{j}",
-                    value=value,
-                    mc_se=se,
-                    replicates=R,
+                    value=float(col.mean()),
+                    mc_se=float(col.std(ddof=1) / math.sqrt(m)) if m > 1 else math.nan,
+                    replicates=m,
                 )
             )
     return table
 
 
-def _run_replicates(work, R: int, threads: int):
+def _covariates(spec: ExperimentSpec, r: int) -> np.ndarray:
+    return gen_covariate_matrix(spec.setting, spec.n, _stream(spec.base_seed, r, _TAG_COVARIATES))
+
+
+def _chunk_size(spec: ExperimentSpec) -> int:
+    """Replicates per batch: the engine's batch size for the widest feature
+    matrix of any procedure, measured on replicate 0."""
+    X = _covariates(spec, 0)
+    phis = [build_phi(p, spec.setting, X) for p in spec.procedures]
+    return batch_size(spec.n, max((phi.shape[1] for phi in phis if phi is not None), default=1))
+
+
+def _run_chunks(work, spec: ExperimentSpec, threads: int):
+    """Call ``work`` on consecutive ranges of replicates, in worker threads
+    when asked; results land in per-replicate slots, so neither the range
+    boundaries nor the thread count change them."""
+    size = _chunk_size(spec)
+    chunks = [range(r, min(r + size, spec.replicates)) for r in range(0, spec.replicates, size)]
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(R)))
+            list(pool.map(work, chunks))
     else:
-        for r in range(R):
-            work(r)
+        for rs in chunks:
+            work(rs)
+
+
+def _assign_chunk(spec: ExperimentSpec, proc: ProcedureSpec, rs: range, Xs: list):
+    """Feature matrices (None under complete randomization) and assignments of
+    one procedure for a range of replicates, randomized as one batch.  Each
+    replicate draws its uniforms from its own procedure stream."""
+    phis = [None] * len(rs)
+    batch = np.zeros((len(rs), spec.n, 1))  # complete randomization balances nothing
+    for k, X in enumerate(Xs):
+        phi = build_phi(proc, spec.setting, X)
+        if phi is None:
+            break
+        if k == 0:
+            batch = np.empty((len(rs),) + phi.shape)
+        batch[k] = phi  # filled in place: one copy of the chunk's features
+        phis[k] = batch[k]
+    uniforms = np.stack(
+        [_stream(spec.base_seed, r, _name_tag(proc.name)).random(spec.n) for r in rs]
+    )
+    return phis, simulate_assignments(batch, proc.policy, spec.treatments, uniforms=uniforms)
 
 
 def _base_model(spec: ExperimentSpec):
@@ -491,7 +535,6 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     lblock = block_length(n, spec.block_rule)
     observed = np.flatnonzero(spec.setting.observed_mask)
     wm_cols = {wm: _WORKING_MODELS[wm] for wm in spec.working_models}
-    dummy_phi = np.zeros((n, 1))
     slots = {}
     for proc in spec.procedures:
         for test in _tests_for(proc, spec.tests):
@@ -501,71 +544,72 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
 
     models = [with_effect(model0, LocalAlternative(d), n) for d in spec.deltas]
 
-    def work(r: int):
-        X = gen_covariate_matrix(spec.setting, n, _stream(spec.base_seed, r, _TAG_COVARIATES))
-        noise = draw_noise(model0, n, _stream(spec.base_seed, r, _TAG_NOISE))
-        x_oracle = X[:, observed]
+    def work(rs: range):
+        Xs = [_covariates(spec, r) for r in rs]
+        noises = [draw_noise(model0, n, _stream(spec.base_seed, r, _TAG_NOISE)) for r in rs]
         for proc in spec.procedures:
             tests = _tests_for(proc, spec.tests)
-            if not tests:
-                continue
-            rng = _stream(spec.base_seed, r, _name_tag(proc.name))
-            phi = build_phi(proc, spec.setting, X)
-            assign = simulate_assignments(
-                phi if phi is not None else dummy_phi, proc.policy, 2, rng
-            )
-            treat = (assign == 0).astype(float)
-            phi_red = None
-            if "t_reg" in tests and phi is not None:
-                try:
-                    phi_red = reduce_columns(phi)
-                except EstimatorError:
-                    phi_red = None
-            for di, model in enumerate(models):
-                y = responses_given_noise(model, X, treat, noise)
-                for wm, cols in wm_cols.items():
-                    x_w = X[:, list(cols)] if cols else np.empty((n, 0))
-                    data = TrialDataset(y=y, t=treat, x_obs=x_w, phi=phi)
-                    fit = None
-                    fit_failed = False
-                    try:
-                        fit = lse_fit(data)
-                    except (FitError, DomainError):
-                        fit_failed = True
-                    for test in tests:
-                        key = (proc.name, di, wm, test)
-                        if test in _LOGISTIC_TESTS:
-                            design = (
-                                np.column_stack([np.ones(n), treat - 0.5])
-                                if test == "t_logi"
-                                else np.column_stack([np.ones(n), treat - 0.5, x_oracle])
-                            )
-                            try:
-                                res = logistic_wald_test(
-                                    y, design, 1, spec.alpha, test
-                                )
-                                slots[key][r] = int(res.reject)
-                            except (FitError, DomainError):
-                                slots[key][r] = -1
-                            continue
-                        if fit_failed:
-                            slots[key][r] = -1
-                            continue
-                        try:
-                            slots[key][r] = int(
-                                _run_adjusted(
-                                    test, fit, data, phi_red, proc, spec, lblock,
-                                    _stream(
-                                        spec.base_seed, r,
-                                        _name_tag(proc.name, test), di,
-                                        _name_tag(wm),
-                                    ),
-                                ).reject
-                            )
-                        except (FitError, EstimatorError, DomainError):
-                            slots[key][r] = -1
+            if tests:
+                procedure(proc, tests, rs, Xs, noises)
 
-    _run_replicates(work, R, threads)
+    def procedure(proc, tests, rs, Xs, noises):
+        # a frame of its own, so the chunk's features are freed on return
+        phis, assigns = _assign_chunk(spec, proc, rs, Xs)
+        for r, X, noise, phi, assign in zip(rs, Xs, noises, phis, assigns):
+            replicate(r, X, noise, proc, tests, phi, assign)
+
+    def replicate(r, X, noise, proc, tests, phi, assign):
+        x_oracle = X[:, observed]
+        treat = (assign == 0).astype(float)
+        phi_red = None
+        if "t_reg" in tests and phi is not None:
+            try:
+                phi_red = reduce_columns(phi)
+            except EstimatorError:
+                phi_red = None
+        for di, model in enumerate(models):
+            y = responses_given_noise(model, X, treat, noise)
+            for wm, cols in wm_cols.items():
+                x_w = X[:, list(cols)] if cols else np.empty((n, 0))
+                data = TrialDataset(y=y, t=treat, x_obs=x_w, phi=phi)
+                try:
+                    fit = lse_fit(data)
+                except (FitError, DomainError):
+                    fit = None
+                for test in tests:
+                    key = (proc.name, di, wm, test)
+                    if test in _LOGISTIC_TESTS:
+                        design = (
+                            np.column_stack([np.ones(n), treat - 0.5])
+                            if test == "t_logi"
+                            else np.column_stack([np.ones(n), treat - 0.5, x_oracle])
+                        )
+                        try:
+                            res = logistic_wald_test(
+                                y, design, 1, spec.alpha, test
+                            )
+                            slots[key][r] = int(res.reject)
+                        except (FitError, DomainError):
+                            slots[key][r] = -1
+                        continue
+                    if fit is None:
+                        slots[key][r] = -1
+                        continue
+                    rng = None
+                    if test in _RNG_TESTS:
+                        rng = _stream(
+                            spec.base_seed, r, _name_tag(proc.name, test), di, _name_tag(wm)
+                        )
+                    try:
+                        slots[key][r] = int(
+                            _run_adjusted(
+                                test, fit, data, phi_red, proc, spec, lblock, rng
+                            ).reject
+                        )
+                    except (FitError, EstimatorError, DomainError):
+                        slots[key][r] = -1
+
+    _run_chunks(work, spec, threads)
     table = ResultTable()
     for proc in spec.procedures:
         for di, delta in enumerate(spec.deltas):

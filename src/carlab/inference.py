@@ -36,7 +36,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from ._normal import normal_quantile, two_sided_p_value
-from .engine import simulate_assignments
+from .engine import batch_size, simulate_assignments
 from .errors import DomainError, EstimatorError, FitError
 
 __all__ = [
@@ -404,24 +404,41 @@ def sigma_tau_bootstrap(
         raise DomainError("bootstrap size must be >= 2")
     n = data.n
     y, x, phi = data.y, data.x_obs, data.phi
+    chunk = batch_size(n, phi.shape[1])
     taus = np.empty(B)
-    for b in range(B):
-        t_star = None
-        for _ in range(100):
-            I = rng.integers(0, n, size=n)
-            assign = simulate_assignments(phi[I], policy, 2, rng)
-            treat = (assign == 0).astype(float)
-            if 0 < treat.sum() < n:
-                t_star = treat
-                break
-        if t_star is None:
-            raise EstimatorError("rerandomization kept producing an empty arm")
-        D = _design(t_star, x[I])
-        try:
-            theta = np.linalg.solve(D.T @ D, D.T @ y[I])
-        except np.linalg.LinAlgError as exc:
-            raise EstimatorError("singular design in a bootstrap resample") from exc
-        taus[b] = theta[0] - theta[1]
+    b, tries = 0, 0
+    while b < B:
+        # Draw (I, u) for each resample in order, saving the generator state
+        # after each, and rerandomize the chunk as one batch.  A resample that
+        # empties an arm is redrawn from the state its draw left behind, as if
+        # the resamples had been run one at a time.
+        m = min(chunk, B - b)
+        I = np.empty((m, n), dtype=np.int64)
+        u = np.empty((m, n))
+        states = []
+        for k in range(m):
+            I[k] = rng.integers(0, n, size=n)
+            u[k] = rng.random(n)
+            states.append(rng.bit_generator.state)
+        treat = (simulate_assignments(phi[I], policy, 2, uniforms=u) == 0).astype(float)
+        n1 = treat.sum(axis=1)
+        bad = np.flatnonzero((n1 == 0) | (n1 == n))
+        done = int(bad[0]) if bad.size else m
+        for k in range(done):
+            D = _design(treat[k], x[I[k]])
+            try:
+                theta = np.linalg.solve(D.T @ D, D.T @ y[I[k]])
+            except np.linalg.LinAlgError as exc:
+                raise EstimatorError("singular design in a bootstrap resample") from exc
+            taus[b + k] = theta[0] - theta[1]
+        b += done
+        if done:
+            tries = 0
+        if bad.size:
+            tries += 1
+            if tries == 100:
+                raise EstimatorError("rerandomization kept producing an empty arm")
+            rng.bit_generator.state = states[done]
     v_B = float(np.var(taus, ddof=1))
     return VarianceEstimate(
         value=n * v_B / 4.0, method="boot", params={"B": int(B), "v_B": v_B}
@@ -460,9 +477,11 @@ def adjusted_test(
 def logistic_fit(y: np.ndarray, design: np.ndarray, max_iter: int = 50) -> LogisticFit:
     """Logistic regression by iteratively reweighted least squares.
 
-    Convergence is declared when the deviance changes by less than 1e-10.
-    Complete separation (diverging coefficients or a degenerate response)
-    raises instead of returning a garbage fit.
+    Convergence is declared when the deviance changes by less than 1e-10
+    between successive iterates; the last iterate is returned with the
+    standard errors and deviance evaluated at it.  Complete separation
+    (diverging coefficients or a degenerate response) raises instead of
+    returning a garbage fit.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
@@ -475,28 +494,28 @@ def logistic_fit(y: np.ndarray, design: np.ndarray, max_iter: int = 50) -> Logis
     k = X.shape[1]
     beta = np.zeros(k)
     dev_prev = math.inf
-    G = None
     for it in range(1, max_iter + 1):
         eta = np.clip(X @ beta, -30.0, 30.0)
         p = 1.0 / (1.0 + np.exp(-eta))
         w = np.clip(p * (1.0 - p), 1e-10, None)
-        z = eta + (y - p) / w
         G = X.T @ (w[:, None] * X)
+        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+        dev = -2.0 * float(y @ np.log(pc) + (1.0 - y) @ np.log(1.0 - pc))
+        if abs(dev - dev_prev) < 1e-10:
+            # coefficients, standard errors and deviance all at this beta
+            _, cov = _checked_cho(G, FitError, "weighted design")
+            se = np.sqrt(np.diag(cov))
+            return LogisticFit(
+                coef=beta, se=se, wald=beta / se, iterations=it, deviance=dev
+            )
+        dev_prev = dev
+        z = eta + (y - p) / w
         try:
             beta = np.linalg.solve(G, X.T @ (w * z))
         except np.linalg.LinAlgError as exc:
             raise FitError("singular weighted design: separation or collinearity") from exc
         if np.max(np.abs(beta)) > 30.0:
             raise FitError("diverging coefficients: separation")
-        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
-        dev = -2.0 * float(y @ np.log(pc) + (1.0 - y) @ np.log(1.0 - pc))
-        if abs(dev - dev_prev) < 1e-10:
-            cov = np.linalg.inv(G)
-            se = np.sqrt(np.diag(cov))
-            return LogisticFit(
-                coef=beta, se=se, wald=beta / se, iterations=it, deviance=dev
-            )
-        dev_prev = dev
     raise FitError(f"no convergence in {max_iter} iterations")
 
 

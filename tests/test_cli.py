@@ -71,6 +71,25 @@ class TestRunCommands:
         assert main(["power", "--config", cfg, "--out", str(out2), "--seed", "99"]) == 0
         assert (out1 / "power.csv").read_bytes() == (out2 / "power.csv").read_bytes()
 
+    def test_imbalance_run_isolates_failed_replicates(self, tmp_path, capsys):
+        # With n = 10 about one replicate in a thousand draws an all-zero
+        # binary x1, whose imbalance metric is undefined; that replicate is
+        # excluded from its cells instead of failing the run.
+        cfg = _write(
+            tmp_path,
+            "c.cfg",
+            "kind = imbalance\nsetting = S4\nn = 10\nreplicates = 3000\nseed = 1\n"
+            "procedures = CR, phi-CAR-BC\n",
+        )
+        out = tmp_path / "results"
+        assert main(["imbalance", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "imbalance.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        imb1 = [r for r in rows if r["metric"] == "imb1"]
+        assert len(imb1) == 2
+        assert all(0 < int(r["replicates"]) < 3000 for r in imb1)
+        assert "note: cell ('phi-CAR-BC', 'imb1'):" in capsys.readouterr().err
+
     def test_kind_mismatch(self, tmp_path):
         cfg = _write(tmp_path, "c.cfg", POWER_CFG)
         assert main(["imbalance", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

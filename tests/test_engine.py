@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlab.allocation import (
     CompleteRandomization,
@@ -83,7 +85,7 @@ class TestPotentialImbalances:
     def test_hand_case_two_prior_units(self):
         # two units in arm 0 with phi = 1 give rows (1, -1)
         st = new_trial(2, 1)
-        st.lam = np.array([[1.0], [-1.0]])
+        st.sums = np.array([[2.0], [0.0]])
         st.counts = np.array([2, 0])
         st.n = 2
         pot = potential_imbalances(st, np.array([1.0]))
@@ -117,7 +119,7 @@ class TestIncrementalVsBruteForce:
             T = int(rng.integers(2, 5))
             q = int(rng.integers(1, 11))
             n = int(rng.integers(5, 200))
-            st = new_trial(T, q, track_history=True)
+            st = new_trial(T, q)
             phis, ts = [], []
             for _ in range(n):
                 phi = rng.normal(size=q)
@@ -133,13 +135,13 @@ class TestIncrementalVsBruteForce:
 
 class TestAssignNext:
     def test_efron_example_frequency(self):
-        lam = np.array([[1.0], [-1.0]])
+        sums = np.array([[2.0], [0.0]])  # two units with phi = 1 in arm 0
         rng = np.random.default_rng(99)
         picks = np.empty(100_000, dtype=int)
         policy = EfronBiasedCoin(rho=0.9)
         for k in range(picks.size):
-            st = TrialState(treatments=2, q=1, n=2, lam=lam.copy(),
-                            counts=np.array([2, 0]), history=None)
+            st = TrialState(treatments=2, q=1, n=2, sums=sums.copy(),
+                            counts=np.array([2, 0]))
             picks[k] = assign_next(st, np.array([1.0]), policy, rng)
         freq_arm2 = (picks == 1).mean()
         assert freq_arm2 == pytest.approx(0.9, abs=0.01)
@@ -160,16 +162,6 @@ class TestAssignNext:
             assign_next(st, rng.normal(size=4), policy, rng)
         assert np.abs(st.lam.sum(axis=0)).max() < 1e-9
         assert st.counts.sum() == st.n == 200
-
-    def test_history_records(self):
-        rng = np.random.default_rng(3)
-        st = new_trial(2, 2, track_history=True)
-        for _ in range(5):
-            assign_next(st, rng.normal(size=2), EfronBiasedCoin(0.9), rng)
-        assert len(st.history) == 5
-        rec = st.history[2]
-        assert rec.unit == 2
-        assert abs(rec.probabilities.sum() - 1) < 1e-12
 
     def test_two_arm_policy_on_multi_trial(self):
         st = new_trial(3, 2)
@@ -276,7 +268,7 @@ class TestImbalanceMetrics:
 
     def test_total_imbalance_helper(self):
         st = new_trial(2, 2)
-        st.lam = np.array([[1.0, 2.0], [-1.0, -2.0]])
+        st.sums = np.array([[1.0, 2.0], [-1.0, -2.0]])
         assert total_imbalance(st) == pytest.approx(10.0)
 
 
@@ -294,24 +286,76 @@ class TestAllocationProbabilitiesDispatch:
         np.testing.assert_allclose(probs, [1 / 3] * 3)
 
 
-class TestImbalanceAccumulator:
-    def test_matches_batch_metrics(self):
-        from carlab.engine import ImbalanceAccumulator
+def _kernel_policies(T):
+    out = [
+        CompleteRandomization(),
+        MultiContinuous(cap=3.0),
+        PocockSimonRank(kappa=(0.8,) + (0.2 / (T - 1),) * (T - 1)),
+    ]
+    if T == 2:
+        out += [EfronBiasedCoin(rho=0.9), TwoTreatmentContinuous(cap=3.0)]
+    return out
 
-        rng = np.random.default_rng(23)
-        n, T = 150, 3
-        X = rng.normal(size=(n, 2))
-        a = rng.integers(0, T, size=n)
-        acc = ImbalanceAccumulator(T, 2)
-        for i in range(n):
-            acc.update(int(a[i]), X[i])
-        streamed = acc.metrics((0, 1, 2))
-        batch = imbalance_metrics(a, X, T, (0, 1, 2))
-        for j in (0, 1, 2):
-            assert streamed[j] == pytest.approx(batch[j], rel=1e-9)
 
-    def test_empty_errors(self):
-        from carlab.engine import ImbalanceAccumulator
+class TestBatchKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.sampled_from([2, 3, 4]),
+        q=st.integers(1, 6),
+        n=st.integers(1, 40),
+        trials=st.integers(1, 5),
+        policy_index=st.integers(0, 4),
+        onehot=st.booleans(),
+    )
+    def test_batch_equals_each_trial_alone(self, seed, T, q, n, trials, policy_index, onehot):
+        rng = np.random.default_rng(seed)
+        policies = _kernel_policies(T)
+        policy = policies[policy_index % len(policies)]
+        if onehot:  # integer sums: exact ties between arms
+            phi = np.zeros((trials, n, q))
+            idx = rng.integers(0, q, size=(trials, n))
+            np.put_along_axis(phi, idx[..., None], 1.0, axis=2)
+        else:
+            phi = rng.normal(size=(trials, n, q))
+        u = rng.random((trials, n))
+        batch = simulate_assignments(phi, policy, T, uniforms=u)
+        assert batch.shape == (trials, n)
+        for b in range(trials):
+            alone = simulate_assignments(phi[b], policy, T, uniforms=u[b])
+            np.testing.assert_array_equal(batch[b], alone)
 
-        with pytest.raises(DomainError):
-            ImbalanceAccumulator(2, 1).metrics()
+    def test_batch_from_rng_draws_trial_by_trial(self):
+        phi = np.random.default_rng(1).normal(size=(3, 20, 2))
+        policy = TwoTreatmentContinuous(cap=3.0)
+        batch = simulate_assignments(phi, policy, 2, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for b in range(3):
+            alone = simulate_assignments(phi[b], policy, 2, uniforms=rng.random(20))
+            np.testing.assert_array_equal(batch[b], alone)
+
+    def test_three_arm_tied_lowest_share(self):
+        # Constant feature: d = S phi is the vector of arm counts.  Whenever two
+        # arms tie for the fewest units, each must get (kappa0 + kappa1) / 2
+        # however the tie was reached; the uniform at the middle of each arm's
+        # interval of the cumulative probabilities must land in that arm.
+        kappa = (0.8, 0.1, 0.1)
+        policy = PocockSimonRank(kappa=kappa)
+        n = 80
+        phi = np.ones((n, 1))
+        u = np.random.default_rng(4).random(n)
+        arms = simulate_assignments(phi, policy, 3, uniforms=u)
+        checked = 0
+        for k in range(1, n):
+            counts = np.bincount(arms[:k], minlength=3)
+            lowest = counts == counts.min()
+            if lowest.sum() != 2:
+                continue
+            expected = np.where(lowest, (kappa[0] + kappa[1]) / 2, kappa[2])
+            cum = np.cumsum(expected)
+            mids = (np.concatenate([[0.0], cum[:-1]]) + cum) / 2
+            for arm, v in enumerate(mids):
+                out = simulate_assignments(phi[: k + 1], policy, 3, uniforms=np.append(u[:k], v))
+                assert out[k] == arm, (k, counts.tolist(), arm)
+            checked += 1
+        assert checked >= 10

@@ -378,6 +378,26 @@ class TestLogistic:
         assert res.method == "t_logi"
         assert res.reject  # strong effect, n = 400
 
+    def test_se_evaluated_at_returned_coefficients(self):
+        # a small, nearly separated sample: successive iterates still differ
+        # noticeably when the deviance has settled
+        rng = np.random.default_rng(2224)
+        n = int(rng.integers(10, 40))  # 14
+        t = (rng.random(n) < 0.5).astype(float)
+        x = rng.normal(size=n)
+        eta = 0.3 + 1.5 * (t - 0.5) + 1.2 * x
+        y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(float)
+        design = np.column_stack([np.ones(n), t - 0.5, x])
+        fit = logistic_fit(y, design)
+        # weights as the fit defines them: clipped linear predictor and floor
+        p = 1 / (1 + np.exp(-np.clip(design @ fit.coef, -30, 30)))
+        w = np.clip(p * (1 - p), 1e-10, None)
+        cov = np.linalg.inv(design.T @ (w[:, None] * design))
+        np.testing.assert_allclose(fit.se, np.sqrt(np.diag(cov)), rtol=1e-10, atol=0)
+        pc = np.clip(p, 1e-12, 1 - 1e-12)
+        dev = -2 * float(y @ np.log(pc) + (1 - y) @ np.log(1 - pc))
+        assert fit.deviance == pytest.approx(dev, rel=1e-10)
+
     def test_separation_with_perfect_predictor(self):
         n = 30
         x = np.linspace(-3, 3, n)
