@@ -40,11 +40,6 @@ def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT2PI
 
 
-def normal_cdf_array(x) -> np.ndarray:
-    """Vectorized CDF (erfc-based as well)."""
-    return special.ndtr(np.asarray(x, dtype=float))
-
-
 def normal_quantile(p: float) -> float:
     """Inverse CDF, polished with Newton steps against this module's CDF."""
     if not (0.0 < p < 1.0) or math.isnan(p):

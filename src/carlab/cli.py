@@ -22,22 +22,23 @@ from dataclasses import replace
 
 import numpy as np
 
+from .allocation import EfronBiasedCoin, TwoTreatmentContinuous
 from .config import load_config
 from .errors import CarlabError, CellFailure, ConfigError
-from .harness import run_imbalance_experiment, run_power_experiment, write_table
-from .inference import (
-    TrialDataset,
-    adjusted_test,
-    block_length,
-    lse_fit,
-    sigma_tau_bootstrap,
-    sigma_tau_mb,
-    sigma_tau_mbb,
-    sigma_tau_mbj,
-    sigma_tau_reg,
-    t_ls,
+from .harness import (
+    ALL_TESTS,
+    BLOCK_TESTS,
+    LOGISTIC_TESTS,
+    PHI_TESTS,
+    RNG_TESTS,
+    check_test_params,
+    regression_features,
+    run_imbalance_experiment,
+    run_power_experiment,
+    run_test,
+    write_table,
 )
-from .allocation import EfronBiasedCoin, TwoTreatmentContinuous
+from .inference import TrialDataset, block_length, lse_fit
 
 
 def _threads(args) -> int:
@@ -96,10 +97,13 @@ def _cmd_validate(args) -> int:
 def _parse_policy(text: str):
     name, _, param = text.partition(":")
     name = name.strip().lower()
-    if name == "efron":
-        return EfronBiasedCoin(rho=float(param) if param else 0.9)
-    if name == "continuous":
-        return TwoTreatmentContinuous(cap=float(param) if param else 3.0)
+    try:
+        if name == "efron":
+            return EfronBiasedCoin(rho=float(param) if param else 0.9)
+        if name == "continuous":
+            return TwoTreatmentContinuous(cap=float(param) if param else 3.0)
+    except ValueError as exc:  # DomainError is one
+        raise ConfigError(f"--policy {text!r}: {exc}") from None
     raise ConfigError(
         f"--policy must be efron[:rho] or continuous[:cap], got {text!r}"
     )
@@ -115,6 +119,8 @@ def _read_analysis_csv(path):
         raise ConfigError(f"cannot read data {path!r}: {exc}") from exc
     if not header:
         raise ConfigError("data file is empty")
+    if not rows:
+        raise ConfigError("data file has no rows")
     header = [h.strip() for h in header]
     for col in ("y", "t"):
         if col not in header:
@@ -139,58 +145,38 @@ def _read_analysis_csv(path):
 
 
 def _cmd_analyze(args) -> int:
-    data = _read_analysis_csv(args.data)
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
-    known = ("t_ls", "t_reg", "t_mb", "t_mbj", "t_mbb", "t_boot")
+    analyzable = [t for t in ALL_TESTS if t not in LOGISTIC_TESTS]
     for test in tests:
-        if test not in known:
-            raise ConfigError(f"--tests: unknown test {test!r}; known: {', '.join(known)}")
+        if test not in analyzable:
+            raise ConfigError(f"--tests: unknown test {test!r}; known: {', '.join(analyzable)}")
     if not tests:
         raise ConfigError("--tests: no tests requested")
-    needs_phi = [t for t in tests if t in ("t_reg", "t_boot")]
+    check_test_params(args.alpha, args.bootstrap_size)
+    policy = _parse_policy(args.policy)
+    data = _read_analysis_csv(args.data)
+    needs_phi = [t for t in tests if t in PHI_TESTS]
     if needs_phi and data.phi is None:
-        raise ConfigError(
-            f"{needs_phi[0]} needs phi1..phiq columns in the data file"
-        )
-    l = args.block_length or block_length(data.n, args.block_rule)
+        raise ConfigError(f"{needs_phi[0]} needs phi1..phiq columns in the data file")
+    l = args.block_length
+    if l is None:
+        l = block_length(data.n, args.block_rule)
+    if not 1 <= l < data.n:
+        raise ConfigError(f"--block-length must satisfy 1 <= l < n={data.n}, got {l}")
+    phi = regression_features(data.phi)
     rng = np.random.default_rng(args.seed)
     fit = lse_fit(data)
-    results = []
-    for test in tests:
-        if test == "t_ls":
-            res = t_ls(fit, args.alpha)
-            extra = (fit.sigma_e2, "sigma_e2")
-        elif test == "t_reg":
-            v = sigma_tau_reg(fit, data.phi)
-            res = adjusted_test(fit, v, "gram", args.alpha)
-            extra = (v.value, v.method)
-        elif test == "t_mb":
-            v = sigma_tau_mb(fit, l)
-            res = adjusted_test(fit, v, "gram", args.alpha)
-            extra = (v.value, v.method)
-        elif test == "t_mbj":
-            v = sigma_tau_mbj(data, l)
-            res = adjusted_test(fit, v, "direct", args.alpha)
-            extra = (v.value, v.method)
-        elif test == "t_mbb":
-            v = sigma_tau_mbb(data, l, args.bootstrap_size, rng)
-            res = adjusted_test(fit, v, "direct", args.alpha)
-            extra = (v.value, v.method)
-        else:
-            policy = _parse_policy(args.policy)
-            v = sigma_tau_bootstrap(data, policy, args.bootstrap_size, rng)
-            res = adjusted_test(fit, v, "direct", args.alpha)
-            extra = (v.value, v.method)
-        results.append((test, res, extra))
+    results = [
+        (test, *run_test(test, fit, data, args.alpha, l, args.bootstrap_size, rng, policy, phi))
+        for test in tests
+    ]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["test", "statistic", "p_value", "reject", "alpha",
              "variance_method", "variance_value", "block_length", "bootstrap_size"]
         )
-        for test, res, (vval, vmethod) in results:
-            uses_block = test in ("t_mb", "t_mbj", "t_mbb")
-            uses_boot = test in ("t_mbb", "t_boot")
+        for test, res, v in results:
             writer.writerow(
                 [
                     test,
@@ -198,10 +184,10 @@ def _cmd_analyze(args) -> int:
                     f"{res.p_value:.6g}",
                     str(int(res.reject)),
                     f"{res.alpha:g}",
-                    vmethod,
-                    f"{vval:.6g}",
-                    str(l) if uses_block else "",
-                    str(args.bootstrap_size) if uses_boot else "",
+                    "sigma_e2" if v is None else v.method,
+                    f"{fit.sigma_e2 if v is None else v.value:.6g}",
+                    str(l) if test in BLOCK_TESTS else "",
+                    str(args.bootstrap_size) if test in RNG_TESTS else "",
                 ]
             )
     print(f"wrote {args.out} ({len(results)} tests)")

@@ -150,19 +150,26 @@ def parse_procedure(entry, treatments: int):
     kwargs = {}
     hh = {}
     for k, v in overrides.items():
-        if k == "rho":
-            kwargs["rho"] = float(v)
-        elif k in ("D", "K0", "cap"):
-            kwargs["cap"] = float(v)
-        elif k == "kappa":
-            parts = v if isinstance(v, (list, tuple)) else str(v).split("/")
-            kwargs["kappa"] = tuple(float(x) for x in parts)
-        elif k == "feature":
-            kwargs["terms"] = parse_feature_terms(v)
-        elif k in ("w0", "wm", "ws"):
-            hh[k] = float(v)
-        else:
-            raise ConfigError(f"procedures: {name}: unknown parameter {k!r}")
+        try:
+            if k == "rho":
+                kwargs["rho"] = float(v)
+            elif k in ("D", "K0", "cap"):
+                kwargs["cap"] = float(v)
+            elif k == "kappa":
+                parts = v if isinstance(v, (list, tuple)) else str(v).split("/")
+                kwargs["kappa"] = tuple(float(x) for x in parts)
+            elif k == "feature":
+                kwargs["terms"] = parse_feature_terms(v)
+            elif k in ("w0", "wm", "ws"):
+                hh[k] = float(v)
+            else:
+                raise ConfigError(f"procedures: {name}: unknown parameter {k!r}")
+        except ConfigError:
+            raise
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"procedures: {name}: {k}: cannot interpret value {v!r}"
+            ) from None
     if hh:
         kwargs["hh_weights"] = (hh.get("w0", 1.0), hh.get("wm", 1.0), hh.get("ws", 1.0))
     try:

@@ -34,8 +34,6 @@ from .features import CovariateVector
 
 __all__ = [
     "CovariateSetting",
-    "covariate_setting",
-    "gen_covariates",
     "gen_covariate_matrix",
     "LinearModel",
     "HeteroscedasticModel",
@@ -92,10 +90,6 @@ class CovariateSetting:
         return {}
 
 
-def covariate_setting(name: str, means=None) -> CovariateSetting:
-    return CovariateSetting(name=name, means=means)
-
-
 def gen_covariate_matrix(setting: CovariateSetting, n: int, rng) -> np.ndarray:
     """Draw n covariate rows.  Column draw order is fixed (x1, x2, x3)."""
     if n < 1:
@@ -115,12 +109,6 @@ def gen_covariate_matrix(setting: CovariateSetting, n: int, rng) -> np.ndarray:
     else:  # S3, S4, S5, S6 share the exponential interaction
         x3 = np.exp(x1 - x2) - 1.0
     return np.column_stack([x1, x2, x3])
-
-
-def gen_covariates(setting: CovariateSetting, rng) -> CovariateVector:
-    """Draw one unit's covariates."""
-    row = gen_covariate_matrix(setting, 1, rng)[0]
-    return CovariateVector(values=row, observed_mask=setting.observed_mask)
 
 
 @dataclass(frozen=True)

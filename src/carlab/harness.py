@@ -94,15 +94,23 @@ __all__ = [
     "setting1_params",
     "write_table",
     "validate_spec",
+    "check_test_params",
+    "regression_features",
+    "run_test",
 ]
 
 _TAG_COVARIATES = 1
 _TAG_NOISE = 2
 
+# The tests of the treatment effect and what each one needs; ``run_test``
+# computes the non-logistic ones.  Power studies and ``carlab analyze`` both
+# read these.
 ALL_TESTS = ("t_ls", "t_reg", "t_boot", "t_mb", "t_mbj", "t_mbb", "t_logi", "t_oracle")
-_PHI_TESTS = ("t_reg", "t_boot")
-_RNG_TESTS = ("t_mbb", "t_boot")
-_LOGISTIC_TESTS = ("t_logi", "t_oracle")
+UNADJUSTED_TESTS = ("t_ls", "t_logi", "t_oracle")
+PHI_TESTS = ("t_reg", "t_boot")
+RNG_TESTS = ("t_mbb", "t_boot")  # these take the bootstrap size
+BLOCK_TESTS = ("t_mb", "t_mbj", "t_mbb")
+LOGISTIC_TESTS = ("t_logi", "t_oracle")
 _WORKING_MODELS = {"W1": (), "W2": (0,), "W3": (0, 1, 2)}
 PRESET_NAMES = ("CR", "SR", "PS", "HH", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con")
 
@@ -246,6 +254,14 @@ class ResultTable:
     aborted: list = field(default_factory=list)
 
 
+def check_test_params(alpha: float, bootstrap_size: int):
+    """Level and bootstrap size of the tests, for a power study or an analysis."""
+    if not (0.0 < alpha <= 0.5):
+        raise ConfigError(f"alpha must lie in (0, 0.5], got {alpha}")
+    if bootstrap_size < 2:
+        raise ConfigError(f"bootstrap_size must be >= 2, got {bootstrap_size}")
+
+
 def validate_spec(spec: ExperimentSpec):
     if spec.kind not in ("imbalance", "power"):
         raise ConfigError(f"kind must be 'imbalance' or 'power', got {spec.kind!r}")
@@ -272,8 +288,7 @@ def validate_spec(spec: ExperimentSpec):
                     f"procedures: {proc.name}: kappa length {len(proc.policy.kappa)}"
                     f" does not match treatments={spec.treatments}"
                 )
-    if not (0.0 < spec.alpha <= 0.5):
-        raise ConfigError(f"alpha must lie in (0, 0.5], got {spec.alpha}")
+    check_test_params(spec.alpha, spec.bootstrap_size)
     if spec.kind == "imbalance":
         for j in spec.metrics:
             if j != 0 and not (1 <= j <= spec.setting.p_total):
@@ -292,12 +307,12 @@ def validate_spec(spec: ExperimentSpec):
     for test in spec.tests:
         if test not in ALL_TESTS:
             raise ConfigError(f"tests: unknown test {test!r}")
-        if test in _PHI_TESTS and not spec.phi_observable:
+        if test in PHI_TESTS and not spec.phi_observable:
             raise ConfigError(
                 f"tests: {test} needs the balancing features observable at analysis"
                 " (phi_observable=false)"
             )
-        if test in _LOGISTIC_TESTS and spec.model != "logistic":
+        if test in LOGISTIC_TESTS and spec.model != "logistic":
             raise ConfigError(f"tests: {test} requires model=logistic")
     for wm in spec.working_models:
         if wm not in _WORKING_MODELS:
@@ -313,8 +328,6 @@ def validate_spec(spec: ExperimentSpec):
             raise ConfigError(f"delta: values must be finite, got {d!r}")
     if spec.block_rule not in ("sqrt", "cbrt"):
         raise ConfigError(f"block_rule must be sqrt or cbrt, got {spec.block_rule!r}")
-    if spec.bootstrap_size < 2:
-        raise ConfigError(f"bootstrap_size must be >= 2, got {spec.bootstrap_size}")
 
 
 def _stream(base_seed: int, *tags) -> np.random.Generator:
@@ -393,6 +406,15 @@ def reduce_columns(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     rank = int(np.sum(diag > tol * diag[0]))
     keep = np.sort(piv[:rank])
     return M[:, keep]
+
+
+def regression_features(phi):
+    """What ``t_reg`` regresses on: ``reduce_columns`` of the balancing
+    features, or None when there are none or all are zero (``t_reg`` fails)."""
+    try:
+        return None if phi is None else reduce_columns(phi)
+    except EstimatorError:
+        return None
 
 
 def _aggregate_rate(slots: np.ndarray) -> tuple:
@@ -519,7 +541,7 @@ def _tests_for(proc: ProcedureSpec, tests) -> tuple:
     """Adjusted tests are defined relative to a covariate-adaptive procedure;
     under complete randomization only the unadjusted tests apply."""
     if proc.feature == "none":
-        return tuple(t for t in tests if t in ("t_ls", "t_logi", "t_oracle"))
+        return tuple(t for t in tests if t in UNADJUSTED_TESTS)
     return tuple(tests)
 
 
@@ -561,12 +583,7 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     def replicate(r, X, noise, proc, tests, phi, assign):
         x_oracle = X[:, observed]
         treat = (assign == 0).astype(float)
-        phi_red = None
-        if "t_reg" in tests and phi is not None:
-            try:
-                phi_red = reduce_columns(phi)
-            except EstimatorError:
-                phi_red = None
+        phi_red = regression_features(phi) if "t_reg" in tests else None
         for di, model in enumerate(models):
             y = responses_given_noise(model, X, treat, noise)
             for wm, cols in wm_cols.items():
@@ -578,7 +595,7 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
                     fit = None
                 for test in tests:
                     key = (proc.name, di, wm, test)
-                    if test in _LOGISTIC_TESTS:
+                    if test in LOGISTIC_TESTS:
                         design = (
                             np.column_stack([np.ones(n), treat - 0.5])
                             if test == "t_logi"
@@ -596,16 +613,16 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
                         slots[key][r] = -1
                         continue
                     rng = None
-                    if test in _RNG_TESTS:
+                    if test in RNG_TESTS:
                         rng = _stream(
                             spec.base_seed, r, _name_tag(proc.name, test), di, _name_tag(wm)
                         )
                     try:
-                        slots[key][r] = int(
-                            _run_adjusted(
-                                test, fit, data, phi_red, proc, spec, lblock, rng
-                            ).reject
+                        res, _ = run_test(
+                            test, fit, data, spec.alpha, lblock, spec.bootstrap_size,
+                            rng, proc.policy, phi_red,
                         )
+                        slots[key][r] = int(res.reject)
                     except (FitError, EstimatorError, DomainError):
                         slots[key][r] = -1
 
@@ -639,29 +656,28 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     return table
 
 
-def _run_adjusted(test, fit, data, phi_red, proc, spec, lblock, rng):
+def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
+    """Run one non-logistic test on a working-model fit: block length ``l``,
+    bootstrap size ``B`` and generator ``rng`` as the table says, ``policy``
+    re-run by ``t_boot``, ``phi`` from ``regression_features`` for ``t_reg``.
+    Returns the test result and the variance estimate (None for ``t_ls``)."""
     if test == "t_ls":
-        return t_ls(fit, spec.alpha)
+        return t_ls(fit, alpha), None
     if test == "t_reg":
-        if phi_red is None:
+        if phi is None:
             raise EstimatorError("no usable feature matrix for the residual regression")
-        return adjusted_test(fit, sigma_tau_reg(fit, phi_red), "gram", spec.alpha)
-    if test == "t_mb":
-        return adjusted_test(fit, sigma_tau_mb(fit, lblock), "gram", spec.alpha)
-    if test == "t_mbj":
-        return adjusted_test(fit, sigma_tau_mbj(data, lblock), "direct", spec.alpha)
-    if test == "t_mbb":
-        return adjusted_test(
-            fit, sigma_tau_mbb(data, lblock, spec.bootstrap_size, rng), "direct", spec.alpha
-        )
-    if test == "t_boot":
-        return adjusted_test(
-            fit,
-            sigma_tau_bootstrap(data, proc.policy, spec.bootstrap_size, rng),
-            "direct",
-            spec.alpha,
-        )
-    raise ConfigError(f"unknown test {test!r}")
+        v, mode = sigma_tau_reg(fit, phi), "gram"
+    elif test == "t_mb":
+        v, mode = sigma_tau_mb(fit, l), "gram"
+    elif test == "t_mbj":
+        v, mode = sigma_tau_mbj(data, l), "direct"
+    elif test == "t_mbb":
+        v, mode = sigma_tau_mbb(data, l, B, rng), "direct"
+    elif test == "t_boot":
+        v, mode = sigma_tau_bootstrap(data, policy, B, rng), "direct"
+    else:
+        raise ConfigError(f"unknown test {test!r}")
+    return adjusted_test(fit, v, mode, alpha), v
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from carlab.cli import main
 from carlab.datagen import CovariateSetting, LinearModel, gen_covariate_matrix, gen_responses
 from carlab.engine import simulate_assignments
 from carlab.features import Composite, Constant, Identity, feature_matrix
-from carlab.harness import procedure_preset
+from carlab.harness import build_phi, procedure_preset
 from carlab.inference import TrialDataset, lse_fit, t_ls
 
 IMBALANCE_CFG = """
@@ -131,12 +131,25 @@ def _make_analysis_csv(path, n=120, seed=3):
     assign = simulate_assignments(phi, procedure_preset("phi-CAR-BC").policy, 2, rng)
     t = (assign == 0).astype(float)
     y = gen_responses(LinearModel(mu1=1.0), X, t, rng)
+    _write_analysis_csv(path, y, t, X, phi)
+    return TrialDataset(y=y, t=t, x_obs=X, phi=phi)
+
+
+def _write_analysis_csv(path, y, t, X, phi):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["y", "t", "x1", "x2", "x3", "phi1", "phi2", "phi3", "phi4"])
-        for i in range(n):
+        writer.writerow(
+            ["y", "t"]
+            + [f"x{k + 1}" for k in range(X.shape[1])]
+            + [f"phi{k + 1}" for k in range(phi.shape[1])]
+        )
+        for i in range(len(y)):
             writer.writerow([y[i], int(t[i]), *X[i], *phi[i]])
-    return TrialDataset(y=y, t=t, x_obs=X, phi=phi)
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return {r["test"]: r for r in csv.DictReader(fh)}
 
 
 class TestAnalyze:
@@ -152,8 +165,7 @@ class TestAnalyze:
             ]
         )
         assert rc == 0
-        with open(out, newline="") as fh:
-            rows = {r["test"]: r for r in csv.DictReader(fh)}
+        rows = _read_rows(out)
         assert set(rows) == {"t_ls", "t_reg", "t_mb", "t_mbj", "t_mbb", "t_boot"}
         # cross-check the classical statistic against a direct fit
         fit = lse_fit(data)
@@ -188,3 +200,84 @@ class TestAnalyze:
         assert main(
             ["analyze", "--data", str(path), "--tests", "t_ls", "--out", str(tmp_path / "o.csv")]
         ) == 2
+
+    def test_header_without_rows(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("y,t,x1\n")
+        assert main(
+            ["analyze", "--data", str(path), "--tests", "t_ls", "--out", str(tmp_path / "o.csv")]
+        ) == 2
+        assert "no rows" in capsys.readouterr().err
+
+    def test_reg_on_rank_deficient_features(self, tmp_path):
+        # PS balances margin indicators: on S1 that is 9 columns of rank 7.
+        # t_reg regresses on a full-rank subset of them, as the power harness does.
+        rng = np.random.default_rng(5)
+        setting = CovariateSetting("S1")
+        X = gen_covariate_matrix(setting, 120, rng)
+        proc = procedure_preset("PS")
+        phi = build_phi(proc, setting, X)
+        assert np.linalg.matrix_rank(phi) < phi.shape[1]
+        t = (simulate_assignments(phi, proc.policy, 2, rng) == 0).astype(float)
+        y = gen_responses(LinearModel(mu1=1.0), X, t, rng)
+        path, out = tmp_path / "d.csv", tmp_path / "o.csv"
+        _write_analysis_csv(path, y, t, X, phi)
+        assert main(
+            ["analyze", "--data", str(path), "--tests", "t_ls,t_reg", "--out", str(out)]
+        ) == 0
+        assert _read_rows(out)["t_reg"]["variance_method"] == "reg"
+
+    def test_block_length_flag_is_used_as_given(self, tmp_path):
+        path, out = tmp_path / "d.csv", tmp_path / "o.csv"
+        _make_analysis_csv(path)
+        assert main(
+            ["analyze", "--data", str(path), "--tests", "t_mb", "--out", str(out),
+             "--block-length", "1"]
+        ) == 0
+        assert _read_rows(out)["t_mb"]["block_length"] == "1"
+
+    @pytest.mark.parametrize(
+        "option, field",
+        [
+            (["--alpha", "1.5"], "alpha"),
+            (["--alpha", "0"], "alpha"),
+            (["--bootstrap-size", "1"], "bootstrap_size"),
+            (["--policy", "efron:abc"], "--policy"),
+            (["--policy", "efron:5"], "--policy"),
+            (["--block-length", "0"], "--block-length"),
+            (["--block-length", "120"], "--block-length"),
+        ],
+        ids=["alpha-above-half", "alpha-zero", "bootstrap-size-1", "policy-not-a-number",
+             "policy-rho-out-of-range", "block-length-0", "block-length-n"],
+    )
+    def test_bad_option_is_a_config_error(self, tmp_path, capsys, option, field):
+        # t_boot is not requested: --policy is checked all the same
+        path = tmp_path / "d.csv"
+        _make_analysis_csv(path)
+        assert main(
+            ["analyze", "--data", str(path), "--tests", "t_ls,t_mb,t_mbb",
+             "--out", str(tmp_path / "o.csv"), "--bootstrap-size", "20", *option]
+        ) == 2
+        assert field in capsys.readouterr().err
+
+
+class TestProcedureParameters:
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("phi-CAR-BC(rho=abc)", "phi-CAR-BC: rho: cannot interpret value 'abc'"),
+            ("phi-CAR-BC(foo=1)", "phi-CAR-BC: unknown parameter 'foo'"),
+        ],
+    )
+    def test_text_parameter(self, tmp_path, capsys, entry, message):
+        text = IMBALANCE_CFG.replace("procedures = CR, phi-CAR-BC", f"procedures = CR, {entry}")
+        assert main(["validate-config", _write(tmp_path, "c.cfg", text)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_json_parameter_of_wrong_type(self, tmp_path, capsys):
+        text = (
+            '{"kind": "imbalance", "setting": "S1", "n": 80,'
+            ' "procedures": [{"name": "phi-CAR-BC", "rho": [1]}]}'
+        )
+        assert main(["validate-config", _write(tmp_path, "c.json", text)]) == 2
+        assert "rho" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from carlab.datagen import (
     LogisticModel,
     draw_noise,
     gen_covariate_matrix,
-    gen_covariates,
     gen_response,
     gen_responses,
     mean_response,
@@ -66,12 +65,6 @@ class TestSettings:
         assert X[:, 1].mean() == pytest.approx(1.0, abs=0.02)
         assert X[:, 0].var() == pytest.approx(1.0, abs=0.03)
         assert X[:, 2].mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_single_draw_vector(self):
-        rng = np.random.default_rng(4)
-        cv = gen_covariates(CovariateSetting("S5"), rng)
-        assert cv.values.shape == (3,)
-        assert cv.observed_mask.tolist() == [True, True, False]
 
     def test_seed_determinism(self):
         a = gen_covariate_matrix(CovariateSetting("S3"), 50, np.random.default_rng(77))

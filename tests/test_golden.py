@@ -4,6 +4,11 @@ Each config in ``demos/configs`` is run at R=20 (the replicate count replaced
 with ``dataclasses.replace``, as the benchmark's study driver does) and the
 SHA-256 of the CSV that ``write_table`` produces is pinned.  A change that
 moves a digest changes output bytes and must say why in CHANGES.md.
+
+The ``carlab analyze`` CSVs are pinned the same way, on the trial data of
+``test_cli._make_analysis_csv`` (S1, n=120, features (1, x1, x2, x3),
+phi-CAR-BC): the full test list, and the resampling tests under a
+non-default randomization rule and block rule.
 """
 
 import dataclasses
@@ -13,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from carlab import config, harness
+from carlab.cli import main
+from test_cli import _make_analysis_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 REPLICATES = 20
@@ -40,3 +47,27 @@ def _digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name, tmp_path):
     assert _digest(name, tmp_path) == GOLDEN[name]
+
+
+ANALYZE_GOLDEN = {
+    "full": (
+        ["--tests", "t_ls,t_reg,t_mb,t_mbj,t_mbb,t_boot", "--bootstrap-size", "40",
+         "--seed", "8"],
+        "918cee71f8b1287875b7f483b98e4247f449cdf1c58c2831580ae85715906913",
+    ),
+    "resampling": (
+        ["--tests", "t_boot,t_mbb,t_ls", "--policy", "continuous:2", "--block-rule", "cbrt",
+         "--bootstrap-size", "30", "--seed", "3"],
+        "9fb4b951e89499c9207f7ea08203703e8afe793c6cef2836491428f20468f50d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
+def test_analyze_golden_digest(name, tmp_path):
+    args, digest = ANALYZE_GOLDEN[name]
+    data = tmp_path / "trial.csv"
+    _make_analysis_csv(data)
+    out = tmp_path / "tests.csv"
+    assert main(["analyze", "--data", str(data), "--out", str(out), *args]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

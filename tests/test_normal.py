@@ -4,7 +4,6 @@ import pytest
 
 from carlab._normal import (
     normal_cdf,
-    normal_cdf_array,
     normal_pdf,
     normal_quantile,
     normal_upper,
@@ -56,13 +55,6 @@ def test_pdf_normalizes():
     xs = np.linspace(-10, 10, 20001)
     area = np.trapezoid([normal_pdf(x) for x in xs], xs)
     assert abs(area - 1.0) < 1e-10
-
-
-def test_array_cdf_agrees_with_scalar():
-    xs = np.linspace(-4, 4, 17)
-    arr = normal_cdf_array(xs)
-    for x, v in zip(xs, arr):
-        assert abs(v - normal_cdf(x)) < 1e-14
 
 
 def test_two_sided_p():
