@@ -39,7 +39,6 @@ from .errors import (
 from .features import (
     Composite,
     Constant,
-    CovariateVector,
     HuHu,
     Identity,
     Indicator,

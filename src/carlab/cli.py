@@ -114,13 +114,18 @@ def _read_analysis_csv(path):
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            rows = [row for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ConfigError(f"cannot read data {path!r}: {exc}") from exc
     if not header:
         raise ConfigError("data file is empty")
     if not rows:
         raise ConfigError("data file has no rows")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ConfigError(
+                f"data file line {line}: expected {len(header)} fields, got {len(row)}"
+            )
     header = [h.strip() for h in header]
     for col in ("y", "t"):
         if col not in header:
@@ -131,7 +136,7 @@ def _read_analysis_csv(path):
     phi_cols.sort(key=lambda h: int(h[3:]))
     idx = {h: k for k, h in enumerate(header)}
     try:
-        data = np.array([[float(v) for v in row] for row in rows])
+        data = np.array([[float(v) for v in row] for _, row in rows])
     except ValueError as exc:
         raise ConfigError(f"non-numeric value in data file: {exc}") from exc
     y = data[:, idx["y"]]
@@ -153,6 +158,8 @@ def _cmd_analyze(args) -> int:
     if not tests:
         raise ConfigError("--tests: no tests requested")
     check_test_params(args.alpha, args.bootstrap_size)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     policy = _parse_policy(args.policy)
     data = _read_analysis_csv(args.data)
     needs_phi = [t for t in tests if t in PHI_TESTS]

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .features import CovariateVector
 
 __all__ = [
     "CovariateSetting",
@@ -43,7 +42,6 @@ __all__ = [
     "with_effect",
     "mean_response",
     "responses_given_noise",
-    "gen_response",
     "gen_responses",
 ]
 
@@ -230,15 +228,3 @@ def gen_responses(model: ResponseModel, X, treat, rng) -> np.ndarray:
     """Draw responses for many units at once."""
     return responses_given_noise(model, X, treat, draw_noise(model, len(treat), rng))
 
-
-def gen_response(
-    model: ResponseModel, x, treat: int, rng, n: int = None, alt: LocalAlternative = None
-) -> float:
-    """Draw one unit's response; ``alt`` (with the trial size n) applies the
-    shrinking-effect rule before drawing."""
-    if alt is not None:
-        if n is None:
-            raise DomainError("the local-alternative rule needs the trial size n")
-        model = with_effect(model, alt, n)
-    vals = x.values if isinstance(x, CovariateVector) else np.asarray(x, dtype=float)
-    return float(gen_responses(model, vals[None, :], np.array([treat]), rng)[0])

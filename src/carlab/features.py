@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "CovariateVector",
     "Stratified",
     "Marginal",
     "HuHu",
@@ -46,27 +45,6 @@ __all__ = [
     "discretize",
     "discretize_array",
 ]
-
-
-@dataclass
-class CovariateVector:
-    """Covariates of one unit plus the mask of coordinates visible to analysis."""
-
-    values: np.ndarray
-    observed_mask: np.ndarray = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise DomainError("covariate values must be a 1-d array")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("covariate values must be finite")
-        if self.observed_mask is None:
-            self.observed_mask = np.ones(self.values.shape, dtype=bool)
-        else:
-            self.observed_mask = np.asarray(self.observed_mask, dtype=bool)
-        if self.observed_mask.shape != self.values.shape:
-            raise DomainError("observed_mask must have the same length as values")
 
 
 def _check_levels(levels, coord):
@@ -276,7 +254,7 @@ def _stratum_index(vals, coords, levels) -> int:
 
 
 def _coord_values(x) -> np.ndarray:
-    vals = x.values if isinstance(x, CovariateVector) else np.asarray(x, dtype=float)
+    vals = np.asarray(x, dtype=float)
     if vals.ndim != 1:
         raise DomainError("covariate vector must be 1-d")
     if not np.all(np.isfinite(vals)):

@@ -112,6 +112,7 @@ RNG_TESTS = ("t_mbb", "t_boot")  # these take the bootstrap size
 BLOCK_TESTS = ("t_mb", "t_mbj", "t_mbb")
 LOGISTIC_TESTS = ("t_logi", "t_oracle")
 _WORKING_MODELS = {"W1": (), "W2": (0,), "W3": (0, 1, 2)}
+_THRESHOLDS = (0.0, 2.0)  # cut points of continuous covariates for SR, PS and HH
 PRESET_NAMES = ("CR", "SR", "PS", "HH", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con")
 
 
@@ -130,7 +131,6 @@ class ProcedureSpec:
     name: str
     policy: AllocationPolicy
     feature: str
-    thresholds: tuple = (0.0, 2.0)
     terms: tuple = None
     hh_weights: tuple = (1.0, 1.0, 1.0)
 
@@ -269,6 +269,8 @@ def validate_spec(spec: ExperimentSpec):
         raise ConfigError(f"n must be >= 10, got {spec.n}")
     if spec.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {spec.replicates}")
+    if spec.base_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {spec.base_seed}")
     if spec.treatments < 2:
         raise ConfigError(f"treatments must be >= 2, got {spec.treatments}")
     if not spec.procedures:
@@ -343,9 +345,9 @@ def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
 
     Stratified and marginal procedures act on the discrete view of the
     observed covariates: coordinates that are declared discrete keep their
-    levels, continuous ones are cut at the procedure's thresholds.  The
-    feature-balancing procedures act on the raw observed covariates, with or
-    without a leading constant.
+    levels, continuous ones are cut at 0 and 2.  The feature-balancing
+    procedures act on the raw observed covariates, with or without a leading
+    constant.
     """
     if proc.feature == "none":
         return None
@@ -358,8 +360,8 @@ def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
                 cols.append(X[:, c])
                 levels.append(tuple(float(v) for v in declared))
             else:
-                cols.append(discretize_array(X[:, c], proc.thresholds).astype(float))
-                levels.append(tuple(float(v) for v in range(len(proc.thresholds) + 1)))
+                cols.append(discretize_array(X[:, c], _THRESHOLDS).astype(float))
+                levels.append(tuple(float(v) for v in range(len(_THRESHOLDS) + 1)))
         Xd = np.column_stack(cols)
         coords = tuple(range(len(cols)))
         if proc.feature == "stratified":
@@ -417,70 +419,70 @@ def regression_features(phi):
         return None
 
 
-def _aggregate_rate(slots: np.ndarray) -> tuple:
-    valid = slots >= 0
-    n_valid = int(valid.sum())
-    fails = int((slots == -1).sum())
-    if n_valid == 0:
-        return math.nan, math.nan, 0, fails
-    v = float(slots[valid].mean())
-    se = math.sqrt(max(v * (1.0 - v), 0.0) / n_valid)
-    return v, se, n_valid, fails
+def _study(spec: ExperimentSpec, kind: str, threads: int, cells, work) -> ResultTable:
+    """Validate ``spec`` as a ``kind`` study, run it and fold its slots.
+
+    ``cells(proc)`` lists a procedure's cells as (cell key, row fields)
+    pairs.  Each procedure owns one float (R, cells) slot array, column k for
+    its cell k, filled with NaN; ``work(slots)`` returns the function that
+    fills the slots of a range of replicates.  A slot left NaN is a failed
+    replicate: it is excluded from its cell and counted in ``failures``, and
+    a cell that loses more than 1% of its replicates is aborted, not given a
+    row.  Rejection rates get the binomial standard error, other metrics the
+    sample standard deviation over sqrt(m).
+    """
+    validate_spec(spec)
+    if spec.kind != kind:
+        raise ConfigError(f"run_{kind}_experiment needs kind={kind}")
+    R = spec.replicates
+    by_proc = {p.name: cells(p) for p in spec.procedures}
+    slots = {name: np.full((R, len(named)), np.nan) for name, named in by_proc.items()}
+    _run_chunks(work(slots), spec, threads)
+    table = ResultTable()
+    for name, named in by_proc.items():
+        for col, (cell, fields) in zip(slots[name].T, named):
+            vals = col[~np.isnan(col)]
+            m = vals.size
+            if m < R:
+                table.failures[cell] = R - m
+            if R - m > 0.01 * R:
+                table.aborted.append(cell)
+                continue
+            value = float(vals.mean())
+            if fields["metric"] == "rejection_rate":
+                se = math.sqrt(max(value * (1.0 - value), 0.0) / m)
+            else:
+                se = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else math.nan
+            table.rows.append(
+                ResultRow(kind=kind, procedure=name, **fields, value=value, mc_se=se, replicates=m)
+            )
+    return table
 
 
 def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     """Replicated imbalance study; see the module docstring for determinism.
-    Replicates whose metrics are undefined are counted and excluded; a cell
-    loses more than 1% of its replicates only by aborting."""
-    validate_spec(spec)
-    if spec.kind != "imbalance":
-        raise ConfigError("run_imbalance_experiment needs kind=imbalance")
-    R, T = spec.replicates, spec.treatments
+    A replicate whose metrics are undefined fails in its cells only."""
     metrics = tuple(spec.metrics)
-    slots = {
-        p.name: np.full((R, len(metrics)), np.nan) for p in spec.procedures
-    }
 
-    def work(rs: range):
-        Xs = [_covariates(spec, r) for r in rs]
-        for proc in spec.procedures:
-            assigns = _assign_chunk(spec, proc, rs, Xs)[1]  # features freed here
-            for r, X, assign in zip(rs, Xs, assigns):
-                try:
-                    vals = imbalance_metrics(assign, X, T, metrics)
-                except DomainError:
-                    continue  # the slot stays NaN: a failed replicate
-                slots[proc.name][r] = [vals[j] for j in metrics]
+    def cells(proc):
+        fields = dict(working_model="", test="", delta=math.nan)
+        return [((proc.name, f"imb{j}"), dict(fields, metric=f"imb{j}")) for j in metrics]
 
-    _run_chunks(work, spec, threads)
-    table = ResultTable()
-    for proc in spec.procedures:
-        arr = slots[proc.name]
-        for k, j in enumerate(metrics):
-            col = arr[:, k]
-            col = col[~np.isnan(col)]
-            cell = (proc.name, f"imb{j}")
-            fails = R - col.size
-            if fails:
-                table.failures[cell] = fails
-            if fails > 0.01 * R:
-                table.aborted.append(cell)
-                continue
-            m = col.size
-            table.rows.append(
-                ResultRow(
-                    kind="imbalance",
-                    procedure=proc.name,
-                    working_model="",
-                    test="",
-                    delta=math.nan,
-                    metric=f"imb{j}",
-                    value=float(col.mean()),
-                    mc_se=float(col.std(ddof=1) / math.sqrt(m)) if m > 1 else math.nan,
-                    replicates=m,
-                )
-            )
-    return table
+    def work(slots):
+        def chunk(rs: range):
+            Xs = [_covariates(spec, r) for r in rs]
+            for proc in spec.procedures:
+                assigns = _assign_chunk(spec, proc, rs, Xs)[1]  # features freed here
+                for r, X, assign in zip(rs, Xs, assigns):
+                    try:
+                        vals = imbalance_metrics(assign, X, spec.treatments, metrics)
+                    except DomainError:
+                        continue  # the slot stays NaN: a failed replicate
+                    slots[proc.name][r] = [vals[j] for j in metrics]
+
+        return chunk
+
+    return _study(spec, "imbalance", threads, cells, work)
 
 
 def _covariates(spec: ExperimentSpec, r: int) -> np.ndarray:
@@ -537,123 +539,94 @@ def _base_model(spec: ExperimentSpec):
     return LogisticModel(mu0=spec.mu0, mu1=spec.mu0)
 
 
-def _tests_for(proc: ProcedureSpec, tests) -> tuple:
-    """Adjusted tests are defined relative to a covariate-adaptive procedure;
-    under complete randomization only the unadjusted tests apply."""
-    if proc.feature == "none":
-        return tuple(t for t in tests if t in UNADJUSTED_TESTS)
-    return tuple(tests)
-
-
 def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     """Replicated type-I-error / power study over (procedure, delta, working
-    model, test) cells.  Replicates whose fit fails are counted and excluded;
-    a cell loses more than 1% of its replicates only by aborting."""
-    validate_spec(spec)
-    if spec.kind != "power":
-        raise ConfigError("run_power_experiment needs kind=power")
-    R, n = spec.replicates, spec.n
-    model0 = _base_model(spec)
-    lblock = block_length(n, spec.block_rule)
-    observed = np.flatnonzero(spec.setting.observed_mask)
-    wm_cols = {wm: _WORKING_MODELS[wm] for wm in spec.working_models}
-    slots = {}
-    for proc in spec.procedures:
-        for test in _tests_for(proc, spec.tests):
-            for di in range(len(spec.deltas)):
-                for wm in spec.working_models:
-                    slots[(proc.name, di, wm, test)] = np.full(R, -2, dtype=np.int8)
+    model, test) cells.  A replicate whose fit or estimator fails fails in
+    that cell only."""
+    # Adjusted tests are defined relative to a covariate-adaptive procedure;
+    # under complete randomization only the unadjusted tests apply.
+    tests = {
+        p.name: tuple(t for t in spec.tests if p.feature != "none" or t in UNADJUSTED_TESTS)
+        for p in spec.procedures
+    }
 
-    models = [with_effect(model0, LocalAlternative(d), n) for d in spec.deltas]
+    def cells(proc):
+        return [
+            (
+                (proc.name, float(d), wm, test),
+                dict(working_model=wm, test=test, delta=float(d), metric="rejection_rate"),
+            )
+            for d in spec.deltas
+            for wm in spec.working_models
+            for test in tests[proc.name]
+        ]
 
-    def work(rs: range):
-        Xs = [_covariates(spec, r) for r in rs]
-        noises = [draw_noise(model0, n, _stream(spec.base_seed, r, _TAG_NOISE)) for r in rs]
-        for proc in spec.procedures:
-            tests = _tests_for(proc, spec.tests)
-            if tests:
-                procedure(proc, tests, rs, Xs, noises)
+    def work(slots):
+        n = spec.n
+        model0 = _base_model(spec)
+        models = [with_effect(model0, LocalAlternative(d), n) for d in spec.deltas]
+        lblock = block_length(n, spec.block_rule)
+        observed = np.flatnonzero(spec.setting.observed_mask)
+        wm_cols = {wm: _WORKING_MODELS[wm] for wm in spec.working_models}
 
-    def procedure(proc, tests, rs, Xs, noises):
-        # a frame of its own, so the chunk's features are freed on return
-        phis, assigns = _assign_chunk(spec, proc, rs, Xs)
-        for r, X, noise, phi, assign in zip(rs, Xs, noises, phis, assigns):
-            replicate(r, X, noise, proc, tests, phi, assign)
+        def chunk(rs: range):
+            Xs = [_covariates(spec, r) for r in rs]
+            noises = [draw_noise(model0, n, _stream(spec.base_seed, r, _TAG_NOISE)) for r in rs]
+            for proc in spec.procedures:
+                if tests[proc.name]:
+                    procedure(proc, rs, Xs, noises)
 
-    def replicate(r, X, noise, proc, tests, phi, assign):
-        x_oracle = X[:, observed]
-        treat = (assign == 0).astype(float)
-        phi_red = regression_features(phi) if "t_reg" in tests else None
-        for di, model in enumerate(models):
-            y = responses_given_noise(model, X, treat, noise)
-            for wm, cols in wm_cols.items():
-                x_w = X[:, list(cols)] if cols else np.empty((n, 0))
-                data = TrialDataset(y=y, t=treat, x_obs=x_w, phi=phi)
+        def procedure(proc, rs, Xs, noises):
+            # a frame of its own, so the chunk's features are freed on return
+            phis, assigns = _assign_chunk(spec, proc, rs, Xs)
+            for r, X, noise, phi, assign in zip(rs, Xs, noises, phis, assigns):
+                slots[proc.name][r] = replicate(r, X, noise, proc, phi, assign)
+
+        def replicate(r, X, noise, proc, phi, assign):
+            """The replicate's slot row: 1.0 or 0.0 as each test rejects, NaN
+            where its fit or estimator fails."""
+            x_oracle = X[:, observed]
+            treat = (assign == 0).astype(float)
+            proc_tests = tests[proc.name]
+            phi_red = regression_features(phi) if "t_reg" in proc_tests else None
+
+            def reject(test, di, wm, data, fit):
                 try:
-                    fit = lse_fit(data)
-                except (FitError, DomainError):
-                    fit = None
-                for test in tests:
-                    key = (proc.name, di, wm, test)
                     if test in LOGISTIC_TESTS:
-                        design = (
-                            np.column_stack([np.ones(n), treat - 0.5])
-                            if test == "t_logi"
-                            else np.column_stack([np.ones(n), treat - 0.5, x_oracle])
-                        )
-                        try:
-                            res = logistic_wald_test(
-                                y, design, 1, spec.alpha, test
-                            )
-                            slots[key][r] = int(res.reject)
-                        except (FitError, DomainError):
-                            slots[key][r] = -1
-                        continue
-                    if fit is None:
-                        slots[key][r] = -1
-                        continue
-                    rng = None
-                    if test in RNG_TESTS:
-                        rng = _stream(
-                            spec.base_seed, r, _name_tag(proc.name, test), di, _name_tag(wm)
-                        )
-                    try:
+                        covariates = (x_oracle,) if test == "t_oracle" else ()
+                        design = np.column_stack([np.ones(n), treat - 0.5, *covariates])
+                        res = logistic_wald_test(data.y, design, 1, spec.alpha, test)
+                    elif fit is None:
+                        return math.nan
+                    else:
+                        rng = None
+                        if test in RNG_TESTS:
+                            tag = _name_tag(proc.name, test)
+                            rng = _stream(spec.base_seed, r, tag, di, _name_tag(wm))
                         res, _ = run_test(
                             test, fit, data, spec.alpha, lblock, spec.bootstrap_size,
                             rng, proc.policy, phi_red,
                         )
-                        slots[key][r] = int(res.reject)
-                    except (FitError, EstimatorError, DomainError):
-                        slots[key][r] = -1
+                except (FitError, EstimatorError, DomainError):
+                    return math.nan
+                return float(res.reject)
 
-    _run_chunks(work, spec, threads)
-    table = ResultTable()
-    for proc in spec.procedures:
-        for di, delta in enumerate(spec.deltas):
-            for wm in spec.working_models:
-                for test in _tests_for(proc, spec.tests):
-                    key = (proc.name, di, wm, test)
-                    value, se, n_valid, fails = _aggregate_rate(slots[key])
-                    cell = (proc.name, float(delta), wm, test)
-                    if fails:
-                        table.failures[cell] = fails
-                    if fails > 0.01 * R:
-                        table.aborted.append(cell)
-                        continue
-                    table.rows.append(
-                        ResultRow(
-                            kind="power",
-                            procedure=proc.name,
-                            working_model=wm,
-                            test=test,
-                            delta=float(delta),
-                            metric="rejection_rate",
-                            value=value,
-                            mc_se=se,
-                            replicates=n_valid,
-                        )
-                    )
-    return table
+            row = []
+            for di, model in enumerate(models):
+                y = responses_given_noise(model, X, treat, noise)
+                for wm, cols in wm_cols.items():
+                    x_w = X[:, list(cols)] if cols else np.empty((n, 0))
+                    data = TrialDataset(y=y, t=treat, x_obs=x_w, phi=phi)
+                    try:
+                        fit = lse_fit(data)
+                    except (FitError, DomainError):
+                        fit = None
+                    row.extend(reject(test, di, wm, data, fit) for test in proc_tests)
+            return row
+
+        return chunk
+
+    return _study(spec, "power", threads, cells, work)
 
 
 def run_test(test, fit, data, alpha, l, B, rng, policy, phi):

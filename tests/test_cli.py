@@ -53,6 +53,11 @@ class TestValidateConfig:
     def test_missing_file(self):
         assert main(["validate-config", "/nonexistent/x.cfg"]) == 2
 
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.cfg", IMBALANCE_CFG.replace("seed = 4", "seed = -1"))
+        assert main(["validate-config", cfg]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestRunCommands:
     def test_imbalance_run(self, tmp_path):
@@ -89,6 +94,14 @@ class TestRunCommands:
         assert len(imb1) == 2
         assert all(0 < int(r["replicates"]) < 3000 for r in imb1)
         assert "note: cell ('phi-CAR-BC', 'imb1'):" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["imbalance", "power"])
+    def test_negative_seed_override(self, tmp_path, capsys, kind):
+        cfg = _write(tmp_path, "c.cfg", IMBALANCE_CFG if kind == "imbalance" else POWER_CFG)
+        out = tmp_path / "results"
+        assert main([kind, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (out / f"{kind}.csv").exists()
 
     def test_kind_mismatch(self, tmp_path):
         cfg = _write(tmp_path, "c.cfg", POWER_CFG)
@@ -209,6 +222,14 @@ class TestAnalyze:
         ) == 2
         assert "no rows" in capsys.readouterr().err
 
+    def test_ragged_row_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("y,t,x1\n1.0,1,0.5\n2.0,0\n0.5,0,1.5\n")
+        assert main(
+            ["analyze", "--data", str(path), "--tests", "t_ls", "--out", str(tmp_path / "o.csv")]
+        ) == 2
+        assert "data file line 3: expected 3 fields, got 2" in capsys.readouterr().err
+
     def test_reg_on_rank_deficient_features(self, tmp_path):
         # PS balances margin indicators: on S1 that is 9 columns of rank 7.
         # t_reg regresses on a full-rank subset of them, as the power harness does.
@@ -246,9 +267,10 @@ class TestAnalyze:
             (["--policy", "efron:5"], "--policy"),
             (["--block-length", "0"], "--block-length"),
             (["--block-length", "120"], "--block-length"),
+            (["--seed", "-1"], "--seed must be >= 0"),
         ],
         ids=["alpha-above-half", "alpha-zero", "bootstrap-size-1", "policy-not-a-number",
-             "policy-rho-out-of-range", "block-length-0", "block-length-n"],
+             "policy-rho-out-of-range", "block-length-0", "block-length-n", "seed-negative"],
     )
     def test_bad_option_is_a_config_error(self, tmp_path, capsys, option, field):
         # t_boot is not requested: --policy is checked all the same

@@ -11,7 +11,6 @@ from carlab.datagen import (
     LogisticModel,
     draw_noise,
     gen_covariate_matrix,
-    gen_response,
     gen_responses,
     mean_response,
     responses_given_noise,
@@ -109,11 +108,6 @@ class TestResponses:
         y = gen_responses(model, X, t, rng)
         assert set(np.unique(y)) <= {0.0, 1.0}
 
-    def test_single_response(self):
-        model = LinearModel(sigma_eps=0.0)
-        v = gen_response(model, np.array([1.0, 0.0, 0.0]), 1, np.random.default_rng(0))
-        assert v == pytest.approx(1.0)
-
     def test_seed_determinism(self):
         model = LinearModel()
         X = np.random.default_rng(1).normal(size=(40, 3))
@@ -156,16 +150,3 @@ class TestIdentifiability:
         z = draw_noise(LinearModel(), 10_000, np.random.default_rng(1))
         assert abs(z.mean()) < 0.05
 
-
-class TestGenResponseWithAlternative:
-    def test_alt_rule_applied(self):
-        model = LinearModel(mu0=0.0, mu1=0.0, sigma_eps=0.0)
-        x = np.array([0.0, 0.0, 0.0])
-        v = gen_response(model, x, 1, np.random.default_rng(0),
-                         n=400, alt=LocalAlternative(10.0))
-        assert v == pytest.approx(0.5)
-
-    def test_alt_needs_n(self):
-        with pytest.raises(DomainError):
-            gen_response(LinearModel(), np.zeros(3), 1, np.random.default_rng(0),
-                         alt=LocalAlternative(1.0))

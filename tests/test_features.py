@@ -9,7 +9,6 @@ from carlab.errors import DomainError
 from carlab.features import (
     Composite,
     Constant,
-    CovariateVector,
     HuHu,
     Identity,
     Indicator,
@@ -246,16 +245,3 @@ class TestDiscretize:
         arr = discretize_array(vals, th)
         assert arr.tolist() == [discretize(v, th) for v in vals]
 
-
-class TestCovariateVector:
-    def test_mask_defaults_to_all_observed(self):
-        cv = CovariateVector(values=np.array([1.0, 2.0]))
-        assert cv.observed_mask.tolist() == [True, True]
-
-    def test_rejects_nan(self):
-        with pytest.raises(DomainError):
-            CovariateVector(values=np.array([1.0, np.nan]))
-
-    def test_rejects_mask_mismatch(self):
-        with pytest.raises(DomainError):
-            CovariateVector(values=np.array([1.0]), observed_mask=np.array([True, False]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from carlab import harness, inference
 from carlab.allocation import (
     CompleteRandomization,
     EfronBiasedCoin,
@@ -13,7 +14,7 @@ from carlab.allocation import (
 )
 from carlab.config import load_config
 from carlab.datagen import CovariateSetting, gen_covariate_matrix
-from carlab.errors import ConfigError, DomainError
+from carlab.errors import ConfigError, DomainError, FitError
 from carlab.harness import (
     AsymptoticParams,
     ExperimentSpec,
@@ -345,6 +346,46 @@ class TestRunners:
         table = run_power_experiment(spec)
         assert ("CR", 0.0, "W1", "t_logi") in table.aborted
         assert not table.rows
+
+    def test_cell_keeps_its_row_after_one_failed_replicate(self, monkeypatch):
+        # One of 400 working-model fits fails: replicate 100's W1 fit.  Its two
+        # W1 cells lose that replicate (1 of 200, within the 1% rule) and keep
+        # their rows; the W3 cells are untouched.
+        spec = ExperimentSpec(
+            kind="power",
+            n=40,
+            setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("phi-CAR-BC"),),
+            replicates=200,
+            base_seed=3,
+            model="setting1",
+            deltas=(0.0,),
+            working_models=("W1", "W3"),
+            tests=("t_ls", "t_mb"),
+        )
+        calls = []
+
+        def lse_fit(data):
+            calls.append(data)
+            if len(calls) == 201:
+                raise FitError("injected")
+            return inference.lse_fit(data)
+
+        monkeypatch.setattr(harness, "lse_fit", lse_fit)
+        table = run_power_experiment(spec)
+        affected = [("phi-CAR-BC", 0.0, "W1", "t_ls"), ("phi-CAR-BC", 0.0, "W1", "t_mb")]
+        assert table.failures == {cell: 1 for cell in affected}
+        assert table.aborted == []
+        rows = {(r.procedure, r.delta, r.working_model, r.test): r for r in table.rows}
+        assert len(rows) == 4
+        for cell, row in rows.items():
+            if cell in affected:
+                assert row.replicates == 199
+                assert row.mc_se == pytest.approx(
+                    math.sqrt(row.value * (1 - row.value) / 199), rel=1e-12
+                )
+            else:
+                assert row.replicates == 200
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
