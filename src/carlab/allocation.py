@@ -32,6 +32,7 @@ __all__ = [
     "PocockSimonRank",
     "MultiContinuous",
     "AllocationPolicy",
+    "check_policy",
     "efron_two_treatment",
     "continuous_two_treatment",
     "pocock_simon_multi",
@@ -95,6 +96,19 @@ AllocationPolicy = Union[
     PocockSimonRank,
     MultiContinuous,
 ]
+
+
+def check_policy(policy: AllocationPolicy, treatments: int):
+    """Check that a rule applies to a trial with the given number of arms."""
+    if isinstance(policy, (EfronBiasedCoin, TwoTreatmentContinuous)) and treatments != 2:
+        raise DomainError(f"two-arm allocation rule applied to a {treatments}-arm trial")
+    if isinstance(policy, PocockSimonRank) and len(policy.kappa) != treatments:
+        raise DomainError(
+            f"rank probabilities have length {len(policy.kappa)}"
+            f" but the trial has {treatments} arms"
+        )
+    if not isinstance(policy, AllocationPolicy):
+        raise DomainError(f"unknown allocation policy {policy!r}")
 
 
 def _validate_kappa(kappa):

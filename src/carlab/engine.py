@@ -41,7 +41,7 @@ from .allocation import (
     EfronBiasedCoin,
     MultiContinuous,
     PocockSimonRank,
-    TwoTreatmentContinuous,
+    check_policy,
     complete_randomization,
     continuous_multi,
     continuous_two_treatment,
@@ -122,17 +122,6 @@ def potential_imbalances(state: TrialState, phi_x) -> np.ndarray:
     return common + 2.0 * (lam @ phi)
 
 
-def _check_policy(policy: AllocationPolicy, T: int):
-    if isinstance(policy, (EfronBiasedCoin, TwoTreatmentContinuous)) and T != 2:
-        raise DomainError("two-arm allocation rule applied to a multi-arm trial")
-    if isinstance(policy, PocockSimonRank) and len(policy.kappa) != T:
-        raise DomainError(
-            f"rank probabilities have length {len(policy.kappa)} but trial has {T} arms"
-        )
-    if not isinstance(policy, AllocationPolicy):
-        raise DomainError(f"unknown allocation policy {policy!r}")
-
-
 def _probabilities(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
     """(trials, T) assignment probabilities from the per-arm products d = S phi."""
     if isinstance(policy, CompleteRandomization):
@@ -152,7 +141,7 @@ def _probabilities(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
 def allocation_probabilities(potentials, policy: AllocationPolicy) -> np.ndarray:
     """Probability vector for the next assignment given potential imbalances."""
     pot = np.asarray(potentials, dtype=float)
-    _check_policy(policy, pot.shape[0])
+    check_policy(policy, pot.shape[0])
     # potentials are common + 2 * (d - mean(d)); every rule ignores the shift
     return _probabilities(policy, 0.5 * pot[None, :])[0]
 
@@ -169,7 +158,7 @@ def _step(sums: np.ndarray, phi_i: np.ndarray, policy, u: np.ndarray) -> np.ndar
 def assign_next(state: TrialState, phi_x, policy: AllocationPolicy, rng) -> int:
     """Draw the next assignment, update the state, and return the arm index."""
     phi = _check_phi(state, phi_x)
-    _check_policy(policy, state.treatments)
+    check_policy(policy, state.treatments)
     u = np.array([rng.random()])
     t = int(_step(state.sums[None], phi[None], policy, u)[0])
     state.counts[t] += 1
@@ -203,7 +192,7 @@ def simulate_assignments(
     uniforms = np.asarray(uniforms, dtype=float)
     if uniforms.shape != phi.shape[:-1]:
         raise DomainError("uniforms must have one entry per unit")
-    _check_policy(policy, T)
+    check_policy(policy, T)
     single = phi.ndim == 2
     batch, u = (phi[None], uniforms[None]) if single else (phi, uniforms)
     B, n, q = batch.shape

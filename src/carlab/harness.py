@@ -40,6 +40,7 @@ from .allocation import (
     MultiContinuous,
     PocockSimonRank,
     TwoTreatmentContinuous,
+    check_policy,
 )
 from .datagen import (
     CovariateSetting,
@@ -279,17 +280,10 @@ def validate_spec(spec: ExperimentSpec):
     if len(set(names)) != len(names):
         raise ConfigError("procedure names must be unique")
     for proc in spec.procedures:
-        if isinstance(proc.policy, (EfronBiasedCoin, TwoTreatmentContinuous)):
-            if spec.treatments != 2:
-                raise ConfigError(
-                    f"procedures: {proc.name}: two-arm rule but treatments={spec.treatments}"
-                )
-        if isinstance(proc.policy, PocockSimonRank):
-            if len(proc.policy.kappa) != spec.treatments:
-                raise ConfigError(
-                    f"procedures: {proc.name}: kappa length {len(proc.policy.kappa)}"
-                    f" does not match treatments={spec.treatments}"
-                )
+        try:
+            check_policy(proc.policy, spec.treatments)
+        except DomainError as exc:
+            raise ConfigError(f"procedures: {proc.name}: {exc}") from exc
     check_test_params(spec.alpha, spec.bootstrap_size)
     if spec.kind == "imbalance":
         for j in spec.metrics:
@@ -325,6 +319,8 @@ def validate_spec(spec: ExperimentSpec):
                 f"working_models: {wm} needs {need} observed covariates,"
                 f" setting {spec.setting.name} observes {observed}"
             )
+    if not math.isfinite(spec.mu0):
+        raise ConfigError(f"mu0 must be finite, got {spec.mu0!r}")
     for d in spec.deltas:
         if not math.isfinite(d):
             raise ConfigError(f"delta: values must be finite, got {d!r}")

@@ -24,9 +24,11 @@ adjusted statistic in "direct" mode is sqrt(n) * tau / (2 * sigma), which
 for the resampling estimators reduces to tau divided by the estimated
 standard deviation of tau.
 
-Linear solves use a Cholesky factorization with a reciprocal-condition
-guard at 1e-12; a failing design raises instead of silently switching to a
-pseudo-inverse.
+The working-model fit, the residual regression and the logistic standard
+errors use a Cholesky factorization with a reciprocal-condition guard at
+1e-12; the logistic iterations and the resampling refits (one batched solve
+over all windows or resamples) use LU.  A failing design raises instead of
+silently switching to a pseudo-inverse.
 """
 
 import math
@@ -154,7 +156,9 @@ def block_length(n: int, rule: str = "sqrt") -> int:
 
 
 def _design(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.column_stack([t, 1.0 - t, x]) if x.shape[1] else np.column_stack([t, 1.0 - t])
+    """Working-model design (treat, 1 - treat, covariates) of one trial, t of
+    shape (n,), or of a stack of trials, t of shape (m, n)."""
+    return np.concatenate([t[..., None], (1 - t)[..., None], x], axis=-1)
 
 
 def _checked_cho(G: np.ndarray, err_cls, what: str):
@@ -321,11 +325,7 @@ def sigma_tau_mbj(data: TrialDataset, l: int) -> VarianceEstimate:
         raise EstimatorError(
             f"leave-block-out window {int(bad[0])} empties an arm"
         )
-    try:
-        theta = np.linalg.solve(G_win, b_win[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise EstimatorError("singular design in a leave-block-out window") from exc
-    tau = theta[:, 0] - theta[:, 1]
+    tau = _refit_taus(G_win, b_win, "a leave-block-out window")
     dev = tau - tau.mean()
     sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
     return VarianceEstimate(
@@ -333,53 +333,65 @@ def sigma_tau_mbj(data: TrialDataset, l: int) -> VarianceEstimate:
     )
 
 
-def _redraw_until_two_arms(draw, check, rng, max_tries: int = 100):
-    """Draw index sets, replacing any draw that empties an arm."""
-    out = draw(rng)
-    for _ in range(max_tries):
-        bad = check(out)
-        if not bad.size:
-            return out
-        out[bad] = draw(rng, bad.size)
-    raise EstimatorError("resampling kept producing an empty arm")
+def _refit_taus(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Effect estimates theta_0 - theta_1 of a stack of normal equations
+    G theta = b, G of shape (m, k, k) and b of shape (m, k), by one batched
+    LU solve."""
+    try:
+        theta = np.linalg.solve(G, b[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise EstimatorError(f"singular design in {what}") from exc
+    return theta[:, 0] - theta[:, 1]
+
+
+def _resampled_taus(data: TrialDataset, draw, B: int, chunk: int, rng, what: str):
+    """Effect estimates refitted on B resamples of the units of ``data``.
+
+    ``draw(rng, m)`` returns the next m resamples of the stream: their (m, n)
+    unit indices and (m, n) 0/1 treatment indicators.  Resamples are drawn in
+    chunks of at most ``chunk``.  One that empties an arm is dropped and the
+    next one in the stream takes its place, so the stream is read up to the
+    B-th kept resample and no further; 100 dropped in a row raise.
+    """
+    y, x = data.y, data.x_obs
+    taus, kept, run = [], 0, 0
+    while kept < B:
+        idx, t = draw(rng, min(chunk, B - kept))
+        n1 = t.sum(axis=1)
+        ok = (n1 > 0) & (n1 < t.shape[1])
+        for good in ok:
+            run = 0 if good else run + 1
+            if run == 100:
+                raise EstimatorError(f"{what} kept emptying an arm")
+        idx = idx[ok]
+        D = _design(t[ok], x[idx])
+        Dt = D.swapaxes(1, 2)
+        taus.append(_refit_taus(Dt @ D, (Dt @ y[idx][..., None])[..., 0], what))
+        kept += idx.shape[0]
+    return np.concatenate(taus)
 
 
 def sigma_tau_mbb(data: TrialDataset, l: int, B: int, rng) -> VarianceEstimate:
     """Moving-block bootstrap: concatenate resampled blocks, truncate to n, refit.
 
     Block starts are uniform on the n - l + 1 windows; each resample keeps
-    within-block serial structure intact.  Resamples that empty an arm are
-    redrawn (up to 100 rounds).  Reported on the common scale as n times the
-    bootstrap variance of the effect estimate over 4.
+    within-block serial structure intact.  A resample that empties an arm is
+    replaced by the next one drawn.  Reported on the common scale as n times
+    the bootstrap variance of the effect estimate over 4.
     """
     n = data.n
     _check_block(n, l)
     if B < 2:
         raise DomainError("bootstrap size must be >= 2")
-    y, t = data.y, data.t
-    D = _design(t, data.x_obs)
     m = n // l
     offs = np.arange(l)
 
-    def draw(rng, rows=B):
+    def draw(rng, rows):
         starts = rng.integers(0, n - l + 1, size=(rows, m + 1))
-        idx = (starts[:, :, None] + offs[None, None, :]).reshape(rows, (m + 1) * l)
-        return idx[:, :n]
+        idx = (starts[:, :, None] + offs).reshape(rows, (m + 1) * l)[:, :n]
+        return idx, data.t[idx]
 
-    def check(idx):
-        counts = t[idx].sum(axis=1)
-        return np.flatnonzero((counts == 0) | (counts == idx.shape[1]))
-
-    idx = _redraw_until_two_arms(draw, check, rng)
-    Ds = D[idx]
-    ys = y[idx]
-    G = np.einsum("bni,bnj->bij", Ds, Ds)
-    bv = np.einsum("bni,bn->bi", Ds, ys)
-    try:
-        theta = np.linalg.solve(G, bv[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise EstimatorError("singular design in a block-bootstrap resample") from exc
-    tau = theta[:, 0] - theta[:, 1]
+    tau = _resampled_taus(data, draw, B, B, rng, "a block-bootstrap resample")
     v = float(np.var(tau, ddof=1))
     return VarianceEstimate(
         value=n * v / 4.0, method="mbb", params={"l": int(l), "B": int(B)}
@@ -393,7 +405,9 @@ def sigma_tau_bootstrap(
     procedure on the resampled feature rows, refit the working model.
 
     Requires ``data.phi`` (the balancing features) and the allocation policy
-    used at randomization.  The bootstrap variance of the refitted effect
+    used at randomization.  Each resample draws its unit indices, then its n
+    uniforms; a resample whose rerandomization empties an arm is replaced by
+    the next one drawn.  The bootstrap variance of the refitted effect
     estimate, v_B, is reported on the common scale as n * v_B / 4 and kept in
     ``params["v_B"]``; the adjusted statistic in direct mode is then exactly
     tau / sqrt(v_B).
@@ -402,43 +416,20 @@ def sigma_tau_bootstrap(
         raise DomainError("the rerandomizing bootstrap needs the feature matrix")
     if B < 2:
         raise DomainError("bootstrap size must be >= 2")
-    n = data.n
-    y, x, phi = data.y, data.x_obs, data.phi
-    chunk = batch_size(n, phi.shape[1])
-    taus = np.empty(B)
-    b, tries = 0, 0
-    while b < B:
-        # Draw (I, u) for each resample in order, saving the generator state
-        # after each, and rerandomize the chunk as one batch.  A resample that
-        # empties an arm is redrawn from the state its draw left behind, as if
-        # the resamples had been run one at a time.
-        m = min(chunk, B - b)
+    n, phi = data.n, data.phi
+
+    def draw(rng, m):
         I = np.empty((m, n), dtype=np.int64)
         u = np.empty((m, n))
-        states = []
         for k in range(m):
             I[k] = rng.integers(0, n, size=n)
             u[k] = rng.random(n)
-            states.append(rng.bit_generator.state)
-        treat = (simulate_assignments(phi[I], policy, 2, uniforms=u) == 0).astype(float)
-        n1 = treat.sum(axis=1)
-        bad = np.flatnonzero((n1 == 0) | (n1 == n))
-        done = int(bad[0]) if bad.size else m
-        for k in range(done):
-            D = _design(treat[k], x[I[k]])
-            try:
-                theta = np.linalg.solve(D.T @ D, D.T @ y[I[k]])
-            except np.linalg.LinAlgError as exc:
-                raise EstimatorError("singular design in a bootstrap resample") from exc
-            taus[b + k] = theta[0] - theta[1]
-        b += done
-        if done:
-            tries = 0
-        if bad.size:
-            tries += 1
-            if tries == 100:
-                raise EstimatorError("rerandomization kept producing an empty arm")
-            rng.bit_generator.state = states[done]
+        # one engine batch; a trial's assignments do not depend on its batch
+        return I, (simulate_assignments(phi[I], policy, 2, uniforms=u) == 0).astype(float)
+
+    taus = _resampled_taus(
+        data, draw, B, batch_size(n, phi.shape[1]), rng, "a bootstrap resample"
+    )
     v_B = float(np.var(taus, ddof=1))
     return VarianceEstimate(
         value=n * v_B / 4.0, method="boot", params={"B": int(B), "v_B": v_B}

@@ -58,6 +58,22 @@ class TestValidateConfig:
         assert main(["validate-config", cfg]) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mu0", ["nan", "inf"])
+    def test_non_finite_mu0(self, tmp_path, capsys, mu0):
+        cfg = _write(tmp_path, "c.cfg", POWER_CFG + f"mu0 = {mu0}\n")
+        assert main(["validate-config", cfg]) == 2
+        assert f"mu0 must be finite, got {mu0}" in capsys.readouterr().err
+        out = tmp_path / "results"
+        assert main(["power", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "power.csv").exists()
+
+    def test_kappa_length_names_the_procedure(self, tmp_path, capsys):
+        text = IMBALANCE_CFG.replace(
+            "procedures = CR, phi-CAR-BC", "treatments = 3\nprocedures = CR, PS(kappa=0.7/0.3)"
+        )
+        assert main(["validate-config", _write(tmp_path, "c.cfg", text)]) == 2
+        assert "procedures: PS: rank probabilities have length 2" in capsys.readouterr().err
+
 
 class TestRunCommands:
     def test_imbalance_run(self, tmp_path):

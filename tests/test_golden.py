@@ -8,7 +8,8 @@ moves a digest changes output bytes and must say why in CHANGES.md.
 The ``carlab analyze`` CSVs are pinned the same way, on the trial data of
 ``test_cli._make_analysis_csv`` (S1, n=120, features (1, x1, x2, x3),
 phi-CAR-BC): the full test list, and the resampling tests under a
-non-default randomization rule and block rule.
+non-default randomization rule and block rule.  A power study of ``t_mbb``
+and ``t_boot`` at n=40 is pinned from an in-test config.
 """
 
 import dataclasses
@@ -47,6 +48,31 @@ def _digest(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name, tmp_path):
     assert _digest(name, tmp_path) == GOLDEN[name]
+
+
+# No demo config runs the resampling tests in a power study; this one does.
+RESAMPLING_POWER_CFG = """
+kind = power
+model = setting1
+setting = S1
+n = 40
+replicates = 20
+seed = 20230522
+procedures = SR, phi-CAR-Con
+delta = 0, 10
+working_models = W1, W3
+tests = t_ls, t_mbb, t_boot
+bootstrap_size = 10
+"""
+
+
+def test_resampling_power_digest(tmp_path):
+    out = tmp_path / "power.csv"
+    harness.write_table(harness.run_power_experiment(config.load_config(RESAMPLING_POWER_CFG)), out)
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "f3918a45ff4e886f8f3d9c31447c9f8d0f7aff3431437b60f6bae4476ab4795e"
+    )
 
 
 ANALYZE_GOLDEN = {

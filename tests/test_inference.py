@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carlab.allocation import EfronBiasedCoin
+from carlab.allocation import CompleteRandomization, EfronBiasedCoin
 from carlab.datagen import CovariateSetting, LinearModel, gen_covariate_matrix, gen_responses
 from carlab.engine import simulate_assignments
 from carlab.errors import DomainError, EstimatorError, FitError
@@ -304,6 +304,64 @@ class TestSigmaTauBootstrap:
         sigma_tau = math.sqrt(v.params["v_B"] * data.n) / 2.0
         assert sigma_tau == pytest.approx(2.0, rel=0.10)
         assert v.value == pytest.approx(data.n * v.params["v_B"] / 4.0, rel=1e-12)
+
+
+class TestDroppedResamples:
+    """At n = 5 a resample empties an arm every few draws.  The resampling
+    estimators drop it and take the next one drawn, as a loop that draws,
+    checks and refits one resample at a time would."""
+
+    y = np.array([0.3, -1.2, 2.0, 0.7, -0.4])
+
+    @staticmethod
+    def _refit(t, y):
+        D = np.column_stack([t, 1.0 - t])
+        theta = np.linalg.solve(D.T @ D, D.T @ y)
+        return theta[0] - theta[1]
+
+    def test_bootstrap_matches_one_resample_at_a_time(self):
+        n, B, policy = 5, 40, CompleteRandomization()
+        phi = np.column_stack([np.ones(n), self.y])
+        rng = np.random.default_rng(21)
+        taus, dropped = [], 0
+        while len(taus) < B:
+            I = rng.integers(0, n, size=n)
+            u = rng.random(n)
+            t = (simulate_assignments(phi[I], policy, 2, uniforms=u) == 0).astype(float)
+            if t.sum() in (0, n):
+                dropped += 1
+                continue
+            taus.append(self._refit(t, self.y[I]))
+        assert dropped > 0
+        data = _dataset(self.y, [1, 0, 1, 0, 1], phi=phi)
+        got = np.random.default_rng(21)
+        v = sigma_tau_bootstrap(data, policy, B, got)
+        assert v.params["v_B"] == float(np.var(taus, ddof=1))
+        assert got.random() == rng.random()
+
+    def test_block_bootstrap_matches_one_resample_at_a_time(self):
+        n, B = 5, 40
+        t = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        l = block_length(n)
+        rng = np.random.default_rng(22)
+        taus, dropped = [], 0
+        while len(taus) < B:
+            starts = rng.integers(0, n - l + 1, size=n // l + 1)
+            idx = (starts[:, None] + np.arange(l)).ravel()[:n]
+            if t[idx].sum() in (0, n):
+                dropped += 1
+                continue
+            taus.append(self._refit(t[idx], self.y[idx]))
+        assert dropped > 0
+        got = np.random.default_rng(22)
+        v = sigma_tau_mbb(_dataset(self.y, t), l, B, got)
+        assert v.value == pytest.approx(n * np.var(taus, ddof=1) / 4.0, rel=1e-12)
+        assert got.random() == rng.random()
+
+    def test_a_hundred_dropped_in_a_row_raise(self):
+        data = _dataset(self.y, np.ones(5))
+        with pytest.raises(EstimatorError, match="kept emptying an arm"):
+            sigma_tau_mbb(data, 2, 40, np.random.default_rng(0))
 
 
 class TestAdjustedTest:
