@@ -139,6 +139,14 @@ def _read_analysis_csv(path):
         data = np.array([[float(v) for v in row] for _, row in rows])
     except ValueError as exc:
         raise ConfigError(f"non-numeric value in data file: {exc}") from exc
+    used = ["y", "t", *x_cols, *phi_cols]
+    bad = np.argwhere(~np.isfinite(data[:, [idx[c] for c in used]]))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(
+            f"data file line {rows[i][0]}: column {used[j]!r} must be finite,"
+            f" got {float(data[i, idx[used[j]]])!r}"
+        )
     y = data[:, idx["y"]]
     t = data[:, idx["t"]]
     x = data[:, [idx[c] for c in x_cols]] if x_cols else None

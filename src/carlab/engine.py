@@ -57,7 +57,6 @@ __all__ = [
     "TrialState",
     "new_trial",
     "potential_imbalances",
-    "allocation_probabilities",
     "assign_next",
     "simulate_assignments",
     "batch_size",
@@ -136,14 +135,6 @@ def _probabilities(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
     else:
         p1 = continuous_two_treatment(diff, policy.cap)
     return np.column_stack([p1, 1.0 - p1])
-
-
-def allocation_probabilities(potentials, policy: AllocationPolicy) -> np.ndarray:
-    """Probability vector for the next assignment given potential imbalances."""
-    pot = np.asarray(potentials, dtype=float)
-    check_policy(policy, pot.shape[0])
-    # potentials are common + 2 * (d - mean(d)); every rule ignores the shift
-    return _probabilities(policy, 0.5 * pot[None, :])[0]
 
 
 def _step(sums: np.ndarray, phi_i: np.ndarray, policy, u: np.ndarray) -> np.ndarray:

@@ -12,11 +12,22 @@ phi(x) computed from each unit's covariates.  Four families are supported:
 * ``Composite``: an explicit term list (constants, raw coordinates, products,
   powers, weighted level indicators) for continuous or mixed covariates.
 
-Strata are ordered lexicographically by (coordinate position, declared level
-order); any fixed order gives the same imbalance norm, but a canonical one
-keeps output reproducible.  Indicator families raise on a covariate value
-that is not among the declared levels: silently growing the level set would
-change the feature dimension mid-trial and corrupt the running state.
+The three discrete families are lists of weighted indicator blocks
+(coords, levels, weight): ``Stratified`` is one block over all its
+coordinates with weight 1, ``Marginal`` one block per coordinate, and
+``HuHu`` a constant block with no coordinates (weight ``w0``), the margin
+blocks, then the stratum block.  A block's level index is the mixed-radix
+stratum index over its coordinates, in declared level order with the first
+coordinate varying slowest (0 for a block with no coordinates); the block
+spans the product of its level counts and holds sqrt(weight) at that index.
+Any fixed order gives the same imbalance norm, but a canonical one keeps
+output reproducible.  Indicator families raise on a covariate value that is
+not among the declared levels: silently growing the level set would change
+the feature dimension mid-trial and corrupt the running state.
+
+``feature_matrix`` evaluates a map over the rows of a covariate matrix;
+``apply_feature_map`` and ``discretize`` are its and ``discretize_array``'s
+one-row forms.
 """
 
 import math
@@ -70,6 +81,14 @@ def _normalize_coords_levels(coords, levels):
     return coords, levels
 
 
+def _check_weight(w, what: str, positive: bool = True) -> float:
+    w = float(w)
+    if not (math.isfinite(w) and (w > 0 if positive else w >= 0)):
+        sign = "positive" if positive else "non-negative"
+        raise DomainError(f"{what} must be finite and {sign}, got {w!r}")
+    return w
+
+
 @dataclass(frozen=True)
 class Stratified:
     """One-hot encoding of the stratum formed by crossing all declared levels."""
@@ -93,14 +112,10 @@ class Marginal:
 
     def __post_init__(self):
         coords, levels = _normalize_coords_levels(self.coords, self.levels)
-        if self.weights is None:
-            weights = tuple(1.0 for _ in coords)
-        else:
-            weights = tuple(float(w) for w in self.weights)
+        weights = (1.0,) * len(coords) if self.weights is None else tuple(self.weights)
         if len(weights) != len(coords):
             raise DomainError("one weight per coordinate is required")
-        if any(not (w > 0) for w in weights):
-            raise DomainError("marginal weights must be positive")
+        weights = tuple(_check_weight(w, "marginal weights") for w in weights)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "weights", weights)
@@ -118,16 +133,12 @@ class HuHu:
 
     def __post_init__(self):
         coords, levels = _normalize_coords_levels(self.coords, self.levels)
-        w0 = float(self.w0)
-        ws = float(self.w_stratum)
-        if self.w_margins is None:
-            wm = tuple(0.0 for _ in coords)
-        else:
-            wm = tuple(float(w) for w in self.w_margins)
+        wm = (0.0,) * len(coords) if self.w_margins is None else tuple(self.w_margins)
         if len(wm) != len(coords):
             raise DomainError("one margin weight per coordinate is required")
-        if w0 < 0 or ws < 0 or any(w < 0 for w in wm):
-            raise DomainError("weights must be non-negative")
+        w0 = _check_weight(self.w0, "weights", positive=False)
+        ws = _check_weight(self.w_stratum, "weights", positive=False)
+        wm = tuple(_check_weight(w, "weights", positive=False) for w in wm)
         if w0 + sum(wm) + ws == 0:
             raise DomainError("at least one weight must be non-zero")
         object.__setattr__(self, "coords", coords)
@@ -190,8 +201,7 @@ class Indicator:
             raise DomainError("coordinate index must be non-negative")
         if not math.isfinite(self.level):
             raise DomainError("indicator level must be finite")
-        if not (self.weight > 0):
-            raise DomainError("indicator weight must be positive")
+        _check_weight(self.weight, "indicator weight")
 
 
 Term = Union[Constant, Identity, Product, Power, Indicator]
@@ -216,115 +226,48 @@ class Composite:
 FeatureMapSpec = Union[Stratified, Marginal, HuHu, Composite]
 
 
-def _n_strata(levels) -> int:
-    out = 1
-    for lv in levels:
-        out *= len(lv)
-    return out
+def _blocks(spec) -> list:
+    """The weighted indicator blocks (coords, levels, weight) of a discrete map."""
+    if isinstance(spec, Stratified):
+        return [(spec.coords, spec.levels, 1.0)]
+    if isinstance(spec, Marginal):
+        return [((c,), (lv,), w) for c, lv, w in zip(spec.coords, spec.levels, spec.weights)]
+    if isinstance(spec, HuHu):
+        margins = zip(spec.coords, spec.levels, spec.w_margins)
+        return (
+            [((), (), spec.w0)]
+            + [((c,), (lv,), w) for c, lv, w in margins]
+            + [(spec.coords, spec.levels, spec.w_stratum)]
+        )
+    raise DomainError(f"unknown feature map spec {spec!r}")
+
+
+def _width(levels) -> int:
+    return math.prod(map(len, levels))
 
 
 def feature_dim(spec: FeatureMapSpec) -> int:
     """Output dimension q implied by a feature map."""
-    if isinstance(spec, Stratified):
-        return _n_strata(spec.levels)
-    if isinstance(spec, Marginal):
-        return sum(len(lv) for lv in spec.levels)
-    if isinstance(spec, HuHu):
-        return 1 + sum(len(lv) for lv in spec.levels) + _n_strata(spec.levels)
     if isinstance(spec, Composite):
         return len(spec.terms)
-    raise DomainError(f"unknown feature map spec {spec!r}")
-
-
-def _level_index(value: float, levels, coord: int) -> int:
-    for k, lv in enumerate(levels):
-        if value == lv:
-            return k
-    raise DomainError(
-        f"coordinate {coord}: value {value!r} is not among declared levels {levels}"
-    )
-
-
-def _stratum_index(vals, coords, levels) -> int:
-    # lexicographic: first coordinate varies slowest
-    idx = 0
-    for c, lv in zip(coords, levels):
-        idx = idx * len(lv) + _level_index(vals[c], lv, c)
-    return idx
-
-
-def _coord_values(x) -> np.ndarray:
-    vals = np.asarray(x, dtype=float)
-    if vals.ndim != 1:
-        raise DomainError("covariate vector must be 1-d")
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("covariate vector must be finite")
-    return vals
+    return sum(_width(levels) for _, levels, _ in _blocks(spec))
 
 
 def _check_coord_bounds(spec, p_total: int):
-    if isinstance(spec, (Stratified, Marginal, HuHu)):
-        coords = spec.coords
-    else:
+    if isinstance(spec, Composite):
         coords = []
         for t in spec.terms:
-            if isinstance(t, Identity):
-                coords.append(t.coord)
-            elif isinstance(t, Product):
+            if isinstance(t, Product):
                 coords.extend((t.left, t.right))
-            elif isinstance(t, (Power, Indicator)):
+            elif not isinstance(t, Constant):
                 coords.append(t.coord)
+    else:
+        coords = spec.coords
     for c in coords:
         if c >= p_total:
             raise DomainError(
                 f"feature map references coordinate {c} but only {p_total} covariates exist"
             )
-
-
-def apply_feature_map(spec: FeatureMapSpec, x) -> np.ndarray:
-    """Evaluate phi(x) for one covariate vector."""
-    vals = _coord_values(x)
-    _check_coord_bounds(spec, len(vals))
-    if isinstance(spec, Stratified):
-        out = np.zeros(_n_strata(spec.levels))
-        out[_stratum_index(vals, spec.coords, spec.levels)] = 1.0
-        return out
-    if isinstance(spec, Marginal):
-        out = np.zeros(feature_dim(spec))
-        off = 0
-        for c, lv, w in zip(spec.coords, spec.levels, spec.weights):
-            out[off + _level_index(vals[c], lv, c)] = math.sqrt(w)
-            off += len(lv)
-        return out
-    if isinstance(spec, HuHu):
-        parts = [np.array([math.sqrt(spec.w0)])]
-        marg = np.zeros(sum(len(lv) for lv in spec.levels))
-        off = 0
-        for c, lv, w in zip(spec.coords, spec.levels, spec.w_margins):
-            marg[off + _level_index(vals[c], lv, c)] = math.sqrt(w)
-            off += len(lv)
-        parts.append(marg)
-        strat = np.zeros(_n_strata(spec.levels))
-        strat[_stratum_index(vals, spec.coords, spec.levels)] = math.sqrt(spec.w_stratum)
-        parts.append(strat)
-        return np.concatenate(parts)
-    if isinstance(spec, Composite):
-        out = np.empty(len(spec.terms))
-        for k, t in enumerate(spec.terms):
-            if isinstance(t, Constant):
-                out[k] = t.value
-            elif isinstance(t, Identity):
-                out[k] = vals[t.coord]
-            elif isinstance(t, Product):
-                out[k] = vals[t.left] * vals[t.right]
-            elif isinstance(t, Power):
-                out[k] = vals[t.coord] ** t.degree
-            else:  # Indicator
-                out[k] = math.sqrt(t.weight) if vals[t.coord] == t.level else 0.0
-        if not np.all(np.isfinite(out)):
-            raise DomainError("feature vector is not finite")
-        return out
-    raise DomainError(f"unknown feature map spec {spec!r}")
 
 
 def _level_index_array(col: np.ndarray, levels, coord: int) -> np.ndarray:
@@ -339,13 +282,6 @@ def _level_index_array(col: np.ndarray, levels, coord: int) -> np.ndarray:
     return idx
 
 
-def _stratum_index_array(X: np.ndarray, coords, levels) -> np.ndarray:
-    idx = np.zeros(X.shape[0], dtype=np.int64)
-    for c, lv in zip(coords, levels):
-        idx = idx * len(lv) + _level_index_array(X[:, c], lv, c)
-    return idx
-
-
 def feature_matrix(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     """Evaluate phi row-wise over an (n, p) covariate matrix."""
     X = np.asarray(X, dtype=float)
@@ -355,29 +291,6 @@ def feature_matrix(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
         raise DomainError("covariate matrix must be finite")
     n = X.shape[0]
     _check_coord_bounds(spec, X.shape[1])
-    rows = np.arange(n)
-    if isinstance(spec, Stratified):
-        out = np.zeros((n, _n_strata(spec.levels)))
-        out[rows, _stratum_index_array(X, spec.coords, spec.levels)] = 1.0
-        return out
-    if isinstance(spec, Marginal):
-        out = np.zeros((n, feature_dim(spec)))
-        off = 0
-        for c, lv, w in zip(spec.coords, spec.levels, spec.weights):
-            out[rows, off + _level_index_array(X[:, c], lv, c)] = math.sqrt(w)
-            off += len(lv)
-        return out
-    if isinstance(spec, HuHu):
-        out = np.zeros((n, feature_dim(spec)))
-        out[:, 0] = math.sqrt(spec.w0)
-        off = 1
-        for c, lv, w in zip(spec.coords, spec.levels, spec.w_margins):
-            out[rows, off + _level_index_array(X[:, c], lv, c)] = math.sqrt(w)
-            off += len(lv)
-        out[rows, off + _stratum_index_array(X, spec.coords, spec.levels)] = math.sqrt(
-            spec.w_stratum
-        )
-        return out
     if isinstance(spec, Composite):
         cols = []
         for t in spec.terms:
@@ -395,7 +308,26 @@ def feature_matrix(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(out)):
             raise DomainError("feature matrix is not finite")
         return out
-    raise DomainError(f"unknown feature map spec {spec!r}")
+    blocks = _blocks(spec)
+    widths = [_width(levels) for _, levels, _ in blocks]
+    out = np.zeros((n, sum(widths)))
+    rows = np.arange(n)
+    off = 0
+    for (coords, levels, w), width in zip(blocks, widths):
+        idx = 0
+        for c, lv in zip(coords, levels):
+            idx = idx * len(lv) + _level_index_array(X[:, c], lv, c)
+        out[rows, off + idx] = math.sqrt(w)
+        off += width
+    return out
+
+
+def apply_feature_map(spec: FeatureMapSpec, x) -> np.ndarray:
+    """Evaluate phi(x) for one covariate vector: one row of :func:`feature_matrix`."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError("covariate vector must be 1-d")
+    return feature_matrix(spec, x[None])[0]
 
 
 def _check_thresholds(thresholds) -> np.ndarray:
@@ -409,22 +341,12 @@ def _check_thresholds(thresholds) -> np.ndarray:
     return th
 
 
-def discretize(value: float, thresholds) -> int:
-    """Map a real value to a level index.
+def discretize_array(values, thresholds) -> np.ndarray:
+    """Map real values to level indices.
 
     With thresholds (t1 < ... < tk): values <= t1 get level 0, values >= tk
     get level k, and every interior boundary attaches to the lower level.
     """
-    th = _check_thresholds(thresholds)
-    if math.isnan(value):
-        raise DomainError("cannot discretize NaN")
-    if value >= th[-1]:
-        return int(th.size)
-    return int(np.searchsorted(th, value, side="left"))
-
-
-def discretize_array(values, thresholds) -> np.ndarray:
-    """Vectorized :func:`discretize`."""
     th = _check_thresholds(thresholds)
     v = np.asarray(values, dtype=float)
     if np.any(np.isnan(v)):
@@ -432,3 +354,8 @@ def discretize_array(values, thresholds) -> np.ndarray:
     out = np.searchsorted(th, v, side="left").astype(np.int64)
     out[v >= th[-1]] = th.size
     return out
+
+
+def discretize(value: float, thresholds) -> int:
+    """Level index of one value: :func:`discretize_array` on a single entry."""
+    return int(discretize_array([value], thresholds)[0])

@@ -189,7 +189,10 @@ def procedure_preset(
     if hh_weights is not None:
         if name != "HH":
             raise ConfigError(f"procedures: {name}: hh_weights applies only to HH")
-        extra = {"hh_weights": tuple(float(w) for w in hh_weights)}
+        w0, wm, ws = (float(w) for w in hh_weights)
+        # HuHu checks the weights; its rules do not depend on the number of coordinates
+        HuHu(coords=(0,), levels=((0.0,),), w0=w0, w_margins=(wm,), w_stratum=ws)
+        extra = {"hh_weights": (w0, wm, ws)}
 
     if name == "CR":
         reject_unused(rho=rho, cap=cap, kappa=kappa)

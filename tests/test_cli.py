@@ -75,6 +75,17 @@ class TestValidateConfig:
         assert "procedures: PS: rank probabilities have length 2" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("weights", ["w0=inf", "w0=nan", "wm=inf", "ws=nan", "w0=-1"])
+    def test_bad_hh_weight_names_the_procedure(self, tmp_path, capsys, weights):
+        text = IMBALANCE_CFG.replace("procedures = CR, phi-CAR-BC", f"procedures = CR, HH({weights})")
+        cfg = _write(tmp_path, "c.cfg", text)
+        assert main(["validate-config", cfg]) == 2
+        assert "procedures: HH: weights must be finite and non-negative" in capsys.readouterr().err
+        out = tmp_path / "results"
+        assert main(["imbalance", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "imbalance.csv").exists()
+
+
 class TestRunCommands:
     def test_imbalance_run(self, tmp_path):
         cfg = _write(tmp_path, "c.cfg", IMBALANCE_CFG)
@@ -245,6 +256,28 @@ class TestAnalyze:
             ["analyze", "--data", str(path), "--tests", "t_ls", "--out", str(tmp_path / "o.csv")]
         ) == 2
         assert "data file line 3: expected 3 fields, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, line", [("y", 4), ("x1", 2)])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_names_its_line_and_column(
+        self, tmp_path, capsys, column, line, value
+    ):
+        path = tmp_path / "d.csv"
+        _make_analysis_csv(path, n=30)
+        rows = path.read_text().splitlines()
+        header = rows[0].split(",")
+        cells = rows[line - 1].split(",")
+        cells[header.index(column)] = value
+        rows[line - 1] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        for test in ("t_ls", "t_reg", "t_mb", "t_mbj"):
+            assert main(
+                ["analyze", "--data", str(path), "--tests", test, "--out", str(tmp_path / "o.csv")]
+            ) == 2
+            assert (
+                f"data file line {line}: column {column!r} must be finite, got {value}"
+                in capsys.readouterr().err
+            )
 
     def test_reg_on_rank_deficient_features(self, tmp_path):
         # PS balances margin indicators: on S1 that is 9 columns of rank 7.

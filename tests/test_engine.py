@@ -9,11 +9,11 @@ from carlab.allocation import (
     MultiContinuous,
     PocockSimonRank,
     TwoTreatmentContinuous,
+    continuous_two_treatment,
     pocock_simon_multi,
 )
 from carlab.engine import (
     TrialState,
-    allocation_probabilities,
     assign_next,
     imbalance_metrics,
     new_trial,
@@ -163,6 +163,33 @@ class TestAssignNext:
         assert np.abs(st.lam.sum(axis=0)).max() < 1e-9
         assert st.counts.sum() == st.n == 200
 
+    @staticmethod
+    def _arms(sums, phi, policy, uniforms):
+        """The arm ``assign_next`` draws from ``sums`` for each replayed uniform."""
+        out = []
+        for u in uniforms:
+            st = TrialState(treatments=sums.shape[0], q=sums.shape[1], n=0,
+                            sums=sums.copy(), counts=np.zeros(sums.shape[0], dtype=np.int64))
+            out.append(assign_next(st, phi, policy, SeqRng([u])))
+        return out
+
+    def test_two_arm_scale_doubling(self):
+        # with phi = 1, d = S phi and the two-arm rule sees 4 * (d[0] - d[1]);
+        # diff = 2 is inside the cap, so another scale would move the cut
+        for d, diff in [((3.0, 1.0), 8.0), ((1.25, 0.75), 2.0)]:
+            p0 = continuous_two_treatment(diff, 3.0)
+            arms = self._arms(np.array(d)[:, None], np.array([1.0]),
+                              TwoTreatmentContinuous(cap=3.0), [np.nextafter(p0, 0.0), p0])
+            assert arms == [0, 1]
+
+    def test_multi_uses_deviations(self):
+        # equal d for all three arms: each arm gets probability 1/3
+        sums = np.full((3, 2), 2.0)
+        cuts = [1 / 3, 2 / 3]
+        uniforms = [u for c in cuts for u in (c - 1e-12, c + 1e-12)]
+        arms = self._arms(sums, np.array([1.0, 0.5]), MultiContinuous(cap=3.0), uniforms)
+        assert arms == [0, 1, 1, 2]
+
     def test_two_arm_policy_on_multi_trial(self):
         st = new_trial(3, 2)
         with pytest.raises(DomainError):
@@ -270,20 +297,6 @@ class TestImbalanceMetrics:
         st = new_trial(2, 2)
         st.sums = np.array([[1.0, 2.0], [-1.0, -2.0]])
         assert total_imbalance(st) == pytest.approx(10.0)
-
-
-class TestAllocationProbabilitiesDispatch:
-    def test_two_arm_scale_doubling(self):
-        # potentials (4.5, 0.5) correspond to the two-arm-scale difference 8
-        probs = allocation_probabilities(np.array([4.5, 0.5]), TwoTreatmentContinuous(cap=3.0))
-        from carlab.allocation import continuous_two_treatment
-
-        assert probs[0] == pytest.approx(continuous_two_treatment(8.0, 3.0), rel=1e-15)
-
-    def test_multi_uses_deviations(self):
-        pot = np.array([2.0, 2.0, 2.0])
-        probs = allocation_probabilities(pot, MultiContinuous(cap=3.0))
-        np.testing.assert_allclose(probs, [1 / 3] * 3)
 
 
 def _kernel_policies(T):

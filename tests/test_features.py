@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,16 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             HuHu(w0=0.0, w_margins=(0.0, 0.0), w_stratum=0.0, **TWO_BY_TWO)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weights(self, bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            Marginal(coords=(0,), levels=((0, 1),), weights=(bad,))
+        with pytest.raises(DomainError, match="must be finite"):
+            Indicator(0, 1.0, weight=bad)
+        for weights in [dict(w0=bad), dict(w_margins=(1.0, bad)), dict(w_stratum=bad)]:
+            with pytest.raises(DomainError, match="must be finite"):
+                HuHu(**{"w0": 1.0, **weights}, **TWO_BY_TWO)
+
     def test_empty_composite(self):
         with pytest.raises(DomainError):
             Composite(terms=())
@@ -190,6 +201,36 @@ def test_dim_matches_apply_length(seed):
         assert feature_dim(spec) == apply_feature_map(spec, x).shape[0]
 
 
+def _reference_row(spec, x):
+    """phi(x) straight from the definitions, one unit at a time: each
+    indicator block maps the tuple of its coordinates' values to a column
+    through a table of the level cross in ``itertools.product`` order."""
+
+    def block(coords, levels, w):
+        column = {cell: k for k, cell in enumerate(itertools.product(*levels))}
+        out = [0.0] * len(column)
+        out[column[tuple(x[c] for c in coords)]] = math.sqrt(w)
+        return out
+
+    if isinstance(spec, Stratified):
+        return block(spec.coords, spec.levels, 1.0)
+    if isinstance(spec, Marginal):
+        return [v for c, lv, w in zip(spec.coords, spec.levels, spec.weights)
+                for v in block((c,), (lv,), w)]
+    if isinstance(spec, HuHu):
+        margins = [v for c, lv, w in zip(spec.coords, spec.levels, spec.w_margins)
+                   for v in block((c,), (lv,), w)]
+        return [math.sqrt(spec.w0)] + margins + block(spec.coords, spec.levels, spec.w_stratum)
+    values = {
+        Constant: lambda t: t.value,
+        Identity: lambda t: x[t.coord],
+        Product: lambda t: x[t.left] * x[t.right],
+        Power: lambda t: x[t.coord] ** t.degree,
+        Indicator: lambda t: math.sqrt(t.weight) if x[t.coord] == t.level else 0.0,
+    }
+    return [values[type(t)](t) for t in spec.terms]
+
+
 class TestFeatureMatrix:
     def test_matches_rowwise_apply(self):
         rng = np.random.default_rng(42)
@@ -206,7 +247,9 @@ class TestFeatureMatrix:
         for spec in specs:
             M = feature_matrix(spec, X)
             for i in range(X.shape[0]):
-                np.testing.assert_array_equal(M[i], apply_feature_map(spec, X[i]))
+                expected = _reference_row(spec, X[i].tolist())
+                assert M[i].tolist() == expected
+                assert apply_feature_map(spec, X[i]).tolist() == expected
 
     def test_undeclared_level_raises(self):
         spec = Marginal(coords=(0,), levels=((0.0, 1.0),))
@@ -240,8 +283,10 @@ class TestDiscretize:
 
     def test_array_agrees_with_scalar(self):
         rng = np.random.default_rng(0)
-        vals = rng.normal(1.0, 1.5, size=200)
-        th = (0.0, 2.0)
-        arr = discretize_array(vals, th)
-        assert arr.tolist() == [discretize(v, th) for v in vals]
+        for th in [(0.0, 2.0), (-1.0, 0.0, 1.5), (0.5,)]:
+            vals = np.concatenate([rng.normal(1.0, 1.5, size=200), th, [-np.inf, np.inf]])
+            # level: interior thresholds strictly below the value, plus one at or above the top
+            expected = [sum(v > t for t in th[:-1]) + int(v >= th[-1]) for v in vals]
+            assert discretize_array(vals, th).tolist() == expected
+            assert [discretize(v, th) for v in vals] == expected
 

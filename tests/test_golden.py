@@ -9,7 +9,9 @@ The ``carlab analyze`` CSVs are pinned the same way, on the trial data of
 ``test_cli._make_analysis_csv`` (S1, n=120, features (1, x1, x2, x3),
 phi-CAR-BC): the full test list, and the resampling tests under a
 non-default randomization rule and block rule.  A power study of ``t_mbb``
-and ``t_boot`` at n=40 is pinned from an in-test config.
+and ``t_boot`` at n=40 is pinned from an in-test config, and so is an
+imbalance study of SR, PS and a weighted HH on S4, whose binary covariate
+keeps its declared levels.
 """
 
 import dataclasses
@@ -72,6 +74,29 @@ def test_resampling_power_digest(tmp_path):
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
         == "f3918a45ff4e886f8f3d9c31447c9f8d0f7aff3431437b60f6bae4476ab4795e"
+    )
+
+
+# No demo config runs HH or a setting with declared-discrete levels; this one does.
+HUHU_IMBALANCE_CFG = """
+kind = imbalance
+setting = S4
+n = 60
+replicates = 40
+seed = 20230523
+procedures = SR, PS, HH(w0=0.5, wm=2, ws=0.3)
+metrics = 0, 1, 2, 3
+"""
+
+
+def test_huhu_imbalance_digest(tmp_path):
+    out = tmp_path / "imbalance.csv"
+    harness.write_table(
+        harness.run_imbalance_experiment(config.load_config(HUHU_IMBALANCE_CFG)), out
+    )
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "f28671384e69e2d3f4447601d429bf20366852e5442a30ca60b87135cdd87b95"
     )
 
 
