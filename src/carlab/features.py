@@ -293,17 +293,18 @@ def feature_matrix(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
     _check_coord_bounds(spec, X.shape[1])
     if isinstance(spec, Composite):
         cols = []
-        for t in spec.terms:
-            if isinstance(t, Constant):
-                cols.append(np.full(n, t.value))
-            elif isinstance(t, Identity):
-                cols.append(X[:, t.coord])
-            elif isinstance(t, Product):
-                cols.append(X[:, t.left] * X[:, t.right])
-            elif isinstance(t, Power):
-                cols.append(X[:, t.coord] ** t.degree)
-            else:
-                cols.append(np.where(X[:, t.coord] == t.level, math.sqrt(t.weight), 0.0))
+        with np.errstate(all="ignore"):  # a non-finite term raises DomainError below
+            for t in spec.terms:
+                if isinstance(t, Constant):
+                    cols.append(np.full(n, t.value))
+                elif isinstance(t, Identity):
+                    cols.append(X[:, t.coord])
+                elif isinstance(t, Product):
+                    cols.append(X[:, t.left] * X[:, t.right])
+                elif isinstance(t, Power):
+                    cols.append(X[:, t.coord] ** t.degree)
+                else:
+                    cols.append(np.where(X[:, t.coord] == t.level, math.sqrt(t.weight), 0.0))
         out = np.column_stack(cols)
         if not np.all(np.isfinite(out)):
             raise DomainError("feature matrix is not finite")

@@ -4,7 +4,11 @@ Two experiment kinds are supported.  An *imbalance* experiment replays a
 randomization procedure over many replicated trials and reports normalized
 treatment and covariate imbalances.  A *power* experiment additionally
 generates responses under a grid of local alternatives, fits the working
-models, runs the requested tests, and reports rejection rates.
+models, runs the requested tests, and reports rejection rates.  Under the
+linear models (setting1, setting2) delta shifts only the treated arm's mean,
+so each working model is fitted once per replicate and every delta's
+statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
+model, and the resampling tests ``t_mbb`` and ``t_boot``, work per delta.
 
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
@@ -28,6 +32,7 @@ import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 from scipy import linalg as sla
@@ -63,6 +68,7 @@ from .features import (
     Marginal,
     Stratified,
     discretize_array,
+    feature_dim,
     feature_matrix,
 )
 from .inference import (
@@ -76,7 +82,9 @@ from .inference import (
     sigma_tau_mbb,
     sigma_tau_mbj,
     sigma_tau_reg,
+    statistic_scale,
     t_ls,
+    wald_statistic,
 )
 
 __all__ = [
@@ -87,6 +95,7 @@ __all__ = [
     "ResultTable",
     "procedure_preset",
     "default_kappa",
+    "feature_spec",
     "build_phi",
     "reduce_columns",
     "run_imbalance_experiment",
@@ -111,6 +120,7 @@ UNADJUSTED_TESTS = ("t_ls", "t_logi", "t_oracle")
 PHI_TESTS = ("t_reg", "t_boot")
 RNG_TESTS = ("t_mbb", "t_boot")  # these take the bootstrap size
 BLOCK_TESTS = ("t_mb", "t_mbj", "t_mbb")
+DIRECT_TESTS = ("t_mbj", "t_mbb", "t_boot")  # statistic sqrt(n) tau / (2 sigma), not gram mode
 LOGISTIC_TESTS = ("t_logi", "t_oracle")
 _WORKING_MODELS = {"W1": (), "W2": (0,), "W3": (0, 1, 2)}
 _THRESHOLDS = (0.0, 2.0)  # cut points of continuous covariates for SR, PS and HH
@@ -339,55 +349,54 @@ def _name_tag(*parts) -> int:
     return zlib.crc32("|".join(str(p) for p in parts).encode())
 
 
-def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
-    """Feature matrix a procedure balances, or None for complete randomization.
+def feature_spec(proc: ProcedureSpec, setting: CovariateSetting):
+    """The feature map a procedure balances, or None for complete randomization.
 
     Stratified and marginal procedures act on the discrete view of the
-    observed covariates: coordinates that are declared discrete keep their
-    levels, continuous ones are cut at 0 and 2.  The feature-balancing
-    procedures act on the raw observed covariates, with or without a leading
-    constant.
+    observed covariates: declared discrete coordinates keep their levels,
+    continuous ones are cut at 0 and 2 into levels 0, 1, 2.  The others act
+    on the raw observed covariates, with or without a leading constant.
     """
     if proc.feature == "none":
         return None
     observed = np.flatnonzero(setting.observed_mask)
     if proc.feature in ("stratified", "marginal", "huhu"):
-        cols, levels = [], []
-        for c in observed:
-            declared = setting.discrete_levels.get(int(c))
-            if declared is not None:
-                cols.append(X[:, c])
-                levels.append(tuple(float(v) for v in declared))
-            else:
-                cols.append(discretize_array(X[:, c], _THRESHOLDS).astype(float))
-                levels.append(tuple(float(v) for v in range(len(_THRESHOLDS) + 1)))
-        Xd = np.column_stack(cols)
-        coords = tuple(range(len(cols)))
+        cut = range(len(_THRESHOLDS) + 1)
+        levels = tuple(
+            tuple(map(float, setting.discrete_levels.get(int(c), cut))) for c in observed
+        )
+        coords = tuple(range(len(levels)))
         if proc.feature == "stratified":
-            spec = Stratified(coords=coords, levels=tuple(levels))
-        elif proc.feature == "marginal":
-            spec = Marginal(coords=coords, levels=tuple(levels))
-        else:
-            w0, wm, ws = proc.hh_weights
-            spec = HuHu(
-                coords=coords,
-                levels=tuple(levels),
-                w0=w0,
-                w_margins=(wm,) * len(coords),
-                w_stratum=ws,
-            )
-        return feature_matrix(spec, Xd)
+            return Stratified(coords=coords, levels=levels)
+        if proc.feature == "marginal":
+            return Marginal(coords=coords, levels=levels)
+        w0, wm, ws = proc.hh_weights
+        return HuHu(coords, levels, w0=w0, w_margins=(wm,) * len(coords), w_stratum=ws)
     if proc.feature == "composite":
         if not proc.terms:
             raise DomainError("composite feature plan needs terms")
-        return feature_matrix(Composite(terms=tuple(proc.terms)), X[:, observed])
-    terms = []
-    if proc.feature == "raw_plus_one":
-        terms.append(Constant(1.0))
-    elif proc.feature != "raw":
+        return Composite(terms=tuple(proc.terms))
+    if proc.feature not in ("raw_plus_one", "raw"):
         raise DomainError(f"unknown feature plan {proc.feature!r}")
-    terms.extend(Identity(int(k)) for k in range(observed.size))
-    return feature_matrix(Composite(terms=tuple(terms)), X[:, observed])
+    ones = [Constant(1.0)] if proc.feature == "raw_plus_one" else []
+    return Composite(terms=tuple(ones + [Identity(k) for k in range(observed.size)]))
+
+
+def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
+    """Feature matrix a procedure balances: ``feature_spec`` on the observed
+    covariates (their discrete view for a discrete map), or None under CR."""
+    spec = feature_spec(proc, setting)
+    if spec is None:
+        return None
+    observed = np.flatnonzero(setting.observed_mask)
+    if isinstance(spec, Composite):
+        return feature_matrix(spec, X[:, observed])
+    cols = [
+        X[:, c] if int(c) in setting.discrete_levels
+        else discretize_array(X[:, c], _THRESHOLDS).astype(float)
+        for c in observed
+    ]
+    return feature_matrix(spec, np.column_stack(cols))
 
 
 def reduce_columns(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -473,6 +482,8 @@ def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTa
             for proc in spec.procedures:
                 assigns = _assign_chunk(spec, proc, rs, Xs)[1]  # features freed here
                 for r, X, assign in zip(rs, Xs, assigns):
+                    if assign is None:
+                        continue  # its features failed: the slots stay NaN
                     try:
                         vals = imbalance_metrics(assign, X, spec.treatments, metrics)
                     except DomainError:
@@ -488,19 +499,13 @@ def _covariates(spec: ExperimentSpec, r: int) -> np.ndarray:
     return gen_covariate_matrix(spec.setting, spec.n, _stream(spec.base_seed, r, _TAG_COVARIATES))
 
 
-def _chunk_size(spec: ExperimentSpec) -> int:
-    """Replicates per batch: the engine's batch size for the widest feature
-    matrix of any procedure, measured on replicate 0."""
-    X = _covariates(spec, 0)
-    phis = [build_phi(p, spec.setting, X) for p in spec.procedures]
-    return batch_size(spec.n, max((phi.shape[1] for phi in phis if phi is not None), default=1))
-
-
 def _run_chunks(work, spec: ExperimentSpec, threads: int):
-    """Call ``work`` on consecutive ranges of replicates, in worker threads
-    when asked; results land in per-replicate slots, so neither the range
-    boundaries nor the thread count change them."""
-    size = _chunk_size(spec)
+    """Call ``work`` on consecutive ranges of replicates, as many as the
+    engine batches for the widest feature map of any procedure, in worker
+    threads when asked; results land in per-replicate slots, so neither the
+    range boundaries nor the thread count change them."""
+    fspecs = [feature_spec(p, spec.setting) for p in spec.procedures]
+    size = batch_size(spec.n, max((feature_dim(f) for f in fspecs if f is not None), default=1))
     chunks = [range(r, min(r + size, spec.replicates)) for r in range(0, spec.replicates, size)]
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -513,41 +518,62 @@ def _run_chunks(work, spec: ExperimentSpec, threads: int):
 def _assign_chunk(spec: ExperimentSpec, proc: ProcedureSpec, rs: range, Xs: list):
     """Feature matrices (None under complete randomization) and assignments of
     one procedure for a range of replicates, randomized as one batch.  Each
-    replicate draws its uniforms from its own procedure stream."""
-    phis = [None] * len(rs)
-    batch = np.zeros((len(rs), spec.n, 1))  # complete randomization balances nothing
+    replicate draws its uniforms from its own procedure stream.  A replicate
+    whose features raise ``DomainError`` is left out of the batch, with None
+    assignments: it fails in that procedure's cells only."""
+    fspec = feature_spec(proc, spec.setting)
+    # complete randomization balances nothing; the batch is filled in place
+    batch = np.zeros((len(rs), spec.n, 1 if fspec is None else feature_dim(fspec)))
+    kept = []
     for k, X in enumerate(Xs):
-        phi = build_phi(proc, spec.setting, X)
-        if phi is None:
-            break
-        if k == 0:
-            batch = np.empty((len(rs),) + phi.shape)
-        batch[k] = phi  # filled in place: one copy of the chunk's features
-        phis[k] = batch[k]
-    uniforms = np.stack(
-        [_stream(spec.base_seed, r, _name_tag(proc.name)).random(spec.n) for r in rs]
-    )
-    return phis, simulate_assignments(batch, proc.policy, spec.treatments, uniforms=uniforms)
+        try:
+            if fspec is not None:
+                batch[k] = build_phi(proc, spec.setting, X)
+            kept.append(k)
+        except DomainError:
+            pass
+    batch = batch if len(kept) == len(rs) else batch[kept]
+    phis, assigns = [None] * len(rs), [None] * len(rs)
+    if kept:
+        tag = _name_tag(proc.name)
+        uniforms = np.stack([_stream(spec.base_seed, rs[k], tag).random(spec.n) for k in kept])
+        out = simulate_assignments(batch, proc.policy, spec.treatments, uniforms=uniforms)
+        for j, k in enumerate(kept):
+            phis[k], assigns[k] = (None if fspec is None else batch[j]), out[j]
+    return phis, assigns
 
 
-def _base_model(spec: ExperimentSpec):
-    if spec.model == "setting1":
-        return LinearModel(mu0=spec.mu0, mu1=spec.mu0)
-    if spec.model == "setting2":
-        return HeteroscedasticModel(mu0=spec.mu0, mu1=spec.mu0)
-    return LogisticModel(mu0=spec.mu0, mu1=spec.mu0)
+def _power_tests(spec: ExperimentSpec, proc: ProcedureSpec) -> tuple:
+    # Adjusted tests are defined relative to a covariate-adaptive procedure;
+    # under complete randomization only the unadjusted tests apply.
+    return tuple(t for t in spec.tests if proc.feature != "none" or t in UNADJUSTED_TESTS)
+
+
+def _fit_classes(spec: ExperimentSpec) -> list:
+    """The delta grid as fit classes (model fitted, [(delta index, shift,
+    delta's model)]): one class fitted at delta = 0, with shifts delta /
+    sqrt(n), under setting1 and setting2; a class per delta, shift 0, under
+    the logistic model."""
+    family = {"setting1": LinearModel, "setting2": HeteroscedasticModel}.get(spec.model)
+    model0 = (family or LogisticModel)(mu0=spec.mu0, mu1=spec.mu0)
+    models = [with_effect(model0, LocalAlternative(d), spec.n) for d in spec.deltas]
+    if family is None:
+        return [(m, [(di, 0.0, m)]) for di, m in enumerate(models)]
+    shifts = [d / math.sqrt(spec.n) for d in spec.deltas]
+    return [(model0, list(zip(range(len(models)), shifts, models)))]
 
 
 def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     """Replicated type-I-error / power study over (procedure, delta, working
-    model, test) cells.  A replicate whose fit or estimator fails fails in
-    that cell only."""
-    # Adjusted tests are defined relative to a covariate-adaptive procedure;
-    # under complete randomization only the unadjusted tests apply.
-    tests = {
-        p.name: tuple(t for t in spec.tests if p.feature != "none" or t in UNADJUSTED_TESTS)
-        for p in spec.procedures
-    }
+    model, test) cells.  A replicate whose features, fit or estimator fail
+    fails in those cells only.
+
+    Under setting1 and setting2 each working model is fitted once per
+    replicate, and each delta's statistic is formed in closed form from that
+    fit and its variances.  The logistic model is not linear in delta, so it
+    is fitted per delta; ``t_mbb`` and ``t_boot`` resample y_delta, so they
+    estimate their variance per delta (``_fit_classes``, ``_power_statistics``).
+    """
 
     def cells(proc):
         return [
@@ -557,75 +583,92 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
             )
             for d in spec.deltas
             for wm in spec.working_models
-            for test in tests[proc.name]
+            for test in _power_tests(spec, proc)
         ]
 
     def work(slots):
-        n = spec.n
-        model0 = _base_model(spec)
-        models = [with_effect(model0, LocalAlternative(d), n) for d in spec.deltas]
-        lblock = block_length(n, spec.block_rule)
-        observed = np.flatnonzero(spec.setting.observed_mask)
-        wm_cols = {wm: _WORKING_MODELS[wm] for wm in spec.working_models}
+        classes = _fit_classes(spec)
+        model0 = classes[0][0]  # the noise depends only on the model family
+        crit = normal_quantile(1.0 - spec.alpha / 2.0)
 
         def chunk(rs: range):
             Xs = [_covariates(spec, r) for r in rs]
-            noises = [draw_noise(model0, n, _stream(spec.base_seed, r, _TAG_NOISE)) for r in rs]
+            streams = [_stream(spec.base_seed, r, _TAG_NOISE) for r in rs]
+            noises = [draw_noise(model0, spec.n, rng) for rng in streams]
             for proc in spec.procedures:
-                if tests[proc.name]:
+                if _power_tests(spec, proc):
                     procedure(proc, rs, Xs, noises)
 
         def procedure(proc, rs, Xs, noises):
             # a frame of its own, so the chunk's features are freed on return
             phis, assigns = _assign_chunk(spec, proc, rs, Xs)
             for r, X, noise, phi, assign in zip(rs, Xs, noises, phis, assigns):
-                slots[proc.name][r] = replicate(r, X, noise, proc, phi, assign)
-
-        def replicate(r, X, noise, proc, phi, assign):
-            """The replicate's slot row: 1.0 or 0.0 as each test rejects, NaN
-            where its fit or estimator fails."""
-            x_oracle = X[:, observed]
-            treat = (assign == 0).astype(float)
-            proc_tests = tests[proc.name]
-            phi_red = regression_features(phi) if "t_reg" in proc_tests else None
-
-            def reject(test, di, wm, data, fit):
-                try:
-                    if test in LOGISTIC_TESTS:
-                        covariates = (x_oracle,) if test == "t_oracle" else ()
-                        design = np.column_stack([np.ones(n), treat - 0.5, *covariates])
-                        res = logistic_wald_test(data.y, design, 1, spec.alpha, test)
-                    elif fit is None:
-                        return math.nan
-                    else:
-                        rng = None
-                        if test in RNG_TESTS:
-                            tag = _name_tag(proc.name, test)
-                            rng = _stream(spec.base_seed, r, tag, di, _name_tag(wm))
-                        res, _ = run_test(
-                            test, fit, data, spec.alpha, lblock, spec.bootstrap_size,
-                            rng, proc.policy, phi_red,
-                        )
-                except (FitError, EstimatorError, DomainError):
-                    return math.nan
-                return float(res.reject)
-
-            row = []
-            for di, model in enumerate(models):
-                y = responses_given_noise(model, X, treat, noise)
-                for wm, cols in wm_cols.items():
-                    x_w = X[:, list(cols)] if cols else np.empty((n, 0))
-                    data = TrialDataset(y=y, t=treat, x_obs=x_w, phi=phi)
-                    try:
-                        fit = lse_fit(data)
-                    except (FitError, DomainError):
-                        fit = None
-                    row.extend(reject(test, di, wm, data, fit) for test in proc_tests)
-            return row
+                if assign is not None:  # else its features failed: the slots stay NaN
+                    stats = _power_statistics(spec, classes, proc, r, X, noise, phi, assign)
+                    stats = stats.ravel()  # 1.0 or 0.0 as each test rejects, NaN if it failed
+                    slots[proc.name][r] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
 
         return chunk
 
     return _study(spec, "power", threads, cells, work)
+
+
+def _power_statistics(spec, classes, proc, r, X, noise, phi, assign) -> np.ndarray:
+    """One replicate's (deltas, working models, tests) statistics, NaN where a
+    fit or estimator fails: per class and working model, one fit and one
+    ``run_test`` per test give a ``statistic_scale``, and each delta's
+    statistic is that scale applied to the fit's tau_hat plus its shift."""
+    n = spec.n
+    treat = (assign == 0).astype(float)
+    proc_tests = _power_tests(spec, proc)
+    phi_red = regression_features(phi) if "t_reg" in proc_tests else None
+    lblock = block_length(n, spec.block_rule)
+    stats = np.full((len(spec.deltas), len(spec.working_models), len(proc_tests)), np.nan)
+
+    def attempt(f, *args):
+        try:
+            return f(*args)
+        except (FitError, EstimatorError, DomainError):
+            return None
+
+    def logistic(test, y):
+        observed = np.flatnonzero(spec.setting.observed_mask)
+        covariates = (X[:, observed],) if test == "t_oracle" else ()
+        design = np.column_stack([np.ones(n), treat - 0.5, *covariates])
+        return logistic_wald_test(y, design, 1, spec.alpha, test).statistic
+
+    def scale(test, fit, data, rng=None):
+        B, policy = spec.bootstrap_size, proc.policy
+        _, v = run_test(test, fit, data, spec.alpha, lblock, B, rng, policy, phi_red)
+        mode = "direct" if test in DIRECT_TESTS else "gram"
+        return statistic_scale(fit, fit.sigma_e2 if v is None else v.value, mode)
+
+    for model, members in classes:
+        y = responses_given_noise(model, X, treat, noise)
+        for wi, wm in enumerate(spec.working_models):
+            data = TrialDataset(y=y, t=treat, x_obs=X[:, list(_WORKING_MODELS[wm])], phi=phi)
+            fit = attempt(lse_fit, data)
+            shared = {} if fit is None else {
+                t: attempt(scale, t, fit, data)
+                for t in proc_tests
+                if t not in RNG_TESTS + LOGISTIC_TESTS
+            }
+            for (di, shift, model_d), (ti, test) in product(members, enumerate(proc_tests)):
+                if test in LOGISTIC_TESTS:
+                    stat = attempt(logistic, test, y)
+                elif fit is None:
+                    continue
+                else:
+                    s = shared.get(test)
+                    if test in RNG_TESTS:  # they resample y_delta itself, per delta
+                        tag = _name_tag(proc.name, test)
+                        rng = _stream(spec.base_seed, r, tag, di, _name_tag(wm))
+                        y_d = responses_given_noise(model_d, X, treat, noise)
+                        s = attempt(scale, test, fit, replace(data, y=y_d), rng)
+                    stat = None if s is None else attempt(wald_statistic, fit.tau_hat + shift, s)
+                if stat is not None:
+                    stats[di, wi, ti] = stat
+    return stats
 
 
 def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
@@ -638,18 +681,18 @@ def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
     if test == "t_reg":
         if phi is None:
             raise EstimatorError("no usable feature matrix for the residual regression")
-        v, mode = sigma_tau_reg(fit, phi), "gram"
+        v = sigma_tau_reg(fit, phi)
     elif test == "t_mb":
-        v, mode = sigma_tau_mb(fit, l), "gram"
+        v = sigma_tau_mb(fit, l)
     elif test == "t_mbj":
-        v, mode = sigma_tau_mbj(data, l), "direct"
+        v = sigma_tau_mbj(data, l)
     elif test == "t_mbb":
-        v, mode = sigma_tau_mbb(data, l, B, rng), "direct"
+        v = sigma_tau_mbb(data, l, B, rng)
     elif test == "t_boot":
-        v, mode = sigma_tau_bootstrap(data, policy, B, rng), "direct"
+        v = sigma_tau_bootstrap(data, policy, B, rng)
     else:
         raise ConfigError(f"unknown test {test!r}")
-    return adjusted_test(fit, v, mode, alpha), v
+    return adjusted_test(fit, v, "direct" if test in DIRECT_TESTS else "gram", alpha), v
 
 
 @dataclass(frozen=True)

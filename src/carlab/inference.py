@@ -56,6 +56,8 @@ __all__ = [
     "sigma_tau_mbb",
     "sigma_tau_bootstrap",
     "adjusted_test",
+    "statistic_scale",
+    "wald_statistic",
     "logistic_fit",
     "logistic_wald_test",
 ]
@@ -219,20 +221,37 @@ def _contrast_gram(gram_inv: np.ndarray) -> float:
     return float(gram_inv[0, 0] + gram_inv[1, 1] - 2.0 * gram_inv[0, 1])
 
 
-def _gram_statistic(fit: FitResult, scale2: float) -> float:
-    # shared by the classical and gram-mode adjusted tests so that equal
-    # variance inputs produce bit-identical statistics
-    se = math.sqrt(scale2) * math.sqrt(_contrast_gram(fit.gram_inv))
-    if se == 0.0:
-        if fit.tau_hat != 0.0:
-            raise FitError("zero variance scale with a non-zero effect estimate")
+def statistic_scale(fit: FitResult, value: float, mode: str = "gram") -> tuple:
+    """The scale (a, b) of a Wald statistic a * tau / b on this fit's design,
+    for a variance estimate ``value``: ``gram`` mode keeps the design-based
+    contrast variance, (1, sqrt(value * L (X'X)^-1 L')); ``direct`` mode is
+    (sqrt(n), 2 sqrt(value)).  It does not depend on the responses, so one
+    scale serves every effect estimate tau of the same design."""
+    if mode == "gram":
+        return 1.0, math.sqrt(value) * math.sqrt(_contrast_gram(fit.gram_inv))
+    if mode == "direct":
+        return math.sqrt(fit.n), 2.0 * math.sqrt(value)
+    raise DomainError(f"unknown mode {mode!r}")
+
+
+def wald_statistic(tau: float, scale: tuple) -> float:
+    """a * tau / b for ``scale`` (a, b) from :func:`statistic_scale`; 0 when
+    both b and tau are 0."""
+    a, b = scale
+    if b == 0.0:
+        if tau != 0.0:
+            raise EstimatorError("zero variance scale with a non-zero effect estimate")
         return 0.0
-    return fit.tau_hat / se
+    return a * tau / b
 
 
 def t_ls(fit: FitResult, alpha: float = 0.05) -> TestResult:
     """Classical Wald test of equal arm means from the working-model fit."""
-    return _wald_result(_gram_statistic(fit, fit.sigma_e2), alpha, "t_ls")
+    try:
+        stat = wald_statistic(fit.tau_hat, statistic_scale(fit, fit.sigma_e2))
+    except EstimatorError as exc:  # a zero residual variance: the fit's failure
+        raise FitError(str(exc)) from exc
+    return _wald_result(stat, alpha, "t_ls")
 
 
 def _wald_result(stat: float, alpha: float, method: str) -> TestResult:
@@ -449,19 +468,7 @@ def adjusted_test(
     the estimate equal to the residual variance, gram mode reproduces the
     classical test exactly.
     """
-    if mode not in ("gram", "direct"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if v.value == 0.0 and fit.tau_hat != 0.0:
-        raise EstimatorError("zero variance estimate with a non-zero effect estimate")
-    try:
-        if mode == "gram":
-            stat = _gram_statistic(fit, v.value)
-        elif v.value == 0.0:
-            stat = 0.0
-        else:
-            stat = math.sqrt(fit.n) * fit.tau_hat / (2.0 * math.sqrt(v.value))
-    except FitError as exc:
-        raise EstimatorError(str(exc)) from exc
+    stat = wald_statistic(fit.tau_hat, statistic_scale(fit, v.value, mode))
     return _wald_result(stat, alpha, f"t_adj_{v.method}")
 
 

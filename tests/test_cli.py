@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,31 @@ class TestRunCommands:
         assert len(imb1) == 2
         assert all(0 < int(r["replicates"]) < 3000 for r in imb1)
         assert "note: cell ('phi-CAR-BC', 'imb1'):" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["imbalance", "power"])
+    def test_failing_feature_matrix_fails_its_procedure_only(self, tmp_path, capsys, kind):
+        # x1 is binary on S4, so x1^-1 is infinite wherever x1 = 0: every
+        # replicate's phi-CAR-BC features fail, and only that procedure's
+        # cells lose them.
+        text = (
+            "setting = S4\nn = 30\nreplicates = 8\nseed = 2\n"
+            "procedures = SR, phi-CAR-BC(feature=1+x1^-1)\n"
+        )
+        if kind == "power":
+            text += "model = setting1\ndelta = 0, 5\nworking_models = W1\ntests = t_ls, t_reg\n"
+        cfg = _write(tmp_path, "c.cfg", f"kind = {kind}\n" + text)
+        out = tmp_path / "results"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no bare numpy warning either
+            assert main([kind, "--config", cfg, "--out", str(out)]) == 3
+        with open(out / f"{kind}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and {r["procedure"] for r in rows} == {"SR"}
+        assert all(r["replicates"] == "8" for r in rows)
+        err = capsys.readouterr().err
+        assert "error: cell ('phi-CAR-BC'," in err
+        assert err.count("aborted") == 4  # four metrics, or two deltas x two tests
+        assert "not finite" not in err
 
     @pytest.mark.parametrize("kind", ["imbalance", "power"])
     def test_negative_seed_override(self, tmp_path, capsys, kind):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ class TestApply:
         spec = Composite(terms=(Identity(0),))
         with pytest.raises(DomainError):
             apply_feature_map(spec, np.array([np.nan]))
+
+    @pytest.mark.parametrize("term", [Power(0, -1.0), Power(0, 0.5), Product(0, 0)])
+    def test_non_finite_term_raises_without_a_numpy_warning(self, term):
+        # 0^-1 divides by zero, (-1)^0.5 is invalid, 1e200 * 1e200 overflows
+        X = np.array([[0.0], [-1.0], [1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="feature matrix is not finite"):
+                feature_matrix(Composite(terms=(Constant(1.0), term)), X)
 
     def test_coordinate_out_of_range(self):
         spec = Composite(terms=(Identity(3),))

@@ -11,7 +11,8 @@ phi-CAR-BC): the full test list, and the resampling tests under a
 non-default randomization rule and block rule.  A power study of ``t_mbb``
 and ``t_boot`` at n=40 is pinned from an in-test config, and so is an
 imbalance study of SR, PS and a weighted HH on S4, whose binary covariate
-keeps its declared levels.
+keeps its declared levels, and a setting2 power study on S4 over the delta
+grid 3, 0, 8.
 """
 
 import dataclasses
@@ -122,3 +123,29 @@ def test_analyze_golden_digest(name, tmp_path):
     out = tmp_path / "tests.csv"
     assert main(["analyze", "--data", str(data), "--out", str(out), *args]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# No demo config runs setting2 or a delta grid that does not start at 0; this
+# one does, on S4 (binary x1), with every test the shared working-model fit
+# serves.
+SETTING2_POWER_CFG = """
+kind = power
+model = setting2
+setting = S4
+n = 40
+replicates = 40
+seed = 20230524
+procedures = CR, SR, HH, phi-CAR-Con
+delta = 3, 0, 8
+working_models = W1, W2, W3
+tests = t_ls, t_reg, t_mb, t_mbj
+"""
+
+
+def test_setting2_power_digest(tmp_path):
+    out = tmp_path / "power.csv"
+    harness.write_table(harness.run_power_experiment(config.load_config(SETTING2_POWER_CFG)), out)
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "bdce68188adc5878fddcd66d810adf5bcdb0e95a940d75aae66162a9b1c31a3a"
+    )

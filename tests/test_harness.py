@@ -13,8 +13,19 @@ from carlab.allocation import (
     TwoTreatmentContinuous,
 )
 from carlab.config import load_config
-from carlab.datagen import CovariateSetting, gen_covariate_matrix
-from carlab.errors import ConfigError, DomainError, FitError
+from carlab.datagen import (
+    CovariateSetting,
+    HeteroscedasticModel,
+    LinearModel,
+    LocalAlternative,
+    LogisticModel,
+    draw_noise,
+    gen_covariate_matrix,
+    responses_given_noise,
+    with_effect,
+)
+from carlab.errors import ConfigError, DomainError, EstimatorError, FitError
+from carlab.features import feature_dim
 from carlab.harness import (
     AsymptoticParams,
     ExperimentSpec,
@@ -387,6 +398,33 @@ class TestRunners:
             else:
                 assert row.replicates == 200
 
+    def test_failed_features_leave_the_rest_of_the_batch_alone(self, monkeypatch):
+        spec = ExperimentSpec(
+            kind="imbalance",
+            n=30,
+            setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("phi-CAR-BC"),),
+            replicates=6,
+            base_seed=4,
+            metrics=(0, 1),
+        )
+        proc, rs = spec.procedures[0], range(6)
+        Xs = [harness._covariates(spec, r) for r in rs]
+        phis, assigns = harness._assign_chunk(spec, proc, rs, Xs)
+        real = harness.build_phi
+
+        def build_phi(proc, setting, X):
+            if X is Xs[2]:
+                raise DomainError("injected")
+            return real(proc, setting, X)
+
+        monkeypatch.setattr(harness, "build_phi", build_phi)
+        kept_phis, kept_assigns = harness._assign_chunk(spec, proc, rs, Xs)
+        assert kept_phis[2] is None and kept_assigns[2] is None
+        for k in (0, 1, 3, 4, 5):
+            np.testing.assert_array_equal(kept_phis[k], phis[k])
+            np.testing.assert_array_equal(kept_assigns[k], assigns[k])
+
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
             run_imbalance_experiment(_tiny_power_spec())
@@ -492,3 +530,181 @@ class TestBoundednessVsGrowth:
         small = run(200, ("CR", "phi-CAR-BC"), 77)
         assert big["phi-CAR-BC"] / small["phi-CAR-BC"] < 2.0
         assert 2.2 <= big["CR"] / small["CR"] <= 2.8
+
+
+class TestFeatureSpec:
+    @pytest.mark.parametrize("setting", ["S1", "S4", "S6"])
+    @pytest.mark.parametrize("name", harness.PRESET_NAMES)
+    def test_width_matches_the_feature_matrix(self, name, setting):
+        proc, s = procedure_preset(name), CovariateSetting(setting)
+        X = gen_covariate_matrix(s, 30, np.random.default_rng(5))
+        phi = build_phi(proc, s, X)
+        spec = harness.feature_spec(proc, s)
+        if phi is None:
+            assert spec is None
+        else:
+            assert feature_dim(spec) == phi.shape[1]
+
+
+# ---------------------------------------------------------------------------
+# The shared-fit power path against the per-delta loop it replaced.
+
+_MODELS = {"setting1": LinearModel, "setting2": HeteroscedasticModel, "logistic": LogisticModel}
+
+
+def _per_delta_reference(spec, proc, r, X, noise, phi, assign):
+    """Statistics and slot row of one replicate by the per-delta loop: for
+    every delta and working model, responses y_delta, an ``lse_fit`` on them
+    and ``run_test`` (or the logistic test) on that fit."""
+    n = spec.n
+    model0 = _MODELS[spec.model](mu0=spec.mu0, mu1=spec.mu0)
+    treat = (assign == 0).astype(float)
+    tests = [t for t in spec.tests if proc.feature != "none" or t in harness.UNADJUSTED_TESTS]
+    phi_red = harness.regression_features(phi) if "t_reg" in tests else None
+    lblock = inference.block_length(n, spec.block_rule)
+    stats, row = [], []
+    for di, d in enumerate(spec.deltas):
+        y = responses_given_noise(with_effect(model0, LocalAlternative(d), n), X, treat, noise)
+        for wm in spec.working_models:
+            cols = {"W1": [], "W2": [0], "W3": [0, 1, 2]}[wm]
+            data = inference.TrialDataset(y=y, t=treat, x_obs=X[:, cols], phi=phi)
+            try:
+                fit = harness.lse_fit(data)
+            except (FitError, DomainError):
+                fit = None
+            for test in tests:
+                try:
+                    if test in ("t_logi", "t_oracle"):
+                        extra = (X[:, [0, 1, 2]],) if test == "t_oracle" else ()
+                        design = np.column_stack([np.ones(n), treat - 0.5, *extra])
+                        res = inference.logistic_wald_test(y, design, 1, spec.alpha, test)
+                    elif fit is None:
+                        raise FitError("no fit")
+                    else:
+                        rng = None
+                        if test in ("t_mbb", "t_boot"):
+                            tag = harness._name_tag(proc.name, test)
+                            rng = harness._stream(spec.base_seed, r, tag, di, harness._name_tag(wm))
+                        res, _ = harness.run_test(
+                            test, fit, data, spec.alpha, lblock, spec.bootstrap_size, rng,
+                            proc.policy, phi_red,
+                        )
+                except (FitError, EstimatorError, DomainError):
+                    stats.append(math.nan)
+                    row.append(math.nan)
+                    continue
+                stats.append(res.statistic)
+                row.append(float(res.reject))
+    return np.array(stats), np.array(row)
+
+
+def _slot_rows(spec, monkeypatch):
+    """The slot arrays ``run_power_experiment`` fills, one per procedure."""
+    captured = {}
+
+    def study(spec, kind, threads, cells, work):
+        slots = {p.name: np.full((spec.replicates, len(cells(p))), np.nan) for p in spec.procedures}
+        work(slots)(range(spec.replicates))
+        captured.update(slots)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_study", study)
+        run_power_experiment(spec)
+    return captured
+
+
+ORACLE_SPECS = {
+    "setting1": dict(
+        model="setting1", setting=CovariateSetting("S1"), n=40, deltas=(0.0, 5.0, 12.0),
+        tests=("t_ls", "t_reg", "t_mb", "t_mbj", "t_mbb", "t_boot"),
+    ),
+    "setting2": dict(
+        model="setting2", setting=CovariateSetting("S4"), n=30, deltas=(3.0, 0.0, 8.0),
+        mu0=1.5, tests=("t_ls", "t_reg", "t_mb", "t_mbj", "t_mbb"),
+    ),
+    "logistic": dict(
+        model="logistic", setting=CovariateSetting("normals", (0.0, 0.0, 0.0)), n=24,
+        deltas=(0.0, 10.0), mu0=1.0, tests=("t_ls", "t_logi", "t_oracle", "t_reg", "t_mbj"),
+    ),
+}
+
+
+class TestSharedFit:
+    @pytest.mark.parametrize("model", sorted(ORACLE_SPECS))
+    def test_matches_the_per_delta_loop(self, model, monkeypatch):
+        spec = ExperimentSpec(
+            kind="power",
+            procedures=tuple(
+                procedure_preset(p) for p in ("CR", "SR", "phi-CAR-BC", "phi-CAR-Con")
+            ),
+            replicates=12,
+            base_seed=31,
+            working_models=("W1", "W2", "W3"),
+            bootstrap_size=6,
+            **ORACLE_SPECS[model],
+        )
+
+        # Failures that do not depend on delta, so that both paths must agree
+        # on them: a working-model fit fails when the first four units are
+        # treated, and the residual regression when the treated count is a
+        # multiple of 4.
+        def lse_fit(data):
+            if data.t[:4].sum() == 4:
+                raise FitError("injected")
+            return inference.lse_fit(data)
+
+        def sigma_tau_reg(fit, phi):
+            if fit.n1 % 4 == 0:
+                raise EstimatorError("injected")
+            return inference.sigma_tau_reg(fit, phi)
+
+        monkeypatch.setattr(harness, "lse_fit", lse_fit)
+        monkeypatch.setattr(harness, "sigma_tau_reg", sigma_tau_reg)
+        slots = _slot_rows(spec, monkeypatch)
+        classes = harness._fit_classes(spec)
+        Xs = [harness._covariates(spec, r) for r in range(spec.replicates)]
+        family = _MODELS[spec.model]()
+        noises = [
+            draw_noise(family, spec.n, harness._stream(spec.base_seed, r, harness._TAG_NOISE))
+            for r in range(spec.replicates)
+        ]
+        failed = 0
+        for proc in spec.procedures:
+            phis, assigns = harness._assign_chunk(spec, proc, range(spec.replicates), Xs)
+            for r in range(spec.replicates):
+                args = (r, Xs[r], noises[r], phis[r], assigns[r])
+                ref_stats, ref_row = _per_delta_reference(spec, proc, *args)
+                stats = harness._power_statistics(spec, classes, proc, *args).ravel()
+                np.testing.assert_array_equal(slots[proc.name][r], ref_row)
+                np.testing.assert_array_equal(np.isnan(stats), np.isnan(ref_stats))
+                np.testing.assert_allclose(stats, ref_stats, rtol=1e-12, atol=0)
+                failed += int(np.isnan(ref_row).sum())
+        assert failed > 0  # the NaN positions are exercised
+
+
+class TestFitCount:
+    @pytest.mark.parametrize("model", ["setting1", "setting2", "logistic"])
+    @pytest.mark.parametrize("deltas", [(0.0,), (0.0, 4.0, 9.0)])
+    def test_one_fit_per_working_model(self, model, deltas, monkeypatch):
+        spec = ExperimentSpec(
+            kind="power",
+            n=40,
+            setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("CR"), procedure_preset("phi-CAR-BC")),
+            replicates=5,
+            base_seed=8,
+            model=model,
+            deltas=deltas,
+            working_models=("W1", "W3"),
+            tests=("t_ls", "t_mb"),
+        )
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return inference.lse_fit(data)
+
+        monkeypatch.setattr(harness, "lse_fit", counting)
+        run_power_experiment(spec)
+        per_delta = len(deltas) if model == "logistic" else 1
+        assert len(calls) == 5 * 2 * 2 * per_delta

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from carlab.inference import (
     sigma_tau_mbb,
     sigma_tau_mbj,
     sigma_tau_reg,
+    statistic_scale,
     t_ls,
+    wald_statistic,
 )
 
 
@@ -400,6 +403,53 @@ class TestAdjustedTest:
         fit = lse_fit(_dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0]))
         with pytest.raises(EstimatorError):
             adjusted_test(fit, VarianceEstimate(value=0.0, method="reg"))
+
+
+class TestStatisticScale:
+    def _fit(self, shift=0.0):
+        rng = np.random.default_rng(21)
+        n = 60
+        t = (rng.random(n) < 0.5).astype(float)
+        x = rng.normal(size=(n, 2))
+        y = 0.3 * t + x @ [1.0, -0.5] + rng.normal(size=n)
+        return lse_fit(_dataset(y + shift * t, t, x))
+
+    @pytest.mark.parametrize("mode", ["gram", "direct"])
+    def test_is_the_adjusted_statistic(self, mode):
+        from carlab.inference import VarianceEstimate
+
+        fit = self._fit()
+        v = sigma_tau_mb(fit, 7)
+        res = adjusted_test(fit, v, mode)
+        assert wald_statistic(fit.tau_hat, statistic_scale(fit, v.value, mode)) == res.statistic
+        ls = wald_statistic(fit.tau_hat, statistic_scale(fit, fit.sigma_e2))
+        assert ls == t_ls(fit).statistic
+        assert res.statistic == adjusted_test(fit, VarianceEstimate(v.value, "mb"), mode).statistic
+
+    @pytest.mark.parametrize("mode", ["gram", "direct"])
+    def test_a_shifted_response_needs_no_refit(self, mode):
+        # Adding c * t to y moves tau_hat by c and leaves the residuals, the
+        # design and so every residual-based scale unchanged.
+        fit0, fitc = self._fit(), self._fit(shift=0.7)
+        assert fitc.tau_hat == pytest.approx(fit0.tau_hat + 0.7, rel=1e-12)
+        shared = statistic_scale(fit0, sigma_tau_mb(fit0, 7).value, mode)
+        refit = adjusted_test(fitc, sigma_tau_mb(fitc, 7), mode).statistic
+        assert wald_statistic(fit0.tau_hat + 0.7, shared) == pytest.approx(refit, rel=1e-12)
+
+    def test_zero_scale(self):
+        assert wald_statistic(0.0, (1.0, 0.0)) == 0.0
+        with pytest.raises(EstimatorError, match="zero variance scale"):
+            wald_statistic(0.5, (2.0, 0.0))
+
+    def test_unknown_mode(self):
+        with pytest.raises(DomainError):
+            statistic_scale(self._fit(), 1.0, "sandwich")
+
+    def test_t_ls_with_zero_residual_variance_is_a_fit_error(self):
+        fit = dataclasses.replace(self._fit(), sigma_e2=0.0)
+        with pytest.raises(FitError, match="zero variance scale"):
+            t_ls(fit)
+        assert t_ls(dataclasses.replace(fit, tau_hat=0.0)).statistic == 0.0
 
 
 class TestLogistic:
