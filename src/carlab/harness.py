@@ -8,16 +8,19 @@ models, runs the requested tests, and reports rejection rates.  Under the
 linear models (setting1, setting2) delta shifts only the treated arm's mean,
 so each working model is fitted once per replicate and every delta's
 statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
-model, and the resampling tests ``t_mbb`` and ``t_boot``, work per delta.
+model is fitted per delta.  ``t_mbb`` and ``t_boot`` draw their resamples
+once per replicate and procedure and refit every fit's data on them.
 
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
 (a documented avalanche mixer), so results are independent of worker-thread
-count and of which other procedures or tests appear in the run.  Replicates
-run in consecutive chunks, and each procedure randomizes a chunk's trials as
-one engine batch; a trial's assignments do not depend on its batch.  Replicate
-results land in pre-allocated indexed slots and aggregation is a fold in slot
-order, so identical (config, seed) produce identical output bytes.
+count and of which other procedures or tests appear in the run; a
+resampling test's stream, one per (replicate, procedure, test), serves every
+delta and working model.  Replicates run in consecutive chunks, and each
+procedure randomizes a chunk's trials as one engine batch; a trial's
+assignments do not depend on its batch.  Replicate results land in
+pre-allocated indexed slots and aggregation is a fold in slot order, so
+identical (config, seed) produce identical output bytes.
 
 Procedure presets mirror the standard comparison set: complete randomization
 (CR), stratified biased-coin randomization on discretized covariates (SR),
@@ -77,6 +80,7 @@ from .inference import (
     block_length,
     logistic_wald_test,
     lse_fit,
+    shifted_value,
     sigma_tau_bootstrap,
     sigma_tau_mb,
     sigma_tau_mbb,
@@ -276,6 +280,15 @@ def check_test_params(alpha: float, bootstrap_size: int):
         raise ConfigError(f"bootstrap_size must be >= 2, got {bootstrap_size}")
 
 
+def check_unique(grids: dict):
+    """Reject a grid (key: values) that lists a value twice: it would repeat cells."""
+    for key, values in grids.items():
+        for k, v in enumerate(values):
+            if v in values[:k]:
+                shown = f"{v:g}" if isinstance(v, float) else v
+                raise ConfigError(f"{key}: duplicate value {shown}")
+
+
 def validate_spec(spec: ExperimentSpec):
     if spec.kind not in ("imbalance", "power"):
         raise ConfigError(f"kind must be 'imbalance' or 'power', got {spec.kind!r}")
@@ -302,6 +315,7 @@ def validate_spec(spec: ExperimentSpec):
         for j in spec.metrics:
             if j != 0 and not (1 <= j <= spec.setting.p_total):
                 raise ConfigError(f"metrics: index {j} out of range")
+        check_unique({"metrics": spec.metrics})
         return
     # power experiments
     if spec.treatments != 2:
@@ -337,6 +351,8 @@ def validate_spec(spec: ExperimentSpec):
     for d in spec.deltas:
         if not math.isfinite(d):
             raise ConfigError(f"delta: values must be finite, got {d!r}")
+    grids = {"delta": spec.deltas, "working_models": spec.working_models, "tests": spec.tests}
+    check_unique(grids)
     if spec.block_rule not in ("sqrt", "cbrt"):
         raise ConfigError(f"block_rule must be sqrt or cbrt, got {spec.block_rule!r}")
 
@@ -550,17 +566,16 @@ def _power_tests(spec: ExperimentSpec, proc: ProcedureSpec) -> tuple:
 
 
 def _fit_classes(spec: ExperimentSpec) -> list:
-    """The delta grid as fit classes (model fitted, [(delta index, shift,
-    delta's model)]): one class fitted at delta = 0, with shifts delta /
-    sqrt(n), under setting1 and setting2; a class per delta, shift 0, under
-    the logistic model."""
+    """The delta grid as fit classes (model fitted, [(delta index, shift)]):
+    one class fitted at delta = 0, with shifts delta / sqrt(n), under
+    setting1 and setting2; a class per delta, shift 0, under the logistic
+    model."""
     family = {"setting1": LinearModel, "setting2": HeteroscedasticModel}.get(spec.model)
     model0 = (family or LogisticModel)(mu0=spec.mu0, mu1=spec.mu0)
-    models = [with_effect(model0, LocalAlternative(d), spec.n) for d in spec.deltas]
     if family is None:
-        return [(m, [(di, 0.0, m)]) for di, m in enumerate(models)]
-    shifts = [d / math.sqrt(spec.n) for d in spec.deltas]
-    return [(model0, list(zip(range(len(models)), shifts, models)))]
+        effect = [with_effect(model0, LocalAlternative(d), spec.n) for d in spec.deltas]
+        return [(m, [(di, 0.0)]) for di, m in enumerate(effect)]
+    return [(model0, [(di, d / math.sqrt(spec.n)) for di, d in enumerate(spec.deltas)])]
 
 
 def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
@@ -571,8 +586,8 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     Under setting1 and setting2 each working model is fitted once per
     replicate, and each delta's statistic is formed in closed form from that
     fit and its variances.  The logistic model is not linear in delta, so it
-    is fitted per delta; ``t_mbb`` and ``t_boot`` resample y_delta, so they
-    estimate their variance per delta (``_fit_classes``, ``_power_statistics``).
+    is fitted per delta (``_fit_classes``).  ``t_mbb`` and ``t_boot`` draw
+    their resamples once per replicate and procedure (``_power_statistics``).
     """
 
     def cells(proc):
@@ -617,12 +632,13 @@ def _power_statistics(spec, classes, proc, r, X, noise, phi, assign) -> np.ndarr
     """One replicate's (deltas, working models, tests) statistics, NaN where a
     fit or estimator fails: per class and working model, one fit and one
     ``run_test`` per test give a ``statistic_scale``, and each delta's
-    statistic is that scale applied to the fit's tau_hat plus its shift."""
+    statistic is that scale applied to the fit's tau_hat plus its shift.  A
+    resampling test refits every fit's data on one draw of resamples."""
     n = spec.n
     treat = (assign == 0).astype(float)
     proc_tests = _power_tests(spec, proc)
     phi_red = regression_features(phi) if "t_reg" in proc_tests else None
-    lblock = block_length(n, spec.block_rule)
+    lblock, policy = block_length(n, spec.block_rule), proc.policy
     stats = np.full((len(spec.deltas), len(spec.working_models), len(proc_tests)), np.nan)
 
     def attempt(f, *args):
@@ -637,37 +653,44 @@ def _power_statistics(spec, classes, proc, r, X, noise, phi, assign) -> np.ndarr
         design = np.column_stack([np.ones(n), treat - 0.5, *covariates])
         return logistic_wald_test(y, design, 1, spec.alpha, test).statistic
 
-    def scale(test, fit, data, rng=None):
-        B, policy = spec.bootstrap_size, proc.policy
-        _, v = run_test(test, fit, data, spec.alpha, lblock, B, rng, policy, phi_red)
+    def scale(test, fit, data):
+        _, v = run_test(test, fit, data, spec.alpha, lblock, None, None, None, phi_red)
         mode = "direct" if test in DIRECT_TESTS else "gram"
         return statistic_scale(fit, fit.sigma_e2 if v is None else v.value, mode)
 
+    runs = []  # (members, working model index, data, fit) per class and working model
     for model, members in classes:
         y = responses_given_noise(model, X, treat, noise)
         for wi, wm in enumerate(spec.working_models):
             data = TrialDataset(y=y, t=treat, x_obs=X[:, list(_WORKING_MODELS[wm])], phi=phi)
-            fit = attempt(lse_fit, data)
-            shared = {} if fit is None else {
-                t: attempt(scale, t, fit, data)
-                for t in proc_tests
-                if t not in RNG_TESTS + LOGISTIC_TESTS
-            }
-            for (di, shift, model_d), (ti, test) in product(members, enumerate(proc_tests)):
-                if test in LOGISTIC_TESTS:
-                    stat = attempt(logistic, test, y)
-                elif fit is None:
-                    continue
-                else:
-                    s = shared.get(test)
-                    if test in RNG_TESTS:  # they resample y_delta itself, per delta
-                        tag = _name_tag(proc.name, test)
-                        rng = _stream(spec.base_seed, r, tag, di, _name_tag(wm))
-                        y_d = responses_given_noise(model_d, X, treat, noise)
-                        s = attempt(scale, test, fit, replace(data, y=y_d), rng)
-                    stat = None if s is None else attempt(wald_statistic, fit.tau_hat + shift, s)
-                if stat is not None:
-                    stats[di, wi, ti] = stat
+            runs.append((members, wi, data, attempt(lse_fit, data)))
+    fitted = [k for k, run in enumerate(runs) if run[3] is not None]
+    drawn = {}  # (test, run index): that fit's resampling estimate
+    for test in (t for t in RNG_TESTS if t in proc_tests and fitted):
+        rng = _stream(spec.base_seed, r, _name_tag(proc.name, test))
+        est, arg = (sigma_tau_mbb, lblock) if test == "t_mbb" else (sigma_tau_bootstrap, policy)
+        vs = attempt(est, [runs[k][2] for k in fitted], arg, spec.bootstrap_size, rng) or ()
+        drawn.update(((test, k), v) for k, v in zip(fitted, vs) if not isinstance(v, Exception))
+    for k, (members, wi, data, fit) in enumerate(runs):
+        shared = {} if fit is None else {
+            t: attempt(scale, t, fit, data)
+            for t in proc_tests
+            if t not in RNG_TESTS + LOGISTIC_TESTS
+        }
+        if ("t_mbb", k) in drawn:  # kappa* = 1: its variance does not depend on the shift
+            shared["t_mbb"] = statistic_scale(fit, drawn["t_mbb", k].value, "direct")
+        for (di, shift), (ti, test) in product(members, enumerate(proc_tests)):
+            if test in LOGISTIC_TESTS:
+                stat = attempt(logistic, test, data.y)
+            elif fit is None:
+                continue
+            else:
+                s = shared.get(test)
+                if test == "t_boot" and (test, k) in drawn:
+                    s = statistic_scale(fit, shifted_value(drawn[test, k], n, shift), "direct")
+                stat = None if s is None else attempt(wald_statistic, fit.tau_hat + shift, s)
+            if stat is not None:
+                stats[di, wi, ti] = stat
     return stats
 
 

@@ -24,6 +24,10 @@ adjusted statistic in "direct" mode is sqrt(n) * tau / (2 * sigma), which
 for the resampling estimators reduces to tau divided by the estimated
 standard deviation of tau.
 
+The two bootstraps also refit a sequence of datasets that share t and phi
+on one draw of resamples, keeping each refit's tau* (of y[I]) and kappa* (of
+t[I]), so responses y + s t need no refit (``shifted_value``).
+
 The working-model fit, the residual regression and the logistic standard
 errors use a Cholesky factorization with a reciprocal-condition guard at
 1e-12; the logistic iterations and the resampling refits (one batched solve
@@ -55,6 +59,7 @@ __all__ = [
     "sigma_tau_mbj",
     "sigma_tau_mbb",
     "sigma_tau_bootstrap",
+    "shifted_value",
     "adjusted_test",
     "statistic_scale",
     "wald_statistic",
@@ -344,7 +349,7 @@ def sigma_tau_mbj(data: TrialDataset, l: int) -> VarianceEstimate:
         raise EstimatorError(
             f"leave-block-out window {int(bad[0])} empties an arm"
         )
-    tau = _refit_taus(G_win, b_win, "a leave-block-out window")
+    tau = _refit_taus(G_win, b_win[..., None], "a leave-block-out window")[:, 0]
     dev = tau - tau.mean()
     sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
     return VarianceEstimate(
@@ -353,27 +358,38 @@ def sigma_tau_mbj(data: TrialDataset, l: int) -> VarianceEstimate:
 
 
 def _refit_taus(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Effect estimates theta_0 - theta_1 of a stack of normal equations
-    G theta = b, G of shape (m, k, k) and b of shape (m, k), by one batched
-    LU solve."""
+    """Contrasts theta_0 - theta_1, of shape (m, r), of a stack of normal
+    equations G theta = b, G of shape (m, k, k) and b of shape (m, k, r)
+    (r right-hand sides), by one batched LU solve."""
     try:
-        theta = np.linalg.solve(G, b[..., None])[..., 0]
+        theta = np.linalg.solve(G, b)
     except np.linalg.LinAlgError as exc:
         raise EstimatorError(f"singular design in {what}") from exc
     return theta[:, 0] - theta[:, 1]
 
 
-def _resampled_taus(data: TrialDataset, draw, B: int, chunk: int, rng, what: str):
-    """Effect estimates refitted on B resamples of the units of ``data``.
+def _resampled(data, draw, B: int, chunk: int, rng, what: str, method: str, **params):
+    """Bootstrap estimates n var(tau*) / 4 from B resamples of the units of
+    one dataset (a failed refit raised) or of a sequence sharing t and phi
+    (a list, with the ``EstimatorError`` of each failed refit in its place).
 
     ``draw(rng, m)`` returns the next m resamples of the stream: their (m, n)
-    unit indices and (m, n) 0/1 treatment indicators.  Resamples are drawn in
-    chunks of at most ``chunk``.  One that empties an arm is dropped and the
-    next one in the stream takes its place, so the stream is read up to the
-    B-th kept resample and no further; 100 dropped in a row raise.
+    unit indices I and (m, n) 0/1 treatment indicators.  Resamples are drawn
+    in chunks of at most ``chunk``.  One that empties an arm is dropped and
+    the next one in the stream takes its place, so the stream is read up to
+    the B-th kept resample and no further; 100 dropped in a row raise.  Each
+    dataset regresses y[I] and t[I] on its resampled design in one solve, for
+    the tau* and kappa* kept in ``params``.
     """
-    y, x = data.y, data.x_obs
-    taus, kept, run = [], 0, 0
+    if B < 2:
+        raise DomainError("bootstrap size must be >= 2")
+    single = isinstance(data, TrialDataset)
+    datas = [data] if single else list(data)
+    t0, n = datas[0].t, datas[0].n
+    if any(not (np.array_equal(d.t, t0) and np.array_equal(d.phi, datas[0].phi)) for d in datas):
+        raise DomainError("resampled datasets must share t and phi")
+    out = [[] for _ in datas]
+    kept, run = 0, 0
     while kept < B:
         idx, t = draw(rng, min(chunk, B - kept))
         n1 = t.sum(axis=1)
@@ -382,44 +398,51 @@ def _resampled_taus(data: TrialDataset, draw, B: int, chunk: int, rng, what: str
             run = 0 if good else run + 1
             if run == 100:
                 raise EstimatorError(f"{what} kept emptying an arm")
-        idx = idx[ok]
-        D = _design(t[ok], x[idx])
-        Dt = D.swapaxes(1, 2)
-        taus.append(_refit_taus(Dt @ D, (Dt @ y[idx][..., None])[..., 0], what))
+        idx, t = idx[ok], t[ok]
+        for j, d in enumerate(datas):
+            if isinstance(out[j], list):
+                D = _design(t, d.x_obs[idx])
+                Dt, rhs = D.swapaxes(1, 2), np.stack([d.y[idx], t0[idx]], axis=-1)
+                try:
+                    out[j].append(_refit_taus(Dt @ D, Dt @ rhs, what))
+                except EstimatorError as exc:
+                    if single:
+                        raise
+                    out[j] = exc
         kept += idx.shape[0]
-    return np.concatenate(taus)
+    for j, taus in enumerate(out):
+        if isinstance(taus, list):
+            tau, kappa = np.concatenate(taus).T.copy()
+            v_B = float(np.var(tau, ddof=1))
+            extra = dict(params, B=int(B), v_B=v_B, tau=tau, kappa=kappa)
+            out[j] = VarianceEstimate(value=n * v_B / 4.0, method=method, params=extra)
+    return out[0] if single else out
 
 
-def sigma_tau_mbb(data: TrialDataset, l: int, B: int, rng) -> VarianceEstimate:
+def sigma_tau_mbb(data, l: int, B: int, rng):
     """Moving-block bootstrap: concatenate resampled blocks, truncate to n, refit.
 
     Block starts are uniform on the n - l + 1 windows; each resample keeps
     within-block serial structure intact.  A resample that empties an arm is
     replaced by the next one drawn.  Reported on the common scale as n times
-    the bootstrap variance of the effect estimate over 4.
+    the bootstrap variance of the effect estimate over 4.  ``data`` may be a
+    sequence of datasets (see ``_resampled``).
     """
-    n = data.n
+    t0 = (data if isinstance(data, TrialDataset) else data[0]).t
+    n = t0.shape[0]
     _check_block(n, l)
-    if B < 2:
-        raise DomainError("bootstrap size must be >= 2")
     m = n // l
     offs = np.arange(l)
 
     def draw(rng, rows):
         starts = rng.integers(0, n - l + 1, size=(rows, m + 1))
         idx = (starts[:, :, None] + offs).reshape(rows, (m + 1) * l)[:, :n]
-        return idx, data.t[idx]
+        return idx, t0[idx]
 
-    tau = _resampled_taus(data, draw, B, B, rng, "a block-bootstrap resample")
-    v = float(np.var(tau, ddof=1))
-    return VarianceEstimate(
-        value=n * v / 4.0, method="mbb", params={"l": int(l), "B": int(B)}
-    )
+    return _resampled(data, draw, B, B, rng, "a block-bootstrap resample", "mbb", l=int(l))
 
 
-def sigma_tau_bootstrap(
-    data: TrialDataset, policy, B: int, rng
-) -> VarianceEstimate:
+def sigma_tau_bootstrap(data, policy, B: int, rng):
     """Rerandomizing bootstrap: resample units iid, re-run the covariate-adaptive
     procedure on the resampled feature rows, refit the working model.
 
@@ -429,13 +452,13 @@ def sigma_tau_bootstrap(
     the next one drawn.  The bootstrap variance of the refitted effect
     estimate, v_B, is reported on the common scale as n * v_B / 4 and kept in
     ``params["v_B"]``; the adjusted statistic in direct mode is then exactly
-    tau / sqrt(v_B).
+    tau / sqrt(v_B).  ``data`` may be a sequence of datasets (see
+    ``_resampled``).
     """
-    if data.phi is None:
+    phi = (data if isinstance(data, TrialDataset) else data[0]).phi
+    if phi is None:
         raise DomainError("the rerandomizing bootstrap needs the feature matrix")
-    if B < 2:
-        raise DomainError("bootstrap size must be >= 2")
-    n, phi = data.n, data.phi
+    n = phi.shape[0]
 
     def draw(rng, m):
         I = np.empty((m, n), dtype=np.int64)
@@ -446,13 +469,13 @@ def sigma_tau_bootstrap(
         # one engine batch; a trial's assignments do not depend on its batch
         return I, (simulate_assignments(phi[I], policy, 2, uniforms=u) == 0).astype(float)
 
-    taus = _resampled_taus(
-        data, draw, B, batch_size(n, phi.shape[1]), rng, "a bootstrap resample"
-    )
-    v_B = float(np.var(taus, ddof=1))
-    return VarianceEstimate(
-        value=n * v_B / 4.0, method="boot", params={"B": int(B), "v_B": v_B}
-    )
+    chunk = batch_size(n, phi.shape[1])
+    return _resampled(data, draw, B, chunk, rng, "a bootstrap resample", "boot")
+
+
+def shifted_value(v: VarianceEstimate, n: int, shift: float) -> float:
+    """A bootstrap estimate's value had the responses been y + shift * t."""
+    return n * float(np.var(v.params["tau"] + shift * v.params["kappa"], ddof=1)) / 4.0
 
 
 def adjusted_test(

@@ -68,6 +68,27 @@ class TestValidateConfig:
         assert main(["power", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "power.csv").exists()
 
+    @pytest.mark.parametrize(
+        "base, line, repeated, message",
+        [
+            (POWER_CFG, "delta = 0", "delta = 0, 0", "delta: duplicate value 0"),
+            (POWER_CFG, "delta = 0", "delta = 0.5, 2, 0.50", "delta: duplicate value 0.5"),
+            (POWER_CFG, "working_models = W3", "working_models = W1, W3, W1",
+             "working_models: duplicate value W1"),
+            (POWER_CFG, "tests = t_ls", "tests = t_ls, t_ls", "tests: duplicate value t_ls"),
+            (IMBALANCE_CFG, "metrics = 0, 1", "metrics = 1, 1", "metrics: duplicate value 1"),
+        ],
+        ids=["delta", "delta-written-twice-differently", "working-models", "tests", "metrics"],
+    )
+    def test_duplicate_grid_value(self, tmp_path, capsys, base, line, repeated, message):
+        cfg = _write(tmp_path, "c.cfg", base.replace(line, repeated))
+        assert main(["validate-config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        out = tmp_path / "results"
+        kind = "power" if base is POWER_CFG else "imbalance"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / f"{kind}.csv").exists()
+
     def test_kappa_length_names_the_procedure(self, tmp_path, capsys):
         text = IMBALANCE_CFG.replace(
             "procedures = CR, phi-CAR-BC", "treatments = 3\nprocedures = CR, PS(kappa=0.7/0.3)"
@@ -331,6 +352,16 @@ class TestAnalyze:
              "--block-length", "1"]
         ) == 0
         assert _read_rows(out)["t_mb"]["block_length"] == "1"
+
+    def test_duplicate_test_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        _make_analysis_csv(path)
+        out = tmp_path / "o.csv"
+        assert main(
+            ["analyze", "--data", str(path), "--tests", "t_mbb,t_ls,t_mbb", "--out", str(out)]
+        ) == 2
+        assert "--tests: duplicate value t_mbb" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "option, field",

@@ -12,11 +12,15 @@ non-default randomization rule and block rule.  A power study of ``t_mbb``
 and ``t_boot`` at n=40 is pinned from an in-test config, and so is an
 imbalance study of SR, PS and a weighted HH on S4, whose binary covariate
 keeps its declared levels, and a setting2 power study on S4 over the delta
-grid 3, 0, 8.
+grid 3, 0, 8.  The resampling power study is also checked at R=600 against
+a table recorded before its streams last moved (``tests/data``), cell by
+cell within Monte Carlo error.
 """
 
+import csv
 import dataclasses
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
@@ -74,8 +78,34 @@ def test_resampling_power_digest(tmp_path):
     harness.write_table(harness.run_power_experiment(config.load_config(RESAMPLING_POWER_CFG)), out)
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
-        == "f3918a45ff4e886f8f3d9c31447c9f8d0f7aff3431437b60f6bae4476ab4795e"
+        == "7ad1cb35c3d9673d5c52ad41ae0023e554ba0f6ab764758d6acb826ff59beddc"
     )
+
+
+# The table of RESAMPLING_POWER_CFG at R=600 as written before t_mbb and t_boot
+# drew one stream per (replicate, procedure, test) for every delta and working
+# model.  A change of their streams moves the digest above; it must leave the
+# t_ls rows byte-identical and every cell within 4 combined binomial MC SE.
+RESAMPLING_R600 = Path(__file__).resolve().parent / "data" / "resampling_power_r600.csv"
+
+
+def test_resampling_power_agrees_with_the_recorded_table(tmp_path):
+    spec = dataclasses.replace(config.load_config(RESAMPLING_POWER_CFG), replicates=600)
+    out = tmp_path / "power.csv"
+    harness.write_table(harness.run_power_experiment(spec), out)
+    old, new = (list(csv.DictReader(p.open(encoding="utf-8"))) for p in (RESAMPLING_R600, out))
+
+    def key(row):
+        return row["procedure"], row["working_model"], row["test"], row["delta"]
+
+    assert [key(row) for row in new] == [key(row) for row in old]
+    for a, b in zip(old, new):
+        if a["test"] == "t_ls":
+            assert a == b
+            continue
+        (p, m), (q, k) = ((float(r["value"]), int(r["replicates"])) for r in (a, b))
+        se = math.sqrt(p * (1.0 - p) / m + q * (1.0 - q) / k)
+        assert abs(p - q) <= 4.0 * se, (key(a), p, q, se)
 
 
 # No demo config runs HH or a setting with declared-discrete levels; this one does.

@@ -555,7 +555,10 @@ _MODELS = {"setting1": LinearModel, "setting2": HeteroscedasticModel, "logistic"
 def _per_delta_reference(spec, proc, r, X, noise, phi, assign):
     """Statistics and slot row of one replicate by the per-delta loop: for
     every delta and working model, responses y_delta, an ``lse_fit`` on them
-    and ``run_test`` (or the logistic test) on that fit."""
+    and ``run_test`` (or the logistic test) on that fit.  The resampling
+    tests refit y_delta itself on their (replicate, procedure, test) stream,
+    read afresh for each delta and working model, so no t-contrast kappa*
+    is used."""
     n = spec.n
     model0 = _MODELS[spec.model](mu0=spec.mu0, mu1=spec.mu0)
     treat = (assign == 0).astype(float)
@@ -582,9 +585,9 @@ def _per_delta_reference(spec, proc, r, X, noise, phi, assign):
                         raise FitError("no fit")
                     else:
                         rng = None
-                        if test in ("t_mbb", "t_boot"):
+                        if test in ("t_mbb", "t_boot"):  # a fresh copy of the shared stream
                             tag = harness._name_tag(proc.name, test)
-                            rng = harness._stream(spec.base_seed, r, tag, di, harness._name_tag(wm))
+                            rng = harness._stream(spec.base_seed, r, tag)
                         res, _ = harness.run_test(
                             test, fit, data, spec.alpha, lblock, spec.bootstrap_size, rng,
                             proc.policy, phi_red,
@@ -620,11 +623,12 @@ ORACLE_SPECS = {
     ),
     "setting2": dict(
         model="setting2", setting=CovariateSetting("S4"), n=30, deltas=(3.0, 0.0, 8.0),
-        mu0=1.5, tests=("t_ls", "t_reg", "t_mb", "t_mbj", "t_mbb"),
+        mu0=1.5, tests=("t_ls", "t_reg", "t_mb", "t_mbj", "t_mbb", "t_boot"),
     ),
     "logistic": dict(
         model="logistic", setting=CovariateSetting("normals", (0.0, 0.0, 0.0)), n=24,
-        deltas=(0.0, 10.0), mu0=1.0, tests=("t_ls", "t_logi", "t_oracle", "t_reg", "t_mbj"),
+        deltas=(0.0, 10.0), mu0=1.0,
+        tests=("t_ls", "t_logi", "t_oracle", "t_reg", "t_mbj", "t_mbb"),
     ),
 }
 
@@ -708,3 +712,54 @@ class TestFitCount:
         run_power_experiment(spec)
         per_delta = len(deltas) if model == "logistic" else 1
         assert len(calls) == 5 * 2 * 2 * per_delta
+
+
+class TestResamplingDrawCount:
+    """Each resampling test draws its resamples once per (replicate,
+    procedure), whatever the delta grid and working models: one estimator
+    call, and ceil(B / batch) engine rerandomizations for the bootstrap."""
+
+    @pytest.mark.parametrize("model", ["setting1", "logistic"])
+    @pytest.mark.parametrize("deltas", [(0.0,), (0.0, 4.0, 9.0)])
+    @pytest.mark.parametrize("working_models", [("W1",), ("W1", "W2", "W3")])
+    def test_one_draw_per_replicate_and_procedure(
+        self, model, deltas, working_models, monkeypatch
+    ):
+        spec = ExperimentSpec(
+            kind="power",
+            n=40,
+            setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("SR"), procedure_preset("phi-CAR-BC")),
+            replicates=4,
+            base_seed=8,
+            model=model,
+            deltas=deltas,
+            working_models=working_models,
+            tests=("t_ls", "t_mbb", "t_boot"),
+            bootstrap_size=10,
+        )
+        calls = {}
+
+        def count(module, name, resamples):
+            func = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                if resamples:  # the bootstrap size stays the third positional argument
+                    assert args[2] == spec.bootstrap_size
+                calls[name] = calls.get(name, 0) + 1
+                return func(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(harness, "sigma_tau_bootstrap", True)
+        count(harness, "sigma_tau_mbb", True)
+        count(inference, "simulate_assignments", False)
+        monkeypatch.setattr(inference, "batch_size", lambda n, q: 4)
+        table = run_power_experiment(spec)
+        assert not table.failures
+        runs = spec.replicates * len(spec.procedures)
+        assert calls == {
+            "sigma_tau_bootstrap": runs,
+            "sigma_tau_mbb": runs,
+            "simulate_assignments": runs * math.ceil(spec.bootstrap_size / 4),
+        }

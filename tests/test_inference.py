@@ -11,11 +11,13 @@ from carlab.errors import DomainError, EstimatorError, FitError
 from carlab.features import Composite, Constant, Identity, feature_matrix
 from carlab.inference import (
     TrialDataset,
+    VarianceEstimate,
     adjusted_test,
     block_length,
     logistic_fit,
     logistic_wald_test,
     lse_fit,
+    shifted_value,
     sigma_tau_bootstrap,
     sigma_tau_mb,
     sigma_tau_mbb,
@@ -365,6 +367,76 @@ class TestDroppedResamples:
         data = _dataset(self.y, np.ones(5))
         with pytest.raises(EstimatorError, match="kept emptying an arm"):
             sigma_tau_mbb(data, 2, 40, np.random.default_rng(0))
+
+
+class TestSharedResamples:
+    """The two bootstraps refit a sequence of datasets that share t and phi
+    on one draw of resamples, and keep each resample's t-contrast kappa*, so
+    responses y + s t need no refit."""
+
+    policy = EfronBiasedCoin(0.9)
+
+    @staticmethod
+    def _data(n=60, seed=40):
+        return TestSigmaTauBootstrap()._carlike_dataset(n, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("shift", [-0.7, 0.3, 2.5])
+    def test_shifted_value_matches_a_refit(self, shift):
+        data = self._data()
+        v = sigma_tau_bootstrap(data, self.policy, 30, np.random.default_rng(41))
+        shifted = dataclasses.replace(data, y=data.y + shift * data.t)
+        refit = sigma_tau_bootstrap(shifted, self.policy, 30, np.random.default_rng(41))
+        assert shifted_value(v, data.n, shift) == pytest.approx(refit.value, rel=1e-12, abs=0)
+        assert shifted_value(v, data.n, 0.0) == v.value
+        assert np.ptp(v.params["kappa"]) > 0.01  # the rerandomized t* is not t[I]
+
+    def test_block_contrast_is_one(self):
+        data = self._data()
+        l = block_length(data.n)
+        v = sigma_tau_mbb(data, l, 40, np.random.default_rng(42))
+        np.testing.assert_allclose(v.params["kappa"], 1.0, rtol=0, atol=1e-12)
+        shifted = dataclasses.replace(data, y=data.y + 2.5 * data.t)
+        refit = sigma_tau_mbb(shifted, l, 40, np.random.default_rng(42))
+        assert refit.value == pytest.approx(v.value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("method", ["boot", "mbb"])
+    def test_a_sequence_is_each_dataset_on_the_same_draw(self, method):
+        data = self._data()
+        other = np.random.default_rng(43).normal(size=data.n)
+        datas = [
+            data,
+            dataclasses.replace(data, x_obs=data.x_obs[:, :1]),
+            dataclasses.replace(data, y=other, x_obs=None),
+        ]
+
+        def run(d, rng):
+            if method == "boot":
+                return sigma_tau_bootstrap(d, self.policy, 25, rng)
+            return sigma_tau_mbb(d, block_length(data.n), 25, rng)
+
+        rng = np.random.default_rng(44)
+        shared = run(datas, rng)
+        for d, v in zip(datas, shared):
+            alone = np.random.default_rng(44)
+            single = run(d, alone)
+            assert v.value == single.value
+            np.testing.assert_array_equal(v.params["kappa"], single.params["kappa"])
+        assert rng.random() == alone.random()  # the stream is read as one call reads it
+
+    def test_a_failed_refit_fails_its_dataset_only(self):
+        data = self._data()
+        singular = dataclasses.replace(data, x_obs=np.ones((data.n, 1)))  # = t + (1 - t)
+        good, bad = sigma_tau_mbb([data, singular], 5, 20, np.random.default_rng(45))
+        assert isinstance(good, VarianceEstimate)
+        assert isinstance(bad, EstimatorError)
+        with pytest.raises(EstimatorError, match="singular design"):
+            sigma_tau_mbb(singular, 5, 20, np.random.default_rng(45))
+
+    def test_datasets_must_share_t_and_phi(self):
+        data = self._data()
+        flipped = dataclasses.replace(data, t=1.0 - data.t)
+        with pytest.raises(DomainError, match="must share t and phi"):
+            sigma_tau_bootstrap([data, flipped], self.policy, 10, np.random.default_rng(0))
 
 
 class TestAdjustedTest:
