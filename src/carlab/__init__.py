@@ -30,7 +30,6 @@ from .engine import (
 )
 from .errors import (
     CarlabError,
-    CellFailure,
     ConfigError,
     DomainError,
     EstimatorError,

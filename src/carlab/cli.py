@@ -24,7 +24,7 @@ import numpy as np
 
 from .allocation import EfronBiasedCoin, TwoTreatmentContinuous
 from .config import load_config
-from .errors import CarlabError, CellFailure, ConfigError
+from .errors import CarlabError, ConfigError
 from .harness import (
     ALL_TESTS,
     BLOCK_TESTS,
@@ -257,9 +257,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CellFailure as exc:
-        print(f"cell failure: {exc}", file=sys.stderr)
-        return 3
     except CarlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,7 +22,3 @@ class EstimatorError(CarlabError, RuntimeError):
 
 class ConfigError(CarlabError, ValueError):
     """An experiment configuration failed validation."""
-
-
-class CellFailure(CarlabError, RuntimeError):
-    """Too many replicates of a Monte Carlo cell failed."""

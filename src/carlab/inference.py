@@ -28,18 +28,19 @@ The two bootstraps also refit a sequence of datasets that share t and phi
 on one draw of resamples, keeping each refit's tau* (of y[I]) and kappa* (of
 t[I]), so responses y + s t need no refit (``shifted_value``).
 
-The working-model fit, the residual regression and the logistic standard
-errors use a Cholesky factorization with a reciprocal-condition guard at
-1e-12; the logistic iterations and the resampling refits (one batched solve
-over all windows or resamples) use LU.  A failing design raises instead of
-silently switching to a pseudo-inverse.
+Single systems (the working-model fit, the residual regression and each
+logistic iteration) go through one guarded LU solve, ``_solve``, which also
+returns the inverse for a reciprocal-condition guard at 1e-12: a failing
+design raises instead of silently switching to a pseudo-inverse.  The refit
+stacks of the jackknife and the bootstraps (one batched solve over all
+windows or resamples) use an unguarded batched LU, since a per-system
+condition estimate costs about a quarter of a power study's throughput.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from ._normal import normal_quantile, two_sided_p_value
 from .engine import batch_size, simulate_assignments
@@ -98,6 +99,8 @@ class TrialDataset:
             self.phi = np.asarray(self.phi, dtype=float)
             if self.phi.ndim != 2 or self.phi.shape[0] != n:
                 raise DomainError("phi must be an (n, q) matrix")
+            _check_finite(phi=self.phi)
+        _check_finite(y=self.y, x_obs=self.x_obs)
 
     @property
     def n(self) -> int:
@@ -168,18 +171,26 @@ def _design(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([t[..., None], (1 - t)[..., None], x], axis=-1)
 
 
-def _checked_cho(G: np.ndarray, err_cls, what: str):
+def _solve(G: np.ndarray, b: np.ndarray, err_cls, what: str):
+    """x = G^-1 b and G^-1 by one LU solve of G [x | G^-1] = [b | I].  An
+    exactly singular G, or a 1-norm reciprocal condition 1 / (|G| |G^-1|)
+    below 1e-12 (a zero or non-finite product counts), raises ``err_cls``."""
     try:
-        c, low = sla.cho_factor(G, lower=True)
-    except sla.LinAlgError as exc:
+        sol = np.linalg.solve(G, np.column_stack([b, np.eye(G.shape[0])]))
+    except np.linalg.LinAlgError as exc:
         raise err_cls(f"singular {what}") from exc
-    inv = sla.cho_solve((c, low), np.eye(G.shape[0]))
-    norm_g = np.abs(G).sum(axis=0).max()
-    norm_i = np.abs(inv).sum(axis=0).max()
-    rcond = 1.0 / (norm_g * norm_i) if norm_g * norm_i > 0 else 0.0
+    inv = sol[:, 1:]
+    prod = np.abs(G).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    rcond = 1.0 / prod if 0.0 < prod < math.inf else 0.0
     if rcond < _RCOND_LIMIT:
         raise err_cls(f"ill-conditioned {what} (rcond ~ {rcond:.2e})")
-    return (c, low), inv
+    return sol[:, 0], inv
+
+
+def _check_finite(**arrays):
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise DomainError(f"{name} must be finite")
 
 
 def lse_fit(data: TrialDataset) -> FitResult:
@@ -195,9 +206,7 @@ def lse_fit(data: TrialDataset) -> FitResult:
     if n1 == 0 or n0 == 0:
         raise FitError("cannot fit: an arm has no observations")
     X = _design(t, x)
-    G = X.T @ X
-    cho, gram_inv = _checked_cho(G, FitError, "working-model design")
-    theta = sla.cho_solve(cho, X.T @ y)
+    theta, gram_inv = _solve(X.T @ X, X.T @ y, FitError, "working-model design")
     resid = y - X @ theta
     sse = float(resid @ resid)
     dof = n - p - 2
@@ -281,9 +290,8 @@ def sigma_tau_reg(fit: FitResult, phi: np.ndarray) -> VarianceEstimate:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != fit.n:
         raise DomainError("phi must be an (n, q) matrix matching the fit")
-    G = phi.T @ phi
-    cho, _ = _checked_cho(G, EstimatorError, "feature regression")
-    alpha_hat = sla.cho_solve(cho, phi.T @ fit.residuals)
+    _check_finite(phi=phi)
+    alpha_hat, _ = _solve(phi.T @ phi, phi.T @ fit.residuals, EstimatorError, "feature regression")
     zeta = fit.residuals - phi @ alpha_hat
     dof = fit.n - fit.p - 2
     if dof <= 0:
@@ -508,33 +516,29 @@ def logistic_fit(y: np.ndarray, design: np.ndarray, max_iter: int = 50) -> Logis
     X = np.asarray(design, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DomainError("design must be an (n, k) matrix matching y")
+    _check_finite(y=y, design=X)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DomainError("responses must be 0/1")
     if y.min() == y.max():
         raise FitError("all responses identical: separation")
-    k = X.shape[1]
-    beta = np.zeros(k)
+    beta = np.zeros(X.shape[1])
     dev_prev = math.inf
     for it in range(1, max_iter + 1):
         eta = np.clip(X @ beta, -30.0, 30.0)
         p = 1.0 / (1.0 + np.exp(-eta))
         w = np.clip(p * (1.0 - p), 1e-10, None)
-        G = X.T @ (w[:, None] * X)
         pc = np.clip(p, 1e-12, 1.0 - 1e-12)
         dev = -2.0 * float(y @ np.log(pc) + (1.0 - y) @ np.log(1.0 - pc))
+        z = eta + (y - p) / w
+        # the next iterate, and the covariance at this one
+        step, cov = _solve(X.T @ (w[:, None] * X), X.T @ (w * z), FitError, "weighted design")
         if abs(dev - dev_prev) < 1e-10:
-            # coefficients, standard errors and deviance all at this beta
-            _, cov = _checked_cho(G, FitError, "weighted design")
             se = np.sqrt(np.diag(cov))
             return LogisticFit(
                 coef=beta, se=se, wald=beta / se, iterations=it, deviance=dev
             )
         dev_prev = dev
-        z = eta + (y - p) / w
-        try:
-            beta = np.linalg.solve(G, X.T @ (w * z))
-        except np.linalg.LinAlgError as exc:
-            raise FitError("singular weighted design: separation or collinearity") from exc
+        beta = step
         if np.max(np.abs(beta)) > 30.0:
             raise FitError("diverging coefficients: separation")
     raise FitError(f"no convergence in {max_iter} iterations")

@@ -763,3 +763,28 @@ class TestResamplingDrawCount:
             "sigma_tau_mbb": runs,
             "simulate_assignments": runs * math.ceil(spec.bootstrap_size / 4),
         }
+
+
+def test_every_traced_layer_exists():
+    """perfbench's tracer rebinds the (module, attribute) pairs of its
+    ``WRAPPED`` table; a renamed layer must fail here, not only in its smoke
+    run."""
+    import ast
+    import importlib
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["WRAPPED"]
+    ]
+    assert wrapped
+    missing = [
+        (module, attr)
+        for module, attr, _ in wrapped
+        if not hasattr(importlib.import_module(f"carlab.{module}"), attr)
+    ]
+    assert missing == []

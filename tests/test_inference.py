@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from carlab import inference
 from carlab.allocation import CompleteRandomization, EfronBiasedCoin
 from carlab.datagen import CovariateSetting, LinearModel, gen_covariate_matrix, gen_responses
 from carlab.engine import simulate_assignments
@@ -585,6 +586,86 @@ class TestLogistic:
         design = np.column_stack([np.ones(n), x])
         with pytest.raises(FitError):
             logistic_fit(y, design)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field", ["y", "x_obs", "phi"])
+    def test_trial_dataset_names_the_field(self, field):
+        rng = np.random.default_rng(71)
+        arrays = dict(
+            y=rng.normal(size=8), x_obs=rng.normal(size=(8, 2)), phi=rng.normal(size=(8, 3))
+        )
+        arrays[field].flat[3] = np.nan
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            _dataset(t=[1, 0] * 4, x=arrays["x_obs"], y=arrays["y"], phi=arrays["phi"])
+
+    def test_sigma_tau_reg_rejects_a_non_finite_phi(self):
+        fit = lse_fit(_dataset([1.0, 2, 3, 4, 5, 6], [1, 0, 1, 0, 1, 0]))
+        phi = np.column_stack([np.ones(6), np.arange(6.0)])
+        phi[2, 1] = np.inf
+        with pytest.raises(DomainError, match="^phi must be finite"):
+            sigma_tau_reg(fit, phi)
+
+    @pytest.mark.parametrize("field", ["y", "design"])
+    def test_logistic_fit_rejects_non_finite_input(self, field):
+        arrays = dict(
+            y=np.array([1.0, 0, 1, 0, 0, 1]), design=np.column_stack([np.ones(6), np.arange(6.0)])
+        )
+        arrays[field][2] = np.nan
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            logistic_fit(arrays["y"], arrays["design"])
+
+
+# Every single-system solve follows one rule.  Each case maps the last column
+# c of a caller's design to (the call, the design it solves on, its error).
+_T = np.tile([1.0, 0.0], 20)
+_U, _V = np.random.default_rng(62).normal(size=(2, 40))
+_Y = (np.random.default_rng(63).random(40) < 0.5).astype(float)
+GUARDED = {
+    "lse_fit": (
+        lambda c: lse_fit(_dataset(_Y, _T, np.column_stack([_U, c]))),
+        lambda c: np.column_stack([_T, 1 - _T, _U, c]),
+        FitError,
+    ),
+    "sigma_tau_reg": (
+        lambda c: sigma_tau_reg(lse_fit(_dataset(_Y, _T)), np.column_stack([np.ones(40), _U, c])),
+        lambda c: np.column_stack([np.ones(40), _U, c]),
+        EstimatorError,
+    ),
+    "logistic_fit": (  # one iteration: its step must be guarded too
+        lambda c: logistic_fit(_Y, np.column_stack([np.ones(40), _U, c]), max_iter=1),
+        lambda c: np.column_stack([np.ones(40), _U, c]),
+        FitError,
+    ),
+}
+
+
+class TestGuardRule:
+    @pytest.mark.parametrize("caller", list(GUARDED))
+    def test_exactly_collinear_is_singular(self, caller):
+        call, _, err = GUARDED[caller]
+        with pytest.raises(err, match="^singular"):
+            call(_U.copy())
+
+    @pytest.mark.parametrize("caller", list(GUARDED))
+    def test_nearly_collinear_is_ill_conditioned(self, caller):
+        call, design, err = GUARDED[caller]
+        c = _U + 1e-7 * _V
+        D = design(c)
+        assert 1e-16 < 1.0 / np.linalg.cond(D.T @ D, 1) < 1e-12
+        with pytest.raises(err, match="^ill-conditioned"):
+            call(c)
+
+    def test_one_solve_per_logistic_iteration(self, monkeypatch):
+        calls, solve = [], inference._solve
+
+        def counted(*args):
+            calls.append(args[3])
+            return solve(*args)
+
+        monkeypatch.setattr(inference, "_solve", counted)
+        fit = logistic_fit(_Y, np.column_stack([np.ones(40), _T - 0.5, _U]))
+        assert calls == ["weighted design"] * fit.iterations
 
 
 class TestEstimatorAgreement:
