@@ -44,14 +44,16 @@ from .inference import TrialDataset, block_length, lse_fit
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CARLAB_THREADS")
-    if env:
+        name, threads = "--threads", args.threads
+    else:
+        name, env = "CARLAB_THREADS", os.environ.get("CARLAB_THREADS")
         try:
-            return max(1, int(env))
+            threads = int(env) if env else 1
         except ValueError:
             raise ConfigError(f"CARLAB_THREADS must be an integer, got {env!r}") from None
-    return 1
+    if threads < 1:
+        raise ConfigError(f"{name} must be >= 1, got {threads}")
+    return threads
 
 
 def _load_spec(args):
@@ -80,12 +82,13 @@ def _report(table, out_path) -> int:
 
 
 def _cmd_run(args, kind: str) -> int:
+    threads = _threads(args)
     spec = _load_spec(args)
     if spec.kind != kind:
         raise ConfigError(f"config has kind={spec.kind!r}, expected {kind!r}")
     os.makedirs(args.out, exist_ok=True)
     runner = run_imbalance_experiment if kind == "imbalance" else run_power_experiment
-    table = runner(spec, threads=_threads(args))
+    table = runner(spec, threads=threads)
     return _report(table, os.path.join(args.out, f"{kind}.csv"))
 
 
@@ -180,7 +183,7 @@ def _cmd_analyze(args) -> int:
         l = block_length(data.n, args.block_rule)
     if not 1 <= l < data.n:
         raise ConfigError(f"--block-length must satisfy 1 <= l < n={data.n}, got {l}")
-    phi = regression_features(data.phi)
+    phi = regression_features(data.phi) if "t_reg" in tests else None
     rng = np.random.default_rng(args.seed)
     fit = lse_fit(data)
     results = [

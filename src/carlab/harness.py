@@ -8,8 +8,9 @@ models, runs the requested tests, and reports rejection rates.  Under the
 linear models (setting1, setting2) delta shifts only the treated arm's mean,
 so each working model is fitted once per replicate and every delta's
 statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
-model is fitted per delta.  ``t_mbb`` and ``t_boot`` draw their resamples
-once per replicate and procedure and refit every fit's data on them.
+model is fitted per delta, and its logistic tests run once per delta.  The
+refit tests ``t_mbj``, ``t_mbb`` and ``t_boot`` run once per replicate and
+procedure, over every fit's data (the bootstraps on one draw of resamples).
 
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
@@ -32,10 +33,10 @@ than two arms the biased-coin presets switch to the rank-probability rule.
 
 import csv
 import math
+import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import product
 
 import numpy as np
 from scipy import linalg as sla
@@ -518,13 +519,15 @@ def _covariates(spec: ExperimentSpec, r: int) -> np.ndarray:
 def _run_chunks(work, spec: ExperimentSpec, threads: int):
     """Call ``work`` on consecutive ranges of replicates, as many as the
     engine batches for the widest feature map of any procedure, in worker
-    threads when asked; results land in per-replicate slots, so neither the
-    range boundaries nor the thread count change them."""
+    threads when asked (at most one per chunk and per CPU); results land in
+    per-replicate slots, so neither the range boundaries nor the thread count
+    change them."""
     fspecs = [feature_spec(p, spec.setting) for p in spec.procedures]
     size = batch_size(spec.n, max((feature_dim(f) for f in fspecs if f is not None), default=1))
     chunks = [range(r, min(r + size, spec.replicates)) for r in range(0, spec.replicates, size)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads or 1, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, chunks))
     else:
         for rs in chunks:
@@ -586,8 +589,8 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     Under setting1 and setting2 each working model is fitted once per
     replicate, and each delta's statistic is formed in closed form from that
     fit and its variances.  The logistic model is not linear in delta, so it
-    is fitted per delta (``_fit_classes``).  ``t_mbb`` and ``t_boot`` draw
-    their resamples once per replicate and procedure (``_power_statistics``).
+    is fitted per delta (``_fit_classes``).  ``t_mbj``, ``t_mbb`` and
+    ``t_boot`` run once per replicate and procedure (``_power_statistics``).
     """
 
     def cells(proc):
@@ -630,15 +633,15 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
 
 def _power_statistics(spec, classes, proc, r, X, noise, phi, assign) -> np.ndarray:
     """One replicate's (deltas, working models, tests) statistics, NaN where a
-    fit or estimator fails: per class and working model, one fit and one
-    ``run_test`` per test give a ``statistic_scale``, and each delta's
-    statistic is that scale applied to the fit's tau_hat plus its shift.  A
-    resampling test refits every fit's data on one draw of resamples."""
+    fit or estimator fails: one fit per class and working model, a logistic
+    test once per class, ``run_test`` once per fit and per-fit test, and one
+    ``_refit`` call over every fit's data per refit test.  Each delta's
+    statistic is the fit's tau_hat plus its shift over a ``statistic_scale``."""
     n = spec.n
     treat = (assign == 0).astype(float)
     proc_tests = _power_tests(spec, proc)
     phi_red = regression_features(phi) if "t_reg" in proc_tests else None
-    lblock, policy = block_length(n, spec.block_rule), proc.policy
+    lblock = block_length(n, spec.block_rule)
     stats = np.full((len(spec.deltas), len(spec.working_models), len(proc_tests)), np.nan)
 
     def attempt(f, *args):
@@ -647,51 +650,54 @@ def _power_statistics(spec, classes, proc, r, X, noise, phi, assign) -> np.ndarr
         except (FitError, EstimatorError, DomainError):
             return None
 
-    def logistic(test, y):
-        observed = np.flatnonzero(spec.setting.observed_mask)
-        covariates = (X[:, observed],) if test == "t_oracle" else ()
-        design = np.column_stack([np.ones(n), treat - 0.5, *covariates])
-        return logistic_wald_test(y, design, 1, spec.alpha, test).statistic
-
-    def scale(test, fit, data):
-        _, v = run_test(test, fit, data, spec.alpha, lblock, None, None, None, phi_red)
-        mode = "direct" if test in DIRECT_TESTS else "gram"
-        return statistic_scale(fit, fit.sigma_e2 if v is None else v.value, mode)
-
     runs = []  # (members, working model index, data, fit) per class and working model
     for model, members in classes:
         y = responses_given_noise(model, X, treat, noise)
         for wi, wm in enumerate(spec.working_models):
             data = TrialDataset(y=y, t=treat, x_obs=X[:, list(_WORKING_MODELS[wm])], phi=phi)
             runs.append((members, wi, data, attempt(lse_fit, data)))
-    fitted = [k for k, run in enumerate(runs) if run[3] is not None]
-    drawn = {}  # (test, run index): that fit's resampling estimate
-    for test in (t for t in RNG_TESTS if t in proc_tests and fitted):
-        rng = _stream(spec.base_seed, r, _name_tag(proc.name, test))
-        est, arg = (sigma_tau_mbb, lblock) if test == "t_mbb" else (sigma_tau_bootstrap, policy)
-        vs = attempt(est, [runs[k][2] for k in fitted], arg, spec.bootstrap_size, rng) or ()
-        drawn.update(((test, k), v) for k, v in zip(fitted, vs) if not isinstance(v, Exception))
-    for k, (members, wi, data, fit) in enumerate(runs):
-        shared = {} if fit is None else {
-            t: attempt(scale, t, fit, data)
-            for t in proc_tests
-            if t not in RNG_TESTS + LOGISTIC_TESTS
-        }
-        if ("t_mbb", k) in drawn:  # kappa* = 1: its variance does not depend on the shift
-            shared["t_mbb"] = statistic_scale(fit, drawn["t_mbb", k].value, "direct")
-        for (di, shift), (ti, test) in product(members, enumerate(proc_tests)):
-            if test in LOGISTIC_TESTS:
-                stat = attempt(logistic, test, data.y)
-            elif fit is None:
+    fits = [run for run in runs if run[3] is not None]
+    run_args = (spec.alpha, lblock, None, None, None, phi_red)  # for a per-fit test
+    for ti, test in enumerate(proc_tests):
+        if test in LOGISTIC_TESTS:  # the design ignores the working model: one fit per class
+            observed = np.flatnonzero(spec.setting.observed_mask)
+            covariates = (X[:, observed],) if test == "t_oracle" else ()
+            design = np.column_stack([np.ones(n), treat - 0.5, *covariates])
+            for members, _, data, _ in runs[:: len(spec.working_models)]:
+                res = attempt(logistic_wald_test, data.y, design, 1, spec.alpha, test)
+                if res is not None:
+                    stats[[di for di, _ in members], :, ti] = res.statistic
+            continue
+        if test in DIRECT_TESTS and fits:  # one call over every fit; t_mbj reads no stream
+            rng = _stream(spec.base_seed, r, _name_tag(proc.name, test))
+            datas = [data for _, _, data, _ in fits]
+            vs = attempt(_refit, test, datas, lblock, spec.bootstrap_size, rng, proc.policy) or ()
+        else:  # run_test's (result, estimate) per fit
+            vs = [attempt(run_test, test, fit, data, *run_args) for _, _, data, fit in fits]
+        for (members, wi, _, fit), v in zip(fits, vs):
+            if v is None or isinstance(v, Exception):
                 continue
-            else:
-                s = shared.get(test)
-                if test == "t_boot" and (test, k) in drawn:
-                    s = statistic_scale(fit, shifted_value(drawn[test, k], n, shift), "direct")
-                stat = None if s is None else attempt(wald_statistic, fit.tau_hat + shift, s)
-            if stat is not None:
-                stats[di, wi, ti] = stat
+            if test not in DIRECT_TESTS:
+                v = v[1]  # None for t_ls, whose variance is the fit's own
+            value = fit.sigma_e2 if v is None else v.value
+            for di, shift in members:
+                if test == "t_boot":
+                    value = shifted_value(v, n, shift)
+                # t_mbb: kappa* = 1, so its variance does not depend on the shift
+                s = statistic_scale(fit, value, "direct" if test in DIRECT_TESTS else "gram")
+                stat = attempt(wald_statistic, fit.tau_hat + shift, s)
+                if stat is not None:
+                    stats[di, wi, ti] = stat
     return stats
+
+
+def _refit(test, data, l, B, rng, policy):
+    """A refit test's (``DIRECT_TESTS``) estimate(s) on one dataset or a sequence."""
+    if test == "t_mbj":
+        return sigma_tau_mbj(data, l)
+    if test == "t_mbb":
+        return sigma_tau_mbb(data, l, B, rng)
+    return sigma_tau_bootstrap(data, policy, B, rng)
 
 
 def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
@@ -707,12 +713,8 @@ def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
         v = sigma_tau_reg(fit, phi)
     elif test == "t_mb":
         v = sigma_tau_mb(fit, l)
-    elif test == "t_mbj":
-        v = sigma_tau_mbj(data, l)
-    elif test == "t_mbb":
-        v = sigma_tau_mbb(data, l, B, rng)
-    elif test == "t_boot":
-        v = sigma_tau_bootstrap(data, policy, B, rng)
+    elif test in DIRECT_TESTS:
+        v = _refit(test, data, l, B, rng, policy)
     else:
         raise ConfigError(f"unknown test {test!r}")
     return adjusted_test(fit, v, "direct" if test in DIRECT_TESTS else "gram", alpha), v

@@ -24,9 +24,9 @@ adjusted statistic in "direct" mode is sqrt(n) * tau / (2 * sigma), which
 for the resampling estimators reduces to tau divided by the estimated
 standard deviation of tau.
 
-The two bootstraps also refit a sequence of datasets that share t and phi
-on one draw of resamples, keeping each refit's tau* (of y[I]) and kappa* (of
-t[I]), so responses y + s t need no refit (``shifted_value``).
+The jackknife and the two bootstraps also refit a sequence of datasets that
+share t and phi; the bootstraps refit all on one draw of resamples, keeping
+tau* (of y[I]) and kappa* (of t[I]) for responses y + s t (``shifted_value``).
 
 Single systems (the working-model fit, the residual regression and each
 logistic iteration) go through one guarded LU solve, ``_solve``, which also
@@ -329,40 +329,41 @@ def sigma_tau_mb(fit: FitResult, l: int) -> VarianceEstimate:
     return VarianceEstimate(value=value, method="mb", params={"l": int(l)})
 
 
-def sigma_tau_mbj(data: TrialDataset, l: int) -> VarianceEstimate:
+def sigma_tau_mbj(data, l: int):
     """Moving-block jackknife: refit with each length-l block deleted.
 
     The variance of the effect estimate is the sample variance of the
     leave-block-out estimates scaled by (n - l) / l; it is reported on the
-    common scale as n times that quantity over 4.
+    common scale as n times that quantity over 4.  ``data`` may be a sequence
+    of datasets; a window that empties an arm fails them all.
     """
-    n, p = data.n, data.p
+    datas = _datasets(data)
+    n, t = datas[0].n, datas[0].t
     _check_block(n, l)
-    y, t = data.y, data.t
-    D = _design(t, data.x_obs)
-    k = D.shape[1]
     m = n - l + 1
-    G = D.T @ D
-    b = D.T @ y
-    outer = np.einsum("ni,nj->nij", D, D)
-    P = np.concatenate([np.zeros((1, k, k)), np.cumsum(outer, axis=0)])
-    pb = np.concatenate([np.zeros((1, k)), np.cumsum(D * y[:, None], axis=0)])
-    G_win = G[None, :, :] - (P[l:] - P[:m])
-    b_win = b[None, :] - (pb[l:] - pb[:m])
     ct = np.concatenate([[0.0], np.cumsum(t)])
     n1_win = t.sum() - (ct[l:] - ct[:m])
-    n0_win = (n - l) - n1_win
-    bad = np.flatnonzero((n1_win == 0) | (n0_win == 0))
+    bad = np.flatnonzero((n1_win == 0) | (n1_win == n - l))
     if bad.size:
-        raise EstimatorError(
-            f"leave-block-out window {int(bad[0])} empties an arm"
-        )
-    tau = _refit_taus(G_win, b_win[..., None], "a leave-block-out window")[:, 0]
-    dev = tau - tau.mean()
-    sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
-    return VarianceEstimate(
-        value=n * sigma2_jack / 4.0, method="mbj", params={"l": int(l)}
-    )
+        raise EstimatorError(f"leave-block-out window {int(bad[0])} empties an arm")
+    out = []
+    for d in datas:
+        D = _design(t, d.x_obs)
+        k = D.shape[1]
+        outer = np.einsum("ni,nj->nij", D, D)
+        P = np.concatenate([np.zeros((1, k, k)), np.cumsum(outer, axis=0)])
+        pb = np.concatenate([np.zeros((1, k)), np.cumsum(D * d.y[:, None], axis=0)])
+        G_win = (D.T @ D)[None, :, :] - (P[l:] - P[:m])
+        b_win = (D.T @ d.y)[None, :] - (pb[l:] - pb[:m])
+        try:
+            tau = _refit_taus(G_win, b_win[..., None], "a leave-block-out window")[:, 0]
+        except EstimatorError as exc:
+            out.append(exc)
+            continue
+        dev = tau - tau.mean()
+        sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
+        out.append(VarianceEstimate(n * sigma2_jack / 4.0, "mbj", {"l": int(l)}))
+    return _one_or_all(data, out)
 
 
 def _refit_taus(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
@@ -376,10 +377,25 @@ def _refit_taus(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return theta[:, 0] - theta[:, 1]
 
 
-def _resampled(data, draw, B: int, chunk: int, rng, what: str, method: str, **params):
-    """Bootstrap estimates n var(tau*) / 4 from B resamples of the units of
-    one dataset (a failed refit raised) or of a sequence sharing t and phi
-    (a list, with the ``EstimatorError`` of each failed refit in its place).
+def _datasets(data) -> list:
+    """A refit estimator's one dataset, or sequence sharing t and phi, as a list."""
+    datas = [data] if isinstance(data, TrialDataset) else list(data)
+    t0, phi0 = datas[0].t, datas[0].phi
+    if any(not (np.array_equal(d.t, t0) and np.array_equal(d.phi, phi0)) for d in datas[1:]):
+        raise DomainError("refitted datasets must share t and phi")
+    return datas
+
+
+def _one_or_all(data, out: list):
+    """One dataset's estimate (its error raised), or a sequence's list of results."""
+    if isinstance(data, TrialDataset) and isinstance(out[0], Exception):
+        raise out[0]
+    return out[0] if isinstance(data, TrialDataset) else out
+
+
+def _resampled(datas: list, draw, B: int, chunk: int, rng, what: str, method: str, **params):
+    """Bootstrap estimates n var(tau*) / 4 (or ``EstimatorError``s) of the
+    datasets ``datas``, from B resamples of their shared units.
 
     ``draw(rng, m)`` returns the next m resamples of the stream: their (m, n)
     unit indices I and (m, n) 0/1 treatment indicators.  Resamples are drawn
@@ -387,18 +403,14 @@ def _resampled(data, draw, B: int, chunk: int, rng, what: str, method: str, **pa
     the next one in the stream takes its place, so the stream is read up to
     the B-th kept resample and no further; 100 dropped in a row raise.  Each
     dataset regresses y[I] and t[I] on its resampled design in one solve, for
-    the tau* and kappa* kept in ``params``.
+    the tau* and kappa* kept in ``params``, until every refit has failed.
     """
     if B < 2:
         raise DomainError("bootstrap size must be >= 2")
-    single = isinstance(data, TrialDataset)
-    datas = [data] if single else list(data)
     t0, n = datas[0].t, datas[0].n
-    if any(not (np.array_equal(d.t, t0) and np.array_equal(d.phi, datas[0].phi)) for d in datas):
-        raise DomainError("resampled datasets must share t and phi")
     out = [[] for _ in datas]
     kept, run = 0, 0
-    while kept < B:
+    while kept < B and any(isinstance(taus, list) for taus in out):
         idx, t = draw(rng, min(chunk, B - kept))
         n1 = t.sum(axis=1)
         ok = (n1 > 0) & (n1 < t.shape[1])
@@ -414,8 +426,6 @@ def _resampled(data, draw, B: int, chunk: int, rng, what: str, method: str, **pa
                 try:
                     out[j].append(_refit_taus(Dt @ D, Dt @ rhs, what))
                 except EstimatorError as exc:
-                    if single:
-                        raise
                     out[j] = exc
         kept += idx.shape[0]
     for j, taus in enumerate(out):
@@ -424,7 +434,7 @@ def _resampled(data, draw, B: int, chunk: int, rng, what: str, method: str, **pa
             v_B = float(np.var(tau, ddof=1))
             extra = dict(params, B=int(B), v_B=v_B, tau=tau, kappa=kappa)
             out[j] = VarianceEstimate(value=n * v_B / 4.0, method=method, params=extra)
-    return out[0] if single else out
+    return out
 
 
 def sigma_tau_mbb(data, l: int, B: int, rng):
@@ -434,10 +444,10 @@ def sigma_tau_mbb(data, l: int, B: int, rng):
     within-block serial structure intact.  A resample that empties an arm is
     replaced by the next one drawn.  Reported on the common scale as n times
     the bootstrap variance of the effect estimate over 4.  ``data`` may be a
-    sequence of datasets (see ``_resampled``).
+    sequence of datasets.
     """
-    t0 = (data if isinstance(data, TrialDataset) else data[0]).t
-    n = t0.shape[0]
+    datas = _datasets(data)
+    t0, n = datas[0].t, datas[0].n
     _check_block(n, l)
     m = n // l
     offs = np.arange(l)
@@ -447,7 +457,8 @@ def sigma_tau_mbb(data, l: int, B: int, rng):
         idx = (starts[:, :, None] + offs).reshape(rows, (m + 1) * l)[:, :n]
         return idx, t0[idx]
 
-    return _resampled(data, draw, B, B, rng, "a block-bootstrap resample", "mbb", l=int(l))
+    out = _resampled(datas, draw, B, B, rng, "a block-bootstrap resample", "mbb", l=int(l))
+    return _one_or_all(data, out)
 
 
 def sigma_tau_bootstrap(data, policy, B: int, rng):
@@ -460,10 +471,10 @@ def sigma_tau_bootstrap(data, policy, B: int, rng):
     the next one drawn.  The bootstrap variance of the refitted effect
     estimate, v_B, is reported on the common scale as n * v_B / 4 and kept in
     ``params["v_B"]``; the adjusted statistic in direct mode is then exactly
-    tau / sqrt(v_B).  ``data`` may be a sequence of datasets (see
-    ``_resampled``).
+    tau / sqrt(v_B).  ``data`` may be a sequence of datasets.
     """
-    phi = (data if isinstance(data, TrialDataset) else data[0]).phi
+    datas = _datasets(data)
+    phi = datas[0].phi
     if phi is None:
         raise DomainError("the rerandomizing bootstrap needs the feature matrix")
     n = phi.shape[0]
@@ -478,7 +489,7 @@ def sigma_tau_bootstrap(data, policy, B: int, rng):
         return I, (simulate_assignments(phi[I], policy, 2, uniforms=u) == 0).astype(float)
 
     chunk = batch_size(n, phi.shape[1])
-    return _resampled(data, draw, B, chunk, rng, "a bootstrap resample", "boot")
+    return _one_or_all(data, _resampled(datas, draw, B, chunk, rng, "a bootstrap resample", "boot"))
 
 
 def shifted_value(v: VarianceEstimate, n: int, shift: float) -> float:

@@ -189,6 +189,21 @@ class TestRunCommands:
         monkeypatch.setenv("CARLAB_THREADS", "zebra")
         assert main(["imbalance", "--config", cfg, "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, env, name",
+        [("0", None, "--threads"), ("-3", "2", "--threads"), (None, "0", "CARLAB_THREADS"),
+         (None, "-1", "CARLAB_THREADS")],
+    )
+    def test_non_positive_thread_count(self, tmp_path, monkeypatch, capsys, flag, env, name):
+        cfg = _write(tmp_path, "c.cfg", IMBALANCE_CFG)
+        out = tmp_path / "res"
+        if env is not None:
+            monkeypatch.setenv("CARLAB_THREADS", env)
+        argv = ["imbalance", "--config", cfg, "--out", str(out)]
+        assert main(argv + (["--threads", flag] if flag else [])) == 2
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()  # rejected before anything runs
+
     def test_cell_failure_exit_code(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -259,6 +274,26 @@ class TestAnalyze:
         expect = t_ls(fit).statistic
         assert float(rows["t_ls"]["statistic"]) == pytest.approx(expect, rel=1e-5)
         assert rows["t_mb"]["block_length"] == str(int(math.isqrt(data.n)))
+
+    @pytest.mark.parametrize(
+        "tests, reductions", [("t_ls,t_mb,t_mbj,t_mbb,t_boot", 0), ("t_ls,t_reg,t_mbj", 1)]
+    )
+    def test_features_are_reduced_only_for_t_reg(self, tmp_path, monkeypatch, tests, reductions):
+        from carlab import cli
+
+        data_path = tmp_path / "trial.csv"
+        _make_analysis_csv(data_path, n=60)
+        reduce, calls = cli.regression_features, []
+
+        def counted(phi):
+            calls.append(phi)
+            return reduce(phi)
+
+        monkeypatch.setattr(cli, "regression_features", counted)
+        out = str(tmp_path / "o.csv")
+        argv = ["analyze", "--data", str(data_path), "--tests", tests, "--out", out]
+        assert main(argv + ["--bootstrap-size", "10"]) == 0
+        assert len(calls) == reductions
 
     def test_reg_without_phi_columns(self, tmp_path):
         n = 40

@@ -331,6 +331,39 @@ class TestRunners:
         write_table(run_power_experiment(_tiny_power_spec(), threads=3), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "threads, cpus, workers",
+        [(10**9, 4, 4), (10**9, 64, 5), (3, 64, 3), (2, None, None), (1, 64, None)],
+    )
+    def test_thread_pool_is_capped(self, monkeypatch, threads, cpus, workers):
+        """min(threads, chunks, CPUs) workers, and none at all for one: a fake
+        pool records the size it was asked for and maps serially."""
+        sizes, done = [], []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness, "batch_size", lambda n, q: 2)
+        spec = ExperimentSpec(
+            kind="imbalance", n=20, setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("CR"),), replicates=9,
+        )
+        harness._run_chunks(done.append, spec, threads)
+        assert sizes == ([] if workers is None else [workers])
+        assert [r for rs in done for r in rs] == list(range(9))  # 5 chunks, each once
+
     def test_seed_shift_stays_within_four_se(self):
         t1 = run_power_experiment(_tiny_power_spec(seed=101, replicates=150))
         t2 = run_power_experiment(_tiny_power_spec(seed=202, replicates=150))
@@ -713,11 +746,43 @@ class TestFitCount:
         per_delta = len(deltas) if model == "logistic" else 1
         assert len(calls) == 5 * 2 * 2 * per_delta
 
+    def test_one_logistic_fit_per_delta(self, monkeypatch):
+        """The logistic tests' design ignores the working model, so each runs
+        once per (replicate, procedure, delta) and fills every working model's
+        cell."""
+        spec = ExperimentSpec(
+            kind="power",
+            n=100,
+            setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("SR"), procedure_preset("phi-CAR-BC")),
+            replicates=4,
+            base_seed=8,
+            model="logistic",
+            deltas=(0.0, 5.0),
+            working_models=("W1", "W2", "W3"),
+            tests=("t_ls", "t_logi", "t_oracle", "t_mbj"),
+        )
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return inference.logistic_wald_test(*args)
+
+        monkeypatch.setattr(harness, "logistic_wald_test", counting)
+        slots = _slot_rows(spec, monkeypatch)
+        assert sorted(set(calls)) == ["t_logi", "t_oracle"]
+        assert len(calls) == 4 * 2 * 2 * 2
+        for rows in slots.values():  # (delta, working model, test) cells
+            cells = rows.reshape(spec.replicates, 2, 3, 4)
+            for ti in (1, 2):
+                first = cells[:, :, :1, ti]
+                np.testing.assert_array_equal(cells[:, :, 1:, ti], first.repeat(2, axis=2))
+
 
 class TestResamplingDrawCount:
-    """Each resampling test draws its resamples once per (replicate,
-    procedure), whatever the delta grid and working models: one estimator
-    call, and ceil(B / batch) engine rerandomizations for the bootstrap."""
+    """Each refit test runs once per (replicate, procedure), whatever the
+    delta grid and working models: one estimator call over every fit, and
+    ceil(B / batch) engine rerandomizations for the bootstrap."""
 
     @pytest.mark.parametrize("model", ["setting1", "logistic"])
     @pytest.mark.parametrize("deltas", [(0.0,), (0.0, 4.0, 9.0)])
@@ -735,7 +800,7 @@ class TestResamplingDrawCount:
             model=model,
             deltas=deltas,
             working_models=working_models,
-            tests=("t_ls", "t_mbb", "t_boot"),
+            tests=("t_ls", "t_mbj", "t_mbb", "t_boot"),
             bootstrap_size=10,
         )
         calls = {}
@@ -753,6 +818,7 @@ class TestResamplingDrawCount:
 
         count(harness, "sigma_tau_bootstrap", True)
         count(harness, "sigma_tau_mbb", True)
+        count(harness, "sigma_tau_mbj", False)
         count(inference, "simulate_assignments", False)
         monkeypatch.setattr(inference, "batch_size", lambda n, q: 4)
         table = run_power_experiment(spec)
@@ -761,6 +827,7 @@ class TestResamplingDrawCount:
         assert calls == {
             "sigma_tau_bootstrap": runs,
             "sigma_tau_mbb": runs,
+            "sigma_tau_mbj": runs,
             "simulate_assignments": runs * math.ceil(spec.bootstrap_size / 4),
         }
 

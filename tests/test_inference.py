@@ -371,9 +371,9 @@ class TestDroppedResamples:
 
 
 class TestSharedResamples:
-    """The two bootstraps refit a sequence of datasets that share t and phi
-    on one draw of resamples, and keep each resample's t-contrast kappa*, so
-    responses y + s t need no refit."""
+    """The three refit estimators take a sequence of datasets that share t
+    and phi.  The two bootstraps refit them on one draw of resamples, and keep
+    each resample's t-contrast kappa*, so responses y + s t need no refit."""
 
     policy = EfronBiasedCoin(0.9)
 
@@ -400,7 +400,15 @@ class TestSharedResamples:
         refit = sigma_tau_mbb(shifted, l, 40, np.random.default_rng(42))
         assert refit.value == pytest.approx(v.value, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("method", ["boot", "mbb"])
+    def _run(self, method, data, rng, B=25, l=None):
+        l = block_length(self._data().n) if l is None else l
+        if method == "boot":
+            return sigma_tau_bootstrap(data, self.policy, B, rng)
+        if method == "mbb":
+            return sigma_tau_mbb(data, l, B, rng)
+        return sigma_tau_mbj(data, l)
+
+    @pytest.mark.parametrize("method", ["boot", "mbb", "mbj"])
     def test_a_sequence_is_each_dataset_on_the_same_draw(self, method):
         data = self._data()
         other = np.random.default_rng(43).normal(size=data.n)
@@ -409,35 +417,44 @@ class TestSharedResamples:
             dataclasses.replace(data, x_obs=data.x_obs[:, :1]),
             dataclasses.replace(data, y=other, x_obs=None),
         ]
-
-        def run(d, rng):
-            if method == "boot":
-                return sigma_tau_bootstrap(d, self.policy, 25, rng)
-            return sigma_tau_mbb(d, block_length(data.n), 25, rng)
-
         rng = np.random.default_rng(44)
-        shared = run(datas, rng)
+        shared = self._run(method, datas, rng)
         for d, v in zip(datas, shared):
             alone = np.random.default_rng(44)
-            single = run(d, alone)
+            single = self._run(method, d, alone)
             assert v.value == single.value
-            np.testing.assert_array_equal(v.params["kappa"], single.params["kappa"])
+            assert v.params.keys() == single.params.keys()
+            for key, value in v.params.items():
+                np.testing.assert_array_equal(value, single.params[key])
         assert rng.random() == alone.random()  # the stream is read as one call reads it
 
     def test_a_failed_refit_fails_its_dataset_only(self):
         data = self._data()
         singular = dataclasses.replace(data, x_obs=np.ones((data.n, 1)))  # = t + (1 - t)
-        good, bad = sigma_tau_mbb([data, singular], 5, 20, np.random.default_rng(45))
-        assert isinstance(good, VarianceEstimate)
-        assert isinstance(bad, EstimatorError)
-        with pytest.raises(EstimatorError, match="singular design"):
-            sigma_tau_mbb(singular, 5, 20, np.random.default_rng(45))
+        for method in ("mbb", "mbj"):
+            good, bad = self._run(method, [data, singular], np.random.default_rng(45), 20, 5)
+            assert isinstance(good, VarianceEstimate)
+            alone = self._run(method, data, np.random.default_rng(45), 20, 5)
+            assert good.value == alone.value
+            assert isinstance(bad, EstimatorError)
+            with pytest.raises(EstimatorError, match="singular design"):
+                self._run(method, singular, np.random.default_rng(45), 20, 5)
+
+    def test_a_window_that_empties_an_arm_fails_the_call(self):
+        data = self._data()
+        t = np.zeros(data.n)
+        t[10:14] = 1.0  # the treated arm lies inside one window of length 5
+        datas = [dataclasses.replace(data, t=t), dataclasses.replace(data, t=t, x_obs=None)]
+        with pytest.raises(EstimatorError, match="window 9 empties an arm"):
+            sigma_tau_mbj(datas, 5)
 
     def test_datasets_must_share_t_and_phi(self):
         data = self._data()
-        flipped = dataclasses.replace(data, t=1.0 - data.t)
-        with pytest.raises(DomainError, match="must share t and phi"):
-            sigma_tau_bootstrap([data, flipped], self.policy, 10, np.random.default_rng(0))
+        for field, changed in (("t", 1.0 - data.t), ("phi", data.phi + 1.0)):
+            other = dataclasses.replace(data, **{field: changed})
+            for method in ("boot", "mbb", "mbj"):
+                with pytest.raises(DomainError, match="must share t and phi"):
+                    self._run(method, [data, other], np.random.default_rng(0), 10)
 
 
 class TestAdjustedTest:
