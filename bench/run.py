@@ -1,0 +1,119 @@
+"""Whole-run bench: time every demo config through the ``carlab`` command line.
+
+Each ``demos/configs/*.cfg`` runs in a fresh process with
+``OPENBLAS_NUM_THREADS=1`` and ``--threads 1``.  The record of a run holds,
+per config, the wall time, the SHA-256 of the result CSV, the process's peak
+resident memory and its exit code, plus the versions, CPU count and commit
+it ran on.  Records are kept in one JSON file under a label, so one file can
+hold the runs of a parent commit and of a change side by side:
+
+    python3 bench/run.py --out BENCH.json --label change
+    python3 bench/run.py --out BENCH.json --label parent --repo ../parent
+    python3 bench/run.py --out quick.json --quick      # R/10, about a tenth
+
+``--repo`` runs another checkout's ``src/`` on its own configs.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _commit(repo: Path) -> str:
+    """HEAD of the checkout, marked ``+dirty`` when ``src/`` or the configs
+    differ from it."""
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=repo, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    try:
+        dirty = git("status", "--porcelain", "--", "src", "demos/configs")
+        return git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def _versions(env) -> dict:
+    """The versions the runs import, read in a process with their environment."""
+    probe = (
+        "import json, platform, numpy, scipy; print(json.dumps({'python':"
+        " platform.python_version(), 'numpy': numpy.__version__, 'scipy': scipy.__version__}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def _run_config(cfg: Path, quick: bool, env, work: Path) -> dict:
+    text = cfg.read_text(encoding="utf-8")
+    kind = re.search(r"^kind\s*=\s*(\w+)", text, re.M).group(1)
+    replicates = int(re.search(r"^replicates\s*=\s*(\d+)", text, re.M).group(1))
+    if quick:
+        replicates = max(2, replicates // 10)
+        text = re.sub(r"^replicates\s*=.*$", f"replicates = {replicates}", text, flags=re.M)
+    run_cfg, out = work / cfg.name, work / cfg.stem
+    run_cfg.write_text(text, encoding="utf-8")
+    cmd = [sys.executable, "-m", "carlab.cli", kind, "--config", str(run_cfg),
+           "--out", str(out), "--threads", "1"]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak memory
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    csv_path = out / f"{kind}.csv"
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest() if csv_path.exists() else None
+    return {
+        "replicates": replicates,
+        "wall_s": round(wall, 3),
+        "csv_sha256": digest,
+        "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),  # ru_maxrss is in KiB on Linux
+        "exit_code": proc.returncode,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", required=True, help="JSON file to write the record into")
+    p.add_argument("--label", default="change", help="key of this run's record in the file")
+    p.add_argument("--repo", type=Path, default=ROOT, help="checkout whose src/ and configs run")
+    p.add_argument("--quick", action="store_true", help="run each config at R/10")
+    args = p.parse_args(argv)
+    repo = args.repo.resolve()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(repo / "src"))
+    env.pop("CARLAB_THREADS", None)
+    record = {
+        "commit": _commit(repo),
+        "quick": args.quick,
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "versions": _versions(env),
+        "configs": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in sorted((repo / "demos" / "configs").glob("*.cfg")):
+            row = _run_config(cfg, args.quick, env, Path(tmp))
+            record["configs"][cfg.stem] = row
+            print(f"{cfg.stem}: {row}", flush=True)
+    out = Path(args.out)
+    runs = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    runs[args.label] = record
+    out.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    failed = [name for name, row in record["configs"].items() if row["exit_code"] != 0]
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -184,10 +184,12 @@ def _cmd_analyze(args) -> int:
     if not 1 <= l < data.n:
         raise ConfigError(f"--block-length must satisfy 1 <= l < n={data.n}, got {l}")
     phi = regression_features(data.phi) if "t_reg" in tests else None
-    rng = np.random.default_rng(args.seed)
     fit = lse_fit(data)
+    # each test draws from a generator of its own, so no test's draws depend
+    # on which tests run before it
     results = [
-        (test, *run_test(test, fit, data, args.alpha, l, args.bootstrap_size, rng, policy, phi))
+        (test, *run_test(test, fit, data, args.alpha, l, args.bootstrap_size,
+                         np.random.default_rng(args.seed), policy, phi))
         for test in tests
     ]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -26,9 +26,17 @@ clamp bound (cap = 3) meaningful for continuous allocation.
 ``simulate_assignments`` advances a batch of independent trials together,
 one unit at a time.  Each step takes one product d = S phi_i per trial, one
 call of the allocation rule over the batch, one uniform draw per trial
-against the cumulative probability vector in arm order, and adds phi_i to the
+against the rule's cumulative thresholds in arm order, and adds phi_i to the
 sums of the drawn arm.  Every trial gets the assignments it would get alone,
 and ``assign_next`` is a batch of one, so seeded runs replay exactly.
+
+An indicator map may enter as its level columns instead
+(``features.level_columns``), n x blocks integers rather than n x q floats:
+d is the gather sum_b sqrt(w_b) * S[:, col_b], and a unit is added by a
+scatter of the sqrt-weights into its columns.  With integer weights d is the
+dense product's exact integer; with others its rounding may differ.  Complete
+randomization ignores the state: its trials are one comparison of the
+uniforms with its thresholds, with no unit loop.
 """
 
 from dataclasses import dataclass
@@ -50,7 +58,7 @@ from .allocation import (
 )
 from .errors import DomainError
 
-# Cap on the stacked feature matrices of one batch of trials (bytes).
+# Cap on the stacked engine input of one batch of trials (bytes).
 _BATCH_BYTES = 2 << 20
 
 __all__ = [
@@ -121,28 +129,43 @@ def potential_imbalances(state: TrialState, phi_x) -> np.ndarray:
     return common + 2.0 * (lam @ phi)
 
 
-def _probabilities(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
-    """(trials, T) assignment probabilities from the per-arm products d = S phi."""
+def _thresholds(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
+    """(trials, T - 1) cumulative probabilities of arms 0 .. T - 2 from the
+    per-arm products d = S phi; the drawn arm is the number of thresholds at
+    or below the trial's uniform."""
     if isinstance(policy, CompleteRandomization):
-        return np.broadcast_to(complete_randomization(d.shape[1]), d.shape)
+        cum = np.cumsum(complete_randomization(d.shape[1]))[:-1]
+        return np.broadcast_to(cum, (d.shape[0], cum.size))
     if isinstance(policy, PocockSimonRank):
-        return pocock_simon_multi(d, policy.kappa)
-    if isinstance(policy, MultiContinuous):
-        return continuous_multi(2.0 * (d - d.mean(axis=1, keepdims=True)), policy.cap)
-    diff = 4.0 * (d[:, 0] - d[:, 1])  # two-arm scale
-    if isinstance(policy, EfronBiasedCoin):
-        p1 = efron_two_treatment(diff, policy.rho)
+        p = pocock_simon_multi(d, policy.kappa)
+    elif isinstance(policy, MultiContinuous):
+        p = continuous_multi(2.0 * (d - d.mean(axis=1, keepdims=True)), policy.cap)
     else:
-        p1 = continuous_two_treatment(diff, policy.cap)
-    return np.column_stack([p1, 1.0 - p1])
+        diff = 4.0 * (d[:, 0] - d[:, 1])  # two-arm scale
+        if isinstance(policy, EfronBiasedCoin):
+            return efron_two_treatment(diff, policy.rho)[:, None]
+        return continuous_two_treatment(diff, policy.cap)[:, None]
+    return np.cumsum(p[:, :-1], axis=1)
 
 
-def _step(sums: np.ndarray, phi_i: np.ndarray, policy, u: np.ndarray) -> np.ndarray:
-    """Assign one unit in every trial of the batch and add it to its arm's sums."""
-    d = np.einsum("btq,bq->bt", sums, phi_i)
-    cum = np.cumsum(_probabilities(policy, d), axis=1)
-    arms = (u[:, None] >= cum[:, :-1]).sum(axis=1)
-    sums[np.arange(sums.shape[0]), arms] += phi_i
+def _step(sums: np.ndarray, x_i: np.ndarray, policy, u: np.ndarray, roots=None) -> np.ndarray:
+    """Assign one unit in every trial of the batch and add it to its arm's sums.
+
+    ``x_i`` holds each trial's feature vector or, with ``roots``, the flat
+    indices into ``sums`` (C-contiguous, so ``ravel`` is a view) of its level
+    columns in arm 0: d is then a gather of the columns' sums and the unit is
+    added by a scatter of ``roots``.
+    """
+    B, T, q = sums.shape
+    if roots is None:
+        d = np.einsum("btq,bq->bt", sums, x_i)
+    else:
+        d = sums.ravel()[x_i[:, None, :] + q * np.arange(T)[:, None]] @ roots
+    arms = (u[:, None] >= _thresholds(policy, d)).sum(axis=1)
+    if roots is None:
+        sums[np.arange(B), arms] += x_i
+    else:
+        sums.ravel()[x_i + q * arms[:, None]] += roots  # one column per block: no repeats
     return arms
 
 
@@ -163,20 +186,32 @@ def simulate_assignments(
     treatments: int,
     rng=None,
     uniforms=None,
+    weights=None,
 ) -> np.ndarray:
     """Run whole trials over their feature matrices and return the assignments.
 
     ``phi`` is one trial's (n, q) feature matrix, giving an (n,) assignment
-    vector, or a (trials, n, q) batch, giving (trials, n).  One uniform draw
-    is consumed per unit, in unit order (trial by trial for a batch drawn
-    from ``rng``); ``uniforms`` of shape (n,) or (trials, n) may be supplied
-    instead.  A trial's assignments do not depend on the rest of its batch.
+    vector, or a (trials, n, q) batch, giving (trials, n).  With ``weights``
+    it holds an indicator map's integer level columns instead, (n, blocks)
+    or (trials, n, blocks), and ``weights`` the blocks' sqrt-weights
+    (``features.level_columns``): the same trials on the sparse form.  One
+    uniform draw is consumed per unit, in unit order (trial by trial for a
+    batch drawn from ``rng``); ``uniforms`` of shape (n,) or (trials, n) may
+    be supplied instead.  A trial's assignments do not depend on the rest of
+    its batch.
     """
     T = _check_arms(treatments)
-    phi = np.asarray(phi, dtype=float)
+    levels = weights is not None
+    phi = np.asarray(phi, dtype=np.int64 if levels else float)
     if phi.ndim not in (2, 3):
         raise DomainError("feature matrix must be 2-d, or 3-d for a batch of trials")
-    if not np.all(np.isfinite(phi)):
+    if levels:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != phi.shape[-1:] or not np.all(np.isfinite(weights)):
+            raise DomainError("level weights must be finite, one per level column")
+        if phi.min(initial=0) < 0:
+            raise DomainError("level columns must be non-negative")
+    elif not np.all(np.isfinite(phi)):
         raise DomainError("feature matrix must be finite")
     if uniforms is None:
         uniforms = rng.random(phi.shape[:-1])
@@ -184,19 +219,25 @@ def simulate_assignments(
     if uniforms.shape != phi.shape[:-1]:
         raise DomainError("uniforms must have one entry per unit")
     check_policy(policy, T)
+    if isinstance(policy, CompleteRandomization):  # the state never enters
+        return (uniforms[..., None] >= _thresholds(policy, np.zeros((1, T)))[0]).sum(axis=-1)
     single = phi.ndim == 2
     batch, u = (phi[None], uniforms[None]) if single else (phi, uniforms)
     B, n, q = batch.shape
+    if levels:  # flat indices into arm 0 of each trial's sums
+        q = int(batch.max(initial=0)) + 1
+        batch = batch + (T * q) * np.arange(B)[:, None, None]
     sums = np.zeros((B, T, q))
     out = np.empty((B, n), dtype=np.int64)
     for i in range(n):
-        out[:, i] = _step(sums, batch[:, i], policy, u[:, i])
+        out[:, i] = _step(sums, batch[:, i], policy, u[:, i], weights)
     return out[0] if single else out
 
 
 def batch_size(n: int, q: int) -> int:
-    """Trials per batch that keep a stacked (trials, n, q) feature array
-    within the engine's memory cap."""
+    """Trials per batch that keep a stacked (trials, n, q) input of 8-byte
+    entries (feature matrices or level columns) within the engine's memory
+    cap."""
     return max(1, _BATCH_BYTES // (8 * n * q))
 
 

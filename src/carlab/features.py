@@ -25,9 +25,12 @@ output reproducible.  Indicator families raise on a covariate value that is
 not among the declared levels: silently growing the level set would change
 the feature dimension mid-trial and corrupt the running state.
 
-``feature_matrix`` evaluates a map over the rows of a covariate matrix;
-``apply_feature_map`` and ``discretize`` are its and ``discretize_array``'s
-one-row forms.
+``level_columns`` gives an indicator map in the sparse form the engine
+balances: per unit one flat column index per block (the block's offset plus
+its level index), and the blocks' sqrt-weights.  ``feature_matrix``
+evaluates a map over the rows of a covariate matrix, scattering an indicator
+map's level columns (``level_matrix``); ``apply_feature_map`` and
+``discretize`` are its and ``discretize_array``'s one-row forms.
 """
 
 import math
@@ -53,6 +56,9 @@ __all__ = [
     "feature_dim",
     "apply_feature_map",
     "feature_matrix",
+    "level_columns",
+    "level_matrix",
+    "input_width",
     "discretize",
     "discretize_array",
 ]
@@ -253,6 +259,12 @@ def feature_dim(spec: FeatureMapSpec) -> int:
     return sum(_width(levels) for _, levels, _ in _blocks(spec))
 
 
+def input_width(spec: FeatureMapSpec) -> int:
+    """Columns per unit of a map's engine input: q for a composite map, one
+    level column per block for an indicator map (``level_columns``)."""
+    return len(spec.terms) if isinstance(spec, Composite) else len(_blocks(spec))
+
+
 def _check_coord_bounds(spec, p_total: int):
     if isinstance(spec, Composite):
         coords = []
@@ -282,44 +294,66 @@ def _level_index_array(col: np.ndarray, levels, coord: int) -> np.ndarray:
     return idx
 
 
-def feature_matrix(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate phi row-wise over an (n, p) covariate matrix."""
+def _check_covariates(spec, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DomainError("covariate matrix must be 2-d")
     if not np.all(np.isfinite(X)):
         raise DomainError("covariate matrix must be finite")
-    n = X.shape[0]
     _check_coord_bounds(spec, X.shape[1])
-    if isinstance(spec, Composite):
-        cols = []
-        with np.errstate(all="ignore"):  # a non-finite term raises DomainError below
-            for t in spec.terms:
-                if isinstance(t, Constant):
-                    cols.append(np.full(n, t.value))
-                elif isinstance(t, Identity):
-                    cols.append(X[:, t.coord])
-                elif isinstance(t, Product):
-                    cols.append(X[:, t.left] * X[:, t.right])
-                elif isinstance(t, Power):
-                    cols.append(X[:, t.coord] ** t.degree)
-                else:
-                    cols.append(np.where(X[:, t.coord] == t.level, math.sqrt(t.weight), 0.0))
-        out = np.column_stack(cols)
-        if not np.all(np.isfinite(out)):
-            raise DomainError("feature matrix is not finite")
-        return out
+    return X
+
+
+def _roots(spec) -> np.ndarray:
+    return np.sqrt([w for _, _, w in _blocks(spec)])
+
+
+def level_columns(spec: FeatureMapSpec, X: np.ndarray) -> tuple:
+    """An indicator map's (n, blocks) flat column indices, each block's
+    offset plus the unit's level index in it, and the blocks' (blocks,)
+    sqrt-weights: phi[i, cols[i, b]] = roots[b], zero elsewhere."""
+    X = _check_covariates(spec, X)
     blocks = _blocks(spec)
-    widths = [_width(levels) for _, levels, _ in blocks]
-    out = np.zeros((n, sum(widths)))
-    rows = np.arange(n)
+    cols = np.empty((X.shape[0], len(blocks)), dtype=np.int64)
     off = 0
-    for (coords, levels, w), width in zip(blocks, widths):
+    for b, (coords, levels, _) in enumerate(blocks):
         idx = 0
         for c, lv in zip(coords, levels):
             idx = idx * len(lv) + _level_index_array(X[:, c], lv, c)
-        out[rows, off + idx] = math.sqrt(w)
-        off += width
+        cols[:, b] = off + idx
+        off += _width(levels)
+    return cols, _roots(spec)
+
+
+def level_matrix(spec: FeatureMapSpec, cols: np.ndarray) -> np.ndarray:
+    """An indicator map's dense (n, q) feature matrix from its level columns."""
+    out = np.zeros((cols.shape[0], feature_dim(spec)))
+    out[np.arange(cols.shape[0])[:, None], cols] = _roots(spec)
+    return out
+
+
+def feature_matrix(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
+    """Evaluate phi row-wise over an (n, p) covariate matrix."""
+    if not isinstance(spec, Composite):
+        return level_matrix(spec, level_columns(spec, X)[0])
+    X = _check_covariates(spec, X)
+    n = X.shape[0]
+    cols = []
+    with np.errstate(all="ignore"):  # a non-finite term raises DomainError below
+        for t in spec.terms:
+            if isinstance(t, Constant):
+                cols.append(np.full(n, t.value))
+            elif isinstance(t, Identity):
+                cols.append(X[:, t.coord])
+            elif isinstance(t, Product):
+                cols.append(X[:, t.left] * X[:, t.right])
+            elif isinstance(t, Power):
+                cols.append(X[:, t.coord] ** t.degree)
+            else:
+                cols.append(np.where(X[:, t.coord] == t.level, math.sqrt(t.weight), 0.0))
+    out = np.column_stack(cols)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("feature matrix is not finite")
     return out
 
 

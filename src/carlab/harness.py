@@ -35,6 +35,7 @@ import csv
 import math
 import os
 import zlib
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -72,8 +73,10 @@ from .features import (
     Marginal,
     Stratified,
     discretize_array,
-    feature_dim,
     feature_matrix,
+    input_width,
+    level_columns,
+    level_matrix,
 )
 from .inference import (
     TrialDataset,
@@ -399,21 +402,24 @@ def feature_spec(proc: ProcedureSpec, setting: CovariateSetting):
     return Composite(terms=tuple(ones + [Identity(k) for k in range(observed.size)]))
 
 
+def _observed(fspec, setting: CovariateSetting, X: np.ndarray) -> np.ndarray:
+    """The covariates a feature map reads: the observed ones, in their
+    discrete view for an indicator map."""
+    observed = np.flatnonzero(setting.observed_mask)
+    if isinstance(fspec, Composite):
+        return X[:, observed]
+    return np.column_stack([
+        X[:, c] if int(c) in setting.discrete_levels
+        else discretize_array(X[:, c], _THRESHOLDS).astype(float)
+        for c in observed
+    ])
+
+
 def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
     """Feature matrix a procedure balances: ``feature_spec`` on the observed
     covariates (their discrete view for a discrete map), or None under CR."""
     spec = feature_spec(proc, setting)
-    if spec is None:
-        return None
-    observed = np.flatnonzero(setting.observed_mask)
-    if isinstance(spec, Composite):
-        return feature_matrix(spec, X[:, observed])
-    cols = [
-        X[:, c] if int(c) in setting.discrete_levels
-        else discretize_array(X[:, c], _THRESHOLDS).astype(float)
-        for c in observed
-    ]
-    return feature_matrix(spec, np.column_stack(cols))
+    return None if spec is None else feature_matrix(spec, _observed(spec, setting, X))
 
 
 def reduce_columns(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -523,7 +529,7 @@ def _run_chunks(work, spec: ExperimentSpec, threads: int):
     per-replicate slots, so neither the range boundaries nor the thread count
     change them."""
     fspecs = [feature_spec(p, spec.setting) for p in spec.procedures]
-    size = batch_size(spec.n, max((feature_dim(f) for f in fspecs if f is not None), default=1))
+    size = batch_size(spec.n, max((input_width(f) for f in fspecs if f is not None), default=1))
     chunks = [range(r, min(r + size, spec.replicates)) for r in range(0, spec.replicates, size)]
     workers = min(threads or 1, len(chunks), os.cpu_count() or 1)
     if workers > 1:
@@ -534,32 +540,56 @@ def _run_chunks(work, spec: ExperimentSpec, threads: int):
             work(rs)
 
 
+@dataclass
+class _Features(Sequence):
+    """Replicates' feature matrices (None under complete randomization or
+    where the features failed); an indicator map's are built from their level
+    columns when read, one replicate at a time."""
+
+    fspec: object
+    inputs: list
+
+    def __len__(self):
+        return len(self.inputs)
+
+    def __getitem__(self, k):
+        x = self.inputs[k]
+        return x if x is None or isinstance(self.fspec, Composite) else level_matrix(self.fspec, x)
+
+
 def _assign_chunk(spec: ExperimentSpec, proc: ProcedureSpec, rs: range, Xs: list):
-    """Feature matrices (None under complete randomization) and assignments of
-    one procedure for a range of replicates, randomized as one batch.  Each
-    replicate draws its uniforms from its own procedure stream.  A replicate
-    whose features raise ``DomainError`` is left out of the batch, with None
-    assignments: it fails in that procedure's cells only."""
+    """Feature matrices (``_Features``) and assignments of one procedure for a
+    range of replicates, randomized as one batch: an indicator map enters the
+    engine as level columns.  Each replicate draws its uniforms from its own
+    procedure stream.  A replicate whose features raise ``DomainError`` is
+    left out of the batch, with None assignments: it fails in that
+    procedure's cells only."""
     fspec = feature_spec(proc, spec.setting)
+    levels = isinstance(fspec, (Stratified, Marginal, HuHu))
     # complete randomization balances nothing; the batch is filled in place
-    batch = np.zeros((len(rs), spec.n, 1 if fspec is None else feature_dim(fspec)))
-    kept = []
+    width = 1 if fspec is None else input_width(fspec)
+    batch = np.zeros((len(rs), spec.n, width), dtype=np.int64 if levels else float)
+    roots, kept = None, []
     for k, X in enumerate(Xs):
         try:
-            if fspec is not None:
+            if levels:
+                batch[k], roots = level_columns(fspec, _observed(fspec, spec.setting, X))
+            elif fspec is not None:
                 batch[k] = build_phi(proc, spec.setting, X)
             kept.append(k)
         except DomainError:
             pass
     batch = batch if len(kept) == len(rs) else batch[kept]
-    phis, assigns = [None] * len(rs), [None] * len(rs)
+    inputs, assigns = [None] * len(rs), [None] * len(rs)
     if kept:
         tag = _name_tag(proc.name)
         uniforms = np.stack([_stream(spec.base_seed, rs[k], tag).random(spec.n) for k in kept])
-        out = simulate_assignments(batch, proc.policy, spec.treatments, uniforms=uniforms)
+        out = simulate_assignments(
+            batch, proc.policy, spec.treatments, uniforms=uniforms, weights=roots
+        )
         for j, k in enumerate(kept):
-            phis[k], assigns[k] = (None if fspec is None else batch[j]), out[j]
-    return phis, assigns
+            inputs[k], assigns[k] = (None if fspec is None else batch[j]), out[j]
+    return _Features(fspec, inputs), assigns
 
 
 def _power_tests(spec: ExperimentSpec, proc: ProcedureSpec) -> tuple:

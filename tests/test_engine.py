@@ -22,6 +22,7 @@ from carlab.engine import (
     total_imbalance,
 )
 from carlab.errors import DomainError
+from carlab.features import HuHu, Marginal, Stratified, feature_matrix, level_columns
 
 
 class SeqRng:
@@ -208,6 +209,8 @@ class TestSimulateMatchesStepwise:
             (PocockSimonRank(kappa=(0.8, 0.1, 0.1)), 3, "onehot"),
             (MultiContinuous(cap=3.0), 3, "dense"),
             (CompleteRandomization(), 3, "dense"),
+            (CompleteRandomization(), 2, "onehot"),
+            (CompleteRandomization(), 4, "dense"),
         ],
     )
     def test_trajectory_equality(self, policy, T, feature):
@@ -372,3 +375,49 @@ class TestBatchKernel:
                 assert out[k] == arm, (k, counts.tolist(), arm)
             checked += 1
         assert checked >= 10
+
+
+# Indicator maps over three coordinates with 2, 3 and 2 levels.  The
+# non-integer weights are squares of dyadic rationals, so the per-arm sums and
+# products stay exact and the dense and level-column kernels must tie alike.
+LEVELS = ((0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0))
+LEVEL_SPECS = {
+    "SR": Stratified((0, 1, 2), LEVELS),
+    "PS": Marginal((0, 1, 2), LEVELS),
+    "PS dyadic": Marginal((0, 1, 2), LEVELS, weights=(0.25, 2.25, 1.0)),
+    "HH": HuHu((0, 1, 2), LEVELS, w0=1.0, w_margins=(1.0, 1.0, 1.0), w_stratum=1.0),
+    "HH dyadic, zero": HuHu(
+        (0, 1, 2), LEVELS, w0=0.25, w_margins=(2.25, 0.0, 0.0625), w_stratum=0.0
+    ),
+}
+
+
+class TestLevelColumns:
+    @pytest.mark.parametrize("T", [2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(LEVEL_SPECS))
+    def test_level_columns_assign_as_the_feature_matrix(self, name, T):
+        spec = LEVEL_SPECS[name]
+        rng = np.random.default_rng(T)
+        trials, n = 4, 80
+        X = rng.integers(0, [2, 3, 2], size=(trials, n, 3)).astype(float)
+        cols = np.stack([level_columns(spec, x)[0] for x in X])
+        roots = level_columns(spec, X[0])[1]
+        phi = np.stack([feature_matrix(spec, x) for x in X])
+        u = rng.random((trials, n))
+        for policy in _kernel_policies(T):
+            levels = simulate_assignments(cols, policy, T, uniforms=u, weights=roots)
+            dense = simulate_assignments(phi, policy, T, uniforms=u)
+            np.testing.assert_array_equal(levels, dense, err_msg=repr(policy))
+            for b in range(trials):  # a trial's arms do not depend on its batch
+                alone = simulate_assignments(cols[b], policy, T, uniforms=u[b], weights=roots)
+                np.testing.assert_array_equal(levels[b], alone, err_msg=repr(policy))
+
+    def test_bad_level_input_raises(self):
+        cols = np.zeros((5, 2), dtype=np.int64)
+        policy = EfronBiasedCoin(rho=0.9)
+        with pytest.raises(DomainError):
+            simulate_assignments(cols, policy, 2, uniforms=np.zeros(5), weights=[1.0])
+        with pytest.raises(DomainError):
+            simulate_assignments(cols, policy, 2, uniforms=np.zeros(5), weights=[1.0, np.nan])
+        with pytest.raises(DomainError):
+            simulate_assignments(cols - 1, policy, 2, uniforms=np.zeros(5), weights=[1.0, 1.0])

@@ -23,6 +23,7 @@ from carlab.features import (
     discretize_array,
     feature_dim,
     feature_matrix,
+    level_columns,
 )
 
 TWO_BY_TWO = dict(coords=(0, 1), levels=((0.0, 1.0), (0.0, 1.0)))
@@ -300,3 +301,28 @@ class TestDiscretize:
             assert discretize_array(vals, th).tolist() == expected
             assert [discretize(v, th) for v in vals] == expected
 
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Stratified(coords=(0, 2), levels=((0, 1, 2), (5, 7))),
+        Marginal(coords=(2, 0, 1), levels=((5, 7), (0, 1, 2), (-1, 1)), weights=(0.3, 2, 1)),
+        HuHu(coords=(0, 1), levels=((0, 1, 2), (-1, 1)), w0=0.5, w_margins=(0, 3), w_stratum=0.2),
+    ],
+    ids=["stratified", "marginal", "huhu"],
+)
+def test_feature_matrix_scatters_level_columns(spec):
+    rng = np.random.default_rng(11)
+    X = np.column_stack(
+        [rng.choice([0, 1, 2], 50), rng.choice([-1, 1], 50), rng.choice([5, 7], 50)]
+    ).astype(float)
+    cols, roots = level_columns(spec, X)
+    assert cols.shape == (50, roots.size) and cols.dtype == np.int64
+    expected = np.zeros((50, feature_dim(spec)))
+    for i in range(50):
+        for b in range(roots.size):
+            expected[i, cols[i, b]] = roots[b]
+    np.testing.assert_array_equal(feature_matrix(spec, X), expected)
+    with pytest.raises(DomainError):  # a value off the declared levels
+        level_columns(spec, np.where(X == 2.0, 3.0, X))

@@ -120,6 +120,29 @@ metrics = 0, 1, 2, 3
 """
 
 
+# The table of HUHU_IMBALANCE_CFG at R=600 as written while the engine formed
+# every per-arm product from a dense feature matrix.  Level columns sum HH's
+# non-integer weighted products in another order; that must leave the SR and
+# PS rows byte-identical and every HH cell within 4 combined MC SE.
+HUHU_R600 = Path(__file__).resolve().parent / "data" / "huhu_imbalance_r600.csv"
+
+
+def test_huhu_imbalance_agrees_with_the_recorded_table(tmp_path):
+    spec = dataclasses.replace(config.load_config(HUHU_IMBALANCE_CFG), replicates=600)
+    out = tmp_path / "imbalance.csv"
+    harness.write_table(harness.run_imbalance_experiment(spec), out)
+    old, new = (list(csv.DictReader(p.open(encoding="utf-8"))) for p in (HUHU_R600, out))
+    assert [(r["procedure"], r["metric"]) for r in new] == [
+        (r["procedure"], r["metric"]) for r in old
+    ]
+    for a, b in zip(old, new):
+        if a["procedure"] != "HH":
+            assert a == b
+            continue
+        se = math.hypot(float(a["mc_se"]), float(b["mc_se"]))
+        assert abs(float(a["value"]) - float(b["value"])) <= 4.0 * se, (a, b)
+
+
 def test_huhu_imbalance_digest(tmp_path):
     out = tmp_path / "imbalance.csv"
     harness.write_table(
@@ -127,7 +150,7 @@ def test_huhu_imbalance_digest(tmp_path):
     )
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
-        == "f28671384e69e2d3f4447601d429bf20366852e5442a30ca60b87135cdd87b95"
+        == "c2ac45854ece9574d145391e242bc55866345058d826dbb24abce72cb7333161"
     )
 
 
@@ -135,12 +158,12 @@ ANALYZE_GOLDEN = {
     "full": (
         ["--tests", "t_ls,t_reg,t_mb,t_mbj,t_mbb,t_boot", "--bootstrap-size", "40",
          "--seed", "8"],
-        "918cee71f8b1287875b7f483b98e4247f449cdf1c58c2831580ae85715906913",
+        "215ec99e3cb9d6fd4f17f416507798679be7b7819e19d2127a21fd7e9328489e",
     ),
     "resampling": (
         ["--tests", "t_boot,t_mbb,t_ls", "--policy", "continuous:2", "--block-rule", "cbrt",
          "--bootstrap-size", "30", "--seed", "3"],
-        "9fb4b951e89499c9207f7ea08203703e8afe793c6cef2836491428f20468f50d",
+        "9dbf4443e4d0eb6b327705357ad1fa249b6a5b5a7a86e5837ae2e3a052923acd",
     ),
 }
 

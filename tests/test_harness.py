@@ -832,6 +832,26 @@ class TestResamplingDrawCount:
         }
 
 
+def test_an_imbalance_run_randomizes_each_procedure_in_one_batch(monkeypatch):
+    """Indicator maps enter the engine as level columns, so the chunks are
+    sized by the widest composite map: 30 replicates of S1 fit one batch."""
+    from pathlib import Path
+
+    cfg = Path(__file__).resolve().parents[1] / "demos" / "configs" / "imbalance_s1.cfg"
+    spec = load_config(cfg.read_text(encoding="utf-8"))
+    spec = ExperimentSpec(**{**vars(spec), "replicates": 30})
+    calls = []
+    real = harness.simulate_assignments
+
+    def counting(phi, policy, treatments, **kwargs):
+        calls.append(len(phi))
+        return real(phi, policy, treatments, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_assignments", counting)
+    run_imbalance_experiment(spec)
+    assert calls == [30] * len(spec.procedures)
+
+
 def test_every_traced_layer_exists():
     """perfbench's tracer rebinds the (module, attribute) pairs of its
     ``WRAPPED`` table; a renamed layer must fail here, not only in its smoke
