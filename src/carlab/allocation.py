@@ -126,7 +126,7 @@ def _validate_kappa(kappa):
 
 def _check_finite(x, what) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
     return arr
 

@@ -148,24 +148,24 @@ def _thresholds(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
     return np.cumsum(p[:, :-1], axis=1)
 
 
-def _step(sums: np.ndarray, x_i: np.ndarray, policy, u: np.ndarray, roots=None) -> np.ndarray:
+def _step(sums: np.ndarray, x_i: np.ndarray, policy, u: np.ndarray, roots=None, base=None):
     """Assign one unit in every trial of the batch and add it to its arm's sums.
 
-    ``x_i`` holds each trial's feature vector or, with ``roots``, the flat
-    indices into ``sums`` (C-contiguous, so ``ravel`` is a view) of its level
-    columns in arm 0: d is then a gather of the columns' sums and the unit is
-    added by a scatter of ``roots``.
+    ``x_i`` holds each trial's feature vector or, with ``roots``, its level
+    columns, and ``base`` the (trials, T, 1) flat offsets of each trial's arms
+    in ``sums`` (C-contiguous, so ``ravel`` is a view): d is then a gather of
+    the columns' sums and the unit is added by a scatter of ``roots``.
     """
     B, T, q = sums.shape
     if roots is None:
         d = np.einsum("btq,bq->bt", sums, x_i)
     else:
-        d = sums.ravel()[x_i[:, None, :] + q * np.arange(T)[:, None]] @ roots
+        d = sums.ravel()[x_i[:, None, :] + base] @ roots
     arms = (u[:, None] >= _thresholds(policy, d)).sum(axis=1)
     if roots is None:
         sums[np.arange(B), arms] += x_i
-    else:
-        sums.ravel()[x_i + q * arms[:, None]] += roots  # one column per block: no repeats
+    else:  # one column per block: no repeats
+        sums.ravel()[x_i + base[:, 0] + q * arms[:, None]] += roots
     return arms
 
 
@@ -224,13 +224,14 @@ def simulate_assignments(
     single = phi.ndim == 2
     batch, u = (phi[None], uniforms[None]) if single else (phi, uniforms)
     B, n, q = batch.shape
-    if levels:  # flat indices into arm 0 of each trial's sums
+    base = None
+    if levels:  # flat offset of each trial's arms in its sums
         q = int(batch.max(initial=0)) + 1
-        batch = batch + (T * q) * np.arange(B)[:, None, None]
+        base = (q * np.arange(B * T)).reshape(B, T, 1)
     sums = np.zeros((B, T, q))
     out = np.empty((B, n), dtype=np.int64)
     for i in range(n):
-        out[:, i] = _step(sums, batch[:, i], policy, u[:, i], weights)
+        out[:, i] = _step(sums, batch[:, i], policy, u[:, i], weights, base)
     return out[0] if single else out
 
 

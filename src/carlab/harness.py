@@ -10,7 +10,8 @@ so each working model is fitted once per replicate and every delta's
 statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
 model is fitted per delta, and its logistic tests run once per delta.  The
 refit tests ``t_mbj``, ``t_mbb`` and ``t_boot`` run once per replicate and
-procedure, over every fit's data (the bootstraps on one draw of resamples).
+procedure, over every fit's data (the bootstraps on one draw of resamples);
+the ``t_boot`` resamples of a chunk's replicates are rerandomized together.
 
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
@@ -32,6 +33,7 @@ than two arms the biased-coin presets switch to the rank-probability rule.
 """
 
 import csv
+import itertools
 import math
 import os
 import zlib
@@ -84,6 +86,7 @@ from .inference import (
     block_length,
     logistic_wald_test,
     lse_fit,
+    rerandomized_resamples,
     shifted_value,
     sigma_tau_bootstrap,
     sigma_tau_mb,
@@ -544,10 +547,12 @@ def _run_chunks(work, spec: ExperimentSpec, threads: int):
 class _Features(Sequence):
     """Replicates' feature matrices (None under complete randomization or
     where the features failed); an indicator map's are built from their level
-    columns when read, one replicate at a time."""
+    columns (``inputs``, sqrt-weights ``roots``) when read, one replicate at
+    a time."""
 
     fspec: object
     inputs: list
+    roots: np.ndarray
 
     def __len__(self):
         return len(self.inputs)
@@ -589,7 +594,7 @@ def _assign_chunk(spec: ExperimentSpec, proc: ProcedureSpec, rs: range, Xs: list
         )
         for j, k in enumerate(kept):
             inputs[k], assigns[k] = (None if fspec is None else batch[j]), out[j]
-    return _Features(fspec, inputs), assigns
+    return _Features(fspec, inputs, roots), assigns
 
 
 def _power_tests(spec: ExperimentSpec, proc: ProcedureSpec) -> tuple:
@@ -620,7 +625,9 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     replicate, and each delta's statistic is formed in closed form from that
     fit and its variances.  The logistic model is not linear in delta, so it
     is fitted per delta (``_fit_classes``).  ``t_mbj``, ``t_mbb`` and
-    ``t_boot`` run once per replicate and procedure (``_power_statistics``).
+    ``t_boot`` run once per replicate and procedure (``_power_statistics``);
+    ``t_boot``'s resamples are rerandomized for the chunk first
+    (``_boot_resamples``).
     """
 
     def cells(proc):
@@ -650,9 +657,11 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
         def procedure(proc, rs, Xs, noises):
             # a frame of its own, so the chunk's features are freed on return
             phis, assigns = _assign_chunk(spec, proc, rs, Xs)
+            boots = _boot_resamples(spec, proc, rs, phis, assigns)
             for r, X, noise, phi, assign in zip(rs, Xs, noises, phis, assigns):
                 if assign is not None:  # else its features failed: the slots stay NaN
-                    stats = _power_statistics(spec, classes, proc, r, X, noise, phi, assign)
+                    args = (r, X, noise, phi, assign, next(boots))
+                    stats = _power_statistics(spec, classes, proc, *args)
                     stats = stats.ravel()  # 1.0 or 0.0 as each test rejects, NaN if it failed
                     slots[proc.name][r] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
 
@@ -661,12 +670,28 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     return _study(spec, "power", threads, cells, work)
 
 
-def _power_statistics(spec, classes, proc, r, X, noise, phi, assign) -> np.ndarray:
+def _boot_resamples(spec, proc, rs, phis, assigns):
+    """Per replicate of the chunk with assignments, in order: its ``t_boot``
+    stream and the resamples ``rerandomized_resamples`` draws from it as they
+    are read, the chunk's resamples rerandomized together (None without
+    ``t_boot``)."""
+    if "t_boot" not in _power_tests(spec, proc):
+        return itertools.repeat(None)
+    kept = [k for k, assign in enumerate(assigns) if assign is not None]
+    tag = _name_tag(proc.name, "t_boot")
+    rngs = [_stream(spec.base_seed, rs[k], tag) for k in kept]
+    inputs = [phis.inputs[k] for k in kept]
+    B = spec.bootstrap_size
+    return zip(rngs, rerandomized_resamples(inputs, proc.policy, B, rngs, phis.roots))
+
+
+def _power_statistics(spec, classes, proc, r, X, noise, phi, assign, boot=None) -> np.ndarray:
     """One replicate's (deltas, working models, tests) statistics, NaN where a
     fit or estimator fails: one fit per class and working model, a logistic
     test once per class, ``run_test`` once per fit and per-fit test, and one
-    ``_refit`` call over every fit's data per refit test.  Each delta's
-    statistic is the fit's tau_hat plus its shift over a ``statistic_scale``."""
+    ``_refit`` call over every fit's data per refit test, ``t_boot``'s on the
+    (stream, resamples) ``boot`` when given.  Each delta's statistic is the
+    fit's tau_hat plus its shift over a ``statistic_scale``."""
     n = spec.n
     treat = (assign == 0).astype(float)
     proc_tests = _power_tests(spec, proc)
@@ -699,9 +724,12 @@ def _power_statistics(spec, classes, proc, r, X, noise, phi, assign) -> np.ndarr
                     stats[[di for di, _ in members], :, ti] = res.statistic
             continue
         if test in DIRECT_TESTS and fits:  # one call over every fit; t_mbj reads no stream
-            rng = _stream(spec.base_seed, r, _name_tag(proc.name, test))
+            rng, drawn = _stream(spec.base_seed, r, _name_tag(proc.name, test)), None
+            if test == "t_boot" and boot is not None:
+                rng, drawn = boot
             datas = [data for _, _, data, _ in fits]
-            vs = attempt(_refit, test, datas, lblock, spec.bootstrap_size, rng, proc.policy) or ()
+            B = spec.bootstrap_size
+            vs = attempt(_refit, test, datas, lblock, B, rng, proc.policy, drawn) or ()
         else:  # run_test's (result, estimate) per fit
             vs = [attempt(run_test, test, fit, data, *run_args) for _, _, data, fit in fits]
         for (members, wi, _, fit), v in zip(fits, vs):
@@ -721,13 +749,14 @@ def _power_statistics(spec, classes, proc, r, X, noise, phi, assign) -> np.ndarr
     return stats
 
 
-def _refit(test, data, l, B, rng, policy):
-    """A refit test's (``DIRECT_TESTS``) estimate(s) on one dataset or a sequence."""
+def _refit(test, data, l, B, rng, policy, drawn=None):
+    """A refit test's (``DIRECT_TESTS``) estimate(s) on one dataset or a
+    sequence; ``drawn``: ``t_boot``'s resamples, if drawn already."""
     if test == "t_mbj":
         return sigma_tau_mbj(data, l)
     if test == "t_mbb":
         return sigma_tau_mbb(data, l, B, rng)
-    return sigma_tau_bootstrap(data, policy, B, rng)
+    return sigma_tau_bootstrap(data, policy, B, rng, drawn)
 
 
 def run_test(test, fit, data, alpha, l, B, rng, policy, phi):

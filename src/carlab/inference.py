@@ -27,6 +27,11 @@ standard deviation of tau.
 The jackknife and the two bootstraps also refit a sequence of datasets that
 share t and phi; the bootstraps refit all on one draw of resamples, keeping
 tau* (of y[I]) and kappa* (of t[I]) for responses y + s t (``shifted_value``).
+The rerandomizing bootstrap's draws come from ``rerandomized_resamples``,
+which rerandomizes the resamples of consecutive replicates (a power study's
+chunk) together, in shared engine batches, while each replicate reads its
+own stream; a single call, ``carlab analyze`` and the replacement of a
+resample that empties an arm run it on a group of one replicate.
 
 Single systems (the working-model fit, the residual regression and each
 logistic iteration) go through one guarded LU solve, ``_solve``, which also
@@ -39,6 +44,8 @@ condition estimate costs about a quarter of a power study's throughput.
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -60,6 +67,7 @@ __all__ = [
     "sigma_tau_mbj",
     "sigma_tau_mbb",
     "sigma_tau_bootstrap",
+    "rerandomized_resamples",
     "shifted_value",
     "adjusted_test",
     "statistic_scale",
@@ -393,17 +401,17 @@ def _one_or_all(data, out: list):
     return out[0] if isinstance(data, TrialDataset) else out
 
 
-def _resampled(datas: list, draw, B: int, chunk: int, rng, what: str, method: str, **params):
+def _resampled(datas: list, draw, B: int, rng, what: str, method: str, **params):
     """Bootstrap estimates n var(tau*) / 4 (or ``EstimatorError``s) of the
     datasets ``datas``, from B resamples of their shared units.
 
-    ``draw(rng, m)`` returns the next m resamples of the stream: their (m, n)
-    unit indices I and (m, n) 0/1 treatment indicators.  Resamples are drawn
-    in chunks of at most ``chunk``.  One that empties an arm is dropped and
-    the next one in the stream takes its place, so the stream is read up to
-    the B-th kept resample and no further; 100 dropped in a row raise.  Each
-    dataset regresses y[I] and t[I] on its resampled design in one solve, for
-    the tau* and kappa* kept in ``params``, until every refit has failed.
+    ``draw(rng, m)`` returns the next resamples of the stream, at most m:
+    their unit indices I and 0/1 treatment indicators, one row each.  One
+    that empties an arm is dropped and the next ones in the stream take the
+    places left, so the stream is read up to the B-th kept resample and no
+    further; 100 dropped in a row raise.  Each dataset regresses y[I] and
+    t[I] on its resampled design in one solve, for the tau* and kappa* kept
+    in ``params``, until every refit has failed.
     """
     if B < 2:
         raise DomainError("bootstrap size must be >= 2")
@@ -411,7 +419,7 @@ def _resampled(datas: list, draw, B: int, chunk: int, rng, what: str, method: st
     out = [[] for _ in datas]
     kept, run = 0, 0
     while kept < B and any(isinstance(taus, list) for taus in out):
-        idx, t = draw(rng, min(chunk, B - kept))
+        idx, t = draw(rng, B - kept)
         n1 = t.sum(axis=1)
         ok = (n1 > 0) & (n1 < t.shape[1])
         for good in ok:
@@ -457,39 +465,82 @@ def sigma_tau_mbb(data, l: int, B: int, rng):
         idx = (starts[:, :, None] + offs).reshape(rows, (m + 1) * l)[:, :n]
         return idx, t0[idx]
 
-    out = _resampled(datas, draw, B, B, rng, "a block-bootstrap resample", "mbb", l=int(l))
+    out = _resampled(datas, draw, B, rng, "a block-bootstrap resample", "mbb", l=int(l))
     return _one_or_all(data, out)
 
 
-def sigma_tau_bootstrap(data, policy, B: int, rng):
+def sigma_tau_bootstrap(data, policy, B: int, rng, drawn=None):
     """Rerandomizing bootstrap: resample units iid, re-run the covariate-adaptive
     procedure on the resampled feature rows, refit the working model.
 
     Requires ``data.phi`` (the balancing features) and the allocation policy
-    used at randomization.  Each resample draws its unit indices, then its n
-    uniforms; a resample whose rerandomization empties an arm is replaced by
-    the next one drawn.  The bootstrap variance of the refitted effect
-    estimate, v_B, is reported on the common scale as n * v_B / 4 and kept in
-    ``params["v_B"]``; the adjusted statistic in direct mode is then exactly
-    tau / sqrt(v_B).  ``data`` may be a sequence of datasets.
+    used at randomization.  The resamples come from ``rng`` through
+    ``rerandomized_resamples``, a group of one replicate, unless ``drawn``
+    holds the first B of them, the (I, t*) pieces that function gave for
+    this replicate and ``rng``.  A resample whose rerandomization empties an
+    arm is replaced by the next one of ``rng``.  The bootstrap variance of
+    the refitted effect estimate, v_B, is reported on the common scale as
+    n * v_B / 4 and kept in ``params["v_B"]``; the adjusted statistic in
+    direct mode is then exactly tau / sqrt(v_B).  ``data`` may be a sequence
+    of datasets.
     """
     datas = _datasets(data)
     phi = datas[0].phi
     if phi is None:
         raise DomainError("the rerandomizing bootstrap needs the feature matrix")
-    n = phi.shape[0]
+    drawn = iter(drawn or ())
 
     def draw(rng, m):
-        I = np.empty((m, n), dtype=np.int64)
-        u = np.empty((m, n))
-        for k in range(m):
-            I[k] = rng.integers(0, n, size=n)
-            u[k] = rng.random(n)
-        # one engine batch; a trial's assignments do not depend on its batch
-        return I, (simulate_assignments(phi[I], policy, 2, uniforms=u) == 0).astype(float)
+        return next(drawn, None) or next(next(rerandomized_resamples([phi], policy, m, [rng])))
 
-    chunk = batch_size(n, phi.shape[1])
-    return _one_or_all(data, _resampled(datas, draw, B, chunk, rng, "a bootstrap resample", "boot"))
+    return _one_or_all(data, _resampled(datas, draw, B, rng, "a bootstrap resample", "boot"))
+
+
+def rerandomized_resamples(inputs, policy, B: int, rngs, weights=None):
+    """Yield each replicate's rerandomizing-bootstrap resamples in turn: B
+    resamples of its n units, each drawing its unit indices I and then its n
+    uniforms from the replicate's generator in ``rngs``, re-run under
+    ``policy`` on the replicate's input rows at I.  A replicate's resamples
+    come as an iterator of pieces, each a (m, n) block of indices I and the
+    (m, n) 0/1 treated indicators t*; the pieces are drawn as they are read,
+    and moving on to the next replicate drops what is left of one.
+
+    ``inputs`` holds each replicate's (n, q) feature matrix or, with
+    ``weights``, an indicator map's (n, blocks) level columns, ``weights``
+    being the blocks' sqrt-weights (``features.level_columns``).  The
+    resamples of consecutive replicates are rerandomized together, in
+    engine batches of at most ``batch_size(n, q or blocks)`` trials, one
+    batch at a time; a trial's arms do not depend on its batch, so each
+    replicate gets the resamples it would get alone.
+    """
+    n, width = np.shape(inputs[0])
+    rows = ((k, rng) for k, rng in enumerate(rngs) for _ in range(B))
+
+    def pieces():
+        while batch := list(islice(rows, batch_size(n, width))):
+            idx, treated = _rerandomized(batch, inputs, policy, weights)
+            start = 0
+            for k, run in groupby(batch, key=itemgetter(0)):
+                stop = start + len(list(run))
+                yield k, (idx[start:stop], treated[start:stop].astype(float))
+                start = stop
+
+    for _, group in groupby(pieces(), key=itemgetter(0)):
+        yield map(itemgetter(1), group)
+
+
+def _rerandomized(batch, inputs, policy, weights):
+    """Unit indices and treated flags of one engine batch of resamples, given
+    as (replicate, generator) rows; a function of its own, so the batch's
+    uniforms and engine input are freed before its pieces are read."""
+    n, width = np.shape(inputs[0])
+    idx, u = np.empty((len(batch), n), dtype=np.int64), np.empty((len(batch), n))
+    x = np.empty((len(batch), n, width), dtype=np.asarray(inputs[0]).dtype)
+    for j, (k, rng) in enumerate(batch):
+        idx[j] = rng.integers(0, n, size=n)
+        u[j] = rng.random(n)
+        x[j] = inputs[k][idx[j]]
+    return idx, simulate_assignments(x, policy, 2, uniforms=u, weights=weights) == 0
 
 
 def shifted_value(v: VarianceEstimate, n: int, shift: float) -> float:

@@ -34,6 +34,7 @@ REPLICATES = 20
 
 GOLDEN = {
     "imbalance_s1": "2fff37137631eb55c44cc6563a81bddd8135e80bc1c2c9c238b5d5c1b82596a8",
+    "power_bootstrap": "b023218623b321e495f886db949f525b87a8a52eb7756cca05bbb999cc0756a2",
     "power_setting1": "f35ede83bdaea04e3794c76c91c3764bb800ba01a56d18cd436fa5cee77b750d",
     "power_logistic": "8fa9610fceb1b739287301ff3b118bfb6237310f8d98408d7466b268a439d93f",
 }
@@ -57,7 +58,7 @@ def test_golden_digest(name, tmp_path):
     assert _digest(name, tmp_path) == GOLDEN[name]
 
 
-# No demo config runs the resampling tests in a power study; this one does.
+# The resampling tests in a power study at n=40; the demo config runs them at n=500.
 RESAMPLING_POWER_CFG = """
 kind = power
 model = setting1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from carlab import harness, inference
+from carlab import engine, harness, inference
 from carlab.allocation import (
     CompleteRandomization,
     EfronBiasedCoin,
@@ -781,8 +781,9 @@ class TestFitCount:
 
 class TestResamplingDrawCount:
     """Each refit test runs once per (replicate, procedure), whatever the
-    delta grid and working models: one estimator call over every fit, and
-    ceil(B / batch) engine rerandomizations for the bootstrap."""
+    delta grid and working models: one estimator call over every fit.  The
+    bootstrap's resamples of a chunk's replicates are rerandomized together,
+    in ceil(R * B / batch) engine calls per procedure."""
 
     @pytest.mark.parametrize("model", ["setting1", "logistic"])
     @pytest.mark.parametrize("deltas", [(0.0,), (0.0, 4.0, 9.0)])
@@ -828,8 +829,62 @@ class TestResamplingDrawCount:
             "sigma_tau_bootstrap": runs,
             "sigma_tau_mbb": runs,
             "sigma_tau_mbj": runs,
-            "simulate_assignments": runs * math.ceil(spec.bootstrap_size / 4),
+            "simulate_assignments": len(spec.procedures)
+            * math.ceil(spec.replicates * spec.bootstrap_size / 4),
         }
+
+
+class TestPooledBootstrap:
+    """A chunk's t_boot resamples are rerandomized together, in engine batches
+    that may span replicates; a trial's arms do not depend on its batch, so
+    no output byte depends on how the resamples are batched."""
+
+    spec = ExperimentSpec(
+        kind="power",
+        n=40,
+        setting=CovariateSetting("S1"),
+        procedures=tuple(procedure_preset(p) for p in ("SR", "PS", "HH", "phi-CAR-Con")),
+        replicates=12,
+        base_seed=13,
+        model="setting1",
+        deltas=(0.0, 8.0),
+        working_models=("W1", "W3"),
+        tests=("t_ls", "t_boot"),
+        bootstrap_size=10,
+    )
+
+    def _table(self, tmp_path, name, threads=1):
+        path = tmp_path / f"{name}.csv"
+        table = run_power_experiment(self.spec, threads=threads)
+        assert len(table.rows) == 4 * 2 * 2 * 2
+        write_table(table, path)
+        return path.read_bytes()
+
+    def test_tables_do_not_depend_on_the_batch(self, tmp_path, monkeypatch):
+        default = self._table(tmp_path, "default")
+        with monkeypatch.context() as m:
+            m.setattr(inference, "batch_size", lambda n, q: 1)
+            assert self._table(tmp_path, "one") == default
+        # several chunks of 5, so the threads run their own groups
+        monkeypatch.setattr(harness, "batch_size", lambda n, q: 5)
+        assert self._table(tmp_path, "threads", threads=3) == default
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_no_engine_call_stacks_more_than_a_batch(self, batch, monkeypatch):
+        sizes = []
+        real = inference.simulate_assignments
+        limit = engine.batch_size if batch is None else (lambda n, q: batch)
+        monkeypatch.setattr(inference, "batch_size", limit)
+
+        def recording(phi, *args, **kwargs):
+            sizes.append((len(phi), limit(*np.shape(phi)[1:])))
+            return real(phi, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "simulate_assignments", recording)
+        run_power_experiment(self.spec)
+        assert sizes and all(m <= size for m, size in sizes)
+        if batch is not None:  # 120 resamples per procedure: 17 batches of 7, one of 1
+            assert [m for m, _ in sizes] == ([7] * 17 + [1]) * len(self.spec.procedures)
 
 
 def test_an_imbalance_run_randomizes_each_procedure_in_one_batch(monkeypatch):

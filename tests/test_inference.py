@@ -9,7 +9,16 @@ from carlab.allocation import CompleteRandomization, EfronBiasedCoin
 from carlab.datagen import CovariateSetting, LinearModel, gen_covariate_matrix, gen_responses
 from carlab.engine import simulate_assignments
 from carlab.errors import DomainError, EstimatorError, FitError
-from carlab.features import Composite, Constant, Identity, feature_matrix
+from carlab.features import (
+    Composite,
+    Constant,
+    Identity,
+    Marginal,
+    Stratified,
+    feature_matrix,
+    level_columns,
+    level_matrix,
+)
 from carlab.inference import (
     TrialDataset,
     VarianceEstimate,
@@ -18,6 +27,7 @@ from carlab.inference import (
     logistic_fit,
     logistic_wald_test,
     lse_fit,
+    rerandomized_resamples,
     shifted_value,
     sigma_tau_bootstrap,
     sigma_tau_mb,
@@ -455,6 +465,59 @@ class TestSharedResamples:
             for method in ("boot", "mbb", "mbj"):
                 with pytest.raises(DomainError, match="must share t and phi"):
                     self._run(method, [data, other], np.random.default_rng(0), 10)
+
+
+class TestPooledResamples:
+    """``rerandomized_resamples`` gives every replicate of a group the
+    resamples it gets alone, and ``sigma_tau_bootstrap`` continues a
+    replicate's stream after its pre-drawn resamples as a group of one does."""
+
+    policy = EfronBiasedCoin(0.9)
+
+    @pytest.mark.parametrize("spec", [
+        Stratified(coords=(0, 1), levels=((0.0, 1.0, 2.0), (0.0, 1.0))),
+        Marginal(coords=(0, 1), levels=((0.0, 1.0, 2.0), (0.0, 1.0))),
+    ], ids=["SR", "PS"])
+    def test_level_columns_give_the_dense_estimate(self, spec):
+        rng = np.random.default_rng(50)
+        n = 60
+        X = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, n)]).astype(float)
+        cols, roots = level_columns(spec, X)
+        phi = level_matrix(spec, cols)
+        treat = (simulate_assignments(phi, self.policy, 2, rng) == 0).astype(float)
+        data = _dataset(rng.normal(size=n) + treat, treat, X[:, :1], phi)
+        levels, dense = np.random.default_rng(51), np.random.default_rng(51)
+        drawn = next(rerandomized_resamples([cols], self.policy, 30, [levels], roots))
+        a = sigma_tau_bootstrap(data, self.policy, 30, levels, drawn)
+        b = sigma_tau_bootstrap(data, self.policy, 30, dense)
+        assert a.value == b.value
+        for key in ("tau", "kappa"):
+            np.testing.assert_array_equal(a.params[key], b.params[key])
+
+    def test_a_pooled_replicate_continues_its_stream_as_alone(self, monkeypatch):
+        """At n = 5 some resamples empty an arm; the engine batches of 7 span
+        the three replicates' 40 resamples each."""
+        n, B, policy = 5, 40, CompleteRandomization()
+        y = TestDroppedResamples.y
+        datas = [
+            _dataset(y + k, [1, 0, 1, 0, 1], phi=np.column_stack([np.ones(n), y + k]))
+            for k in range(3)
+        ]
+        monkeypatch.setattr(inference, "batch_size", lambda n, q: 7)
+        rngs = [np.random.default_rng(60 + k) for k in range(3)]
+        pooled = rerandomized_resamples([d.phi for d in datas], policy, B, rngs)
+        emptied = 0
+        for k, (data, rng, drawn) in enumerate(zip(datas, rngs, pooled)):
+            drawn = list(drawn)  # pieces of at most one batch
+            assert sum(len(I) for I, _ in drawn) == B and max(len(I) for I, _ in drawn) <= 7
+            emptied += sum(int(np.isin(t.sum(axis=1), (0, n)).sum()) for _, t in drawn)
+            v = sigma_tau_bootstrap(data, policy, B, rng, drawn)
+            alone = np.random.default_rng(60 + k)
+            single = sigma_tau_bootstrap(data, policy, B, alone)
+            assert v.value == single.value
+            np.testing.assert_array_equal(v.params["tau"], single.params["tau"])
+            assert rng.random() == alone.random()
+        assert emptied > 0
 
 
 class TestAdjustedTest:
