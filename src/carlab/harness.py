@@ -723,10 +723,12 @@ def _power_statistics(spec, classes, proc, r, X, noise, phi, assign, boot=None) 
                 if res is not None:
                     stats[[di for di, _ in members], :, ti] = res.statistic
             continue
-        if test in DIRECT_TESTS and fits:  # one call over every fit; t_mbj reads no stream
-            rng, drawn = _stream(spec.base_seed, r, _name_tag(proc.name, test)), None
+        if test in DIRECT_TESTS and fits:  # one call over every fit
+            rng, drawn = None, None  # t_mbj reads no stream
             if test == "t_boot" and boot is not None:
                 rng, drawn = boot
+            elif test != "t_mbj":
+                rng = _stream(spec.base_seed, r, _name_tag(proc.name, test))
             datas = [data for _, _, data, _ in fits]
             B = spec.bootstrap_size
             vs = attempt(_refit, test, datas, lblock, B, rng, proc.policy, drawn) or ()

@@ -37,9 +37,10 @@ Single systems (the working-model fit, the residual regression and each
 logistic iteration) go through one guarded LU solve, ``_solve``, which also
 returns the inverse for a reciprocal-condition guard at 1e-12: a failing
 design raises instead of silently switching to a pseudo-inverse.  The refit
-stacks of the jackknife and the bootstraps (one batched solve over all
-windows or resamples) use an unguarded batched LU, since a per-system
-condition estimate costs about a quarter of a power study's throughput.
+stacks of the jackknife and the bootstraps (all windows or resamples at
+once) go through one guarded Gauss-Jordan sweep, ``_sweep``, so a
+rank-deficient window or resample fails its dataset instead of returning
+rounding noise.
 """
 
 import math
@@ -343,7 +344,9 @@ def sigma_tau_mbj(data, l: int):
     The variance of the effect estimate is the sample variance of the
     leave-block-out estimates scaled by (n - l) / l; it is reported on the
     common scale as n times that quantity over 4.  ``data`` may be a sequence
-    of datasets; a window that empties an arm fails them all.
+    of datasets; a window that empties an arm fails them all.  Nested working
+    models (``_chains``) share one sweep of the widest one's leave-window-out
+    normal equations, each read after its own number of pivots.
     """
     datas = _datasets(data)
     n, t = datas[0].n, datas[0].t
@@ -354,35 +357,62 @@ def sigma_tau_mbj(data, l: int):
     bad = np.flatnonzero((n1_win == 0) | (n1_win == n - l))
     if bad.size:
         raise EstimatorError(f"leave-block-out window {int(bad[0])} empties an arm")
-    out = []
-    for d in datas:
-        D = _design(t, d.x_obs)
-        k = D.shape[1]
-        outer = np.einsum("ni,nj->nij", D, D)
-        P = np.concatenate([np.zeros((1, k, k)), np.cumsum(outer, axis=0)])
-        pb = np.concatenate([np.zeros((1, k)), np.cumsum(D * d.y[:, None], axis=0)])
-        G_win = (D.T @ D)[None, :, :] - (P[l:] - P[:m])
-        b_win = (D.T @ d.y)[None, :] - (pb[l:] - pb[:m])
+    out = [None] * len(datas)
+    for chain in _chains(datas):
+        wide = datas[chain[0]]
+        x = np.ascontiguousarray(wide.x_obs.T)  # column means independent of the width
+        z = np.vstack([t, 1 - t, x - x.mean(axis=1, keepdims=True), wide.y])
+        c = np.cumsum(z[:-1, None] * z, axis=-1)  # (k, k + 1, n) sums over units
+        A = c[..., -1:] - c[..., l - 1 :]  # total minus window, window by window
+        A[..., 1:] += c[..., : m - 1]
         try:
-            tau = _refit_taus(G_win, b_win[..., None], "a leave-block-out window")[:, 0]
+            for pivots, tau in enumerate(_sweep(A, "a leave-block-out window"), start=2):
+                for j in chain:
+                    if datas[j].p + 2 == pivots:
+                        dev = tau[0] - tau[0].mean()
+                        sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
+                        out[j] = VarianceEstimate(n * sigma2_jack / 4.0, "mbj", {"l": int(l)})
         except EstimatorError as exc:
-            out.append(exc)
-            continue
-        dev = tau - tau.mean()
-        sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
-        out.append(VarianceEstimate(n * sigma2_jack / 4.0, "mbj", {"l": int(l)}))
+            for j in chain:
+                out[j] = out[j] or exc
     return _one_or_all(data, out)
 
 
-def _refit_taus(G: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Contrasts theta_0 - theta_1, of shape (m, r), of a stack of normal
-    equations G theta = b, G of shape (m, k, k) and b of shape (m, k, r)
-    (r right-hand sides), by one batched LU solve."""
-    try:
-        theta = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError as exc:
-        raise EstimatorError(f"singular design in {what}") from exc
-    return theta[:, 0] - theta[:, 1]
+def _chains(datas: list) -> list:
+    """Indices of ``datas`` as chains of nested working models, the widest
+    first: datasets sharing y, each one's covariates a prefix of the first's."""
+    chains = []
+    for j in sorted(range(len(datas)), key=lambda j: -datas[j].p):
+        y, x = datas[j].y, datas[j].x_obs
+        nests = (c for c in chains if np.array_equal(y, datas[c[0]].y)
+                 and np.array_equal(x, datas[c[0]].x_obs[:, : x.shape[1]]))
+        chain = next(nests, None)
+        if chain is None:
+            chains.append([j])
+        else:
+            chain.append(j)
+    return chains
+
+
+def _sweep(A: np.ndarray, what: str):
+    """Gauss-Jordan sweep, without pivoting, of a stack of m augmented normal
+    equations [G | b] laid out as A of shape (k, k + r, m), in place.  After
+    pivot s (s >= 2) it yields the contrasts theta_0 - theta_1, of shape
+    (r, m), of the leading s x s systems; after all k, A[:, k:] holds theta.
+    A pivot at or below 1e-12 times its column's original diagonal entry (a
+    column within rounding of the span of those before it) in any system
+    raises ``EstimatorError``."""
+    k = A.shape[0]
+    floor = _RCOND_LIMIT * np.diagonal(A).T
+    for j in range(k):
+        if not (A[j, j] > floor[j]).all():
+            raise EstimatorError(f"singular design in {what}")
+        row = A[j, j + 1 :]
+        row /= A[j, j]
+        A[j, j] = 0.0  # so row j is not swept by itself; column j is not read again
+        A[:, j + 1 :] -= A[:, j, None] * row
+        if j:
+            yield A[0, k:] - A[1, k:]
 
 
 def _datasets(data) -> list:
@@ -410,8 +440,9 @@ def _resampled(datas: list, draw, B: int, rng, what: str, method: str, **params)
     that empties an arm is dropped and the next ones in the stream take the
     places left, so the stream is read up to the B-th kept resample and no
     further; 100 dropped in a row raise.  Each dataset regresses y[I] and
-    t[I] on its resampled design in one solve, for the tau* and kappa* kept
-    in ``params``, until every refit has failed.
+    t[I] on its resampled design in one ``_sweep``, for the tau* and kappa*
+    kept in ``params``, until every refit has failed; a resample whose design
+    fails the sweep's guard fails that dataset's estimate.
     """
     if B < 2:
         raise DomainError("bootstrap size must be >= 2")
@@ -429,20 +460,27 @@ def _resampled(datas: list, draw, B: int, rng, what: str, method: str, **params)
         idx, t = idx[ok], t[ok]
         for j, d in enumerate(datas):
             if isinstance(out[j], list):
-                D = _design(t, d.x_obs[idx])
-                Dt, rhs = D.swapaxes(1, 2), np.stack([d.y[idx], t0[idx]], axis=-1)
                 try:
-                    out[j].append(_refit_taus(Dt @ D, Dt @ rhs, what))
+                    *_, taus = _sweep(_resampled_equations(d, t0, idx, t), what)
+                    out[j].append(taus)
                 except EstimatorError as exc:
                     out[j] = exc
         kept += idx.shape[0]
     for j, taus in enumerate(out):
         if isinstance(taus, list):
-            tau, kappa = np.concatenate(taus).T.copy()
+            tau, kappa = np.concatenate(taus, axis=1)
             v_B = float(np.var(tau, ddof=1))
             extra = dict(params, B=int(B), v_B=v_B, tau=tau, kappa=kappa)
             out[j] = VarianceEstimate(value=n * v_B / 4.0, method=method, params=extra)
     return out
+
+
+def _resampled_equations(d: TrialDataset, t0: np.ndarray, idx: np.ndarray, t: np.ndarray):
+    """``_sweep``'s stack of ``d``'s resampled normal equations, with y[I] and
+    t0[I] as right-hand sides; in a frame of its own, so the (m, n, k + 2)
+    designs are freed before the next resamples are drawn."""
+    E = _design(t, np.take(np.column_stack([d.x_obs, d.y, t0]), idx, axis=0))
+    return np.ascontiguousarray((E[..., :-2].swapaxes(1, 2) @ E).transpose(1, 2, 0))
 
 
 def sigma_tau_mbb(data, l: int, B: int, rng):
@@ -516,30 +554,31 @@ def rerandomized_resamples(inputs, policy, B: int, rngs, weights=None):
     n, width = np.shape(inputs[0])
     rows = ((k, rng) for k, rng in enumerate(rngs) for _ in range(B))
 
-    def pieces():
+    def pieces():  # a piece is a copy, so no batch outlives its pieces' reading
         while batch := list(islice(rows, batch_size(n, width))):
             idx, treated = _rerandomized(batch, inputs, policy, weights)
             start = 0
             for k, run in groupby(batch, key=itemgetter(0)):
                 stop = start + len(list(run))
-                yield k, (idx[start:stop], treated[start:stop].astype(float))
+                yield k, (idx[start:stop].copy(), treated[start:stop].astype(float))
                 start = stop
+            del idx, treated
 
     for _, group in groupby(pieces(), key=itemgetter(0)):
         yield map(itemgetter(1), group)
 
 
 def _rerandomized(batch, inputs, policy, weights):
-    """Unit indices and treated flags of one engine batch of resamples, given
-    as (replicate, generator) rows; a function of its own, so the batch's
+    """Unit indices (int32) and treated flags of one engine batch of resamples,
+    given as (replicate, generator) rows; a function of its own, so the batch's
     uniforms and engine input are freed before its pieces are read."""
     n, width = np.shape(inputs[0])
-    idx, u = np.empty((len(batch), n), dtype=np.int64), np.empty((len(batch), n))
+    idx, u = np.empty((len(batch), n), dtype=np.int32), np.empty((len(batch), n))
     x = np.empty((len(batch), n, width), dtype=np.asarray(inputs[0]).dtype)
     for j, (k, rng) in enumerate(batch):
         idx[j] = rng.integers(0, n, size=n)
         u[j] = rng.random(n)
-        x[j] = inputs[k][idx[j]]
+        x[j] = np.take(inputs[k], idx[j], axis=0)
     return idx, simulate_assignments(x, policy, 2, uniforms=u, weights=weights) == 0
 
 

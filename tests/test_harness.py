@@ -834,6 +834,35 @@ class TestResamplingDrawCount:
         }
 
 
+    def test_only_the_bootstraps_build_a_refit_stream(self, monkeypatch):
+        """t_mbj reads no random stream, so none is built for it; t_mbb builds
+        one per (replicate, procedure)."""
+        spec = ExperimentSpec(
+            kind="power",
+            n=40,
+            setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("SR"), procedure_preset("phi-CAR-BC")),
+            replicates=3,
+            base_seed=9,
+            model="setting1",
+            deltas=(0.0, 5.0),
+            working_models=("W1", "W3"),
+            tests=("t_mbj", "t_mbb"),
+            bootstrap_size=10,
+        )
+        tags, stream = [], harness._stream
+
+        def recorded(base_seed, *parts):
+            tags.extend(parts[1:])
+            return stream(base_seed, *parts)
+
+        monkeypatch.setattr(harness, "_stream", recorded)
+        assert not run_power_experiment(spec).failures
+        for proc in spec.procedures:
+            assert harness._name_tag(proc.name, "t_mbj") not in tags
+            assert tags.count(harness._name_tag(proc.name, "t_mbb")) == spec.replicates
+
+
 class TestPooledBootstrap:
     """A chunk's t_boot resamples are rerandomized together, in engine batches
     that may span replicates; a trial's arms do not depend on its batch, so

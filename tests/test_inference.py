@@ -249,6 +249,25 @@ class TestSigmaTauMbj:
         assert v_mbj == pytest.approx(v_mb, rel=0.15)
 
 
+    def test_a_window_whose_design_is_singular_fails_its_dataset(self):
+        """The covariate is non-zero only on units 8-11, so leaving out the
+        window that starts at unit 8 leaves it constant: a column in the span
+        of t and 1 - t.  The narrower working model of the same chain keeps
+        its estimate."""
+        rng = np.random.default_rng(30)
+        n, l = 24, 4
+        t = np.tile([1.0, 0.0], n // 2)
+        x = np.zeros((n, 1))
+        x[8:12, 0] = rng.normal(size=4)
+        y = x[:, 0] + t + rng.normal(size=n)
+        narrow, wide = _dataset(y, t), _dataset(y, t, x)
+        with pytest.raises(EstimatorError, match="singular design in a leave-block-out window"):
+            sigma_tau_mbj(wide, l)
+        failed, kept = sigma_tau_mbj([wide, narrow], l)
+        assert isinstance(failed, EstimatorError)
+        assert kept.value == sigma_tau_mbj(narrow, l).value
+
+
 class TestSigmaTauMbb:
     def test_constant_arms_give_zero(self):
         y = np.tile([2.0, 2.0], 10)
@@ -281,6 +300,25 @@ class TestSigmaTauMbb:
     def test_bootstrap_size_bound(self):
         with pytest.raises(DomainError):
             sigma_tau_mbb(_dataset([1.0, 2, 3, 4], [1, 0, 1, 0]), 2, 1, np.random.default_rng(0))
+
+    def test_a_rank_deficient_resample_fails_its_dataset(self):
+        """At n = 8 and l = 4 a resample is two blocks of 4 units, and when both
+        start at the same unit it has 4 distinct rows for the 5 coefficients
+        of W3.  Such a resample fails W3's estimate; W1's stands.  (A batched
+        LU returned 245.76 for W3 on this stream, built from rounding noise.)"""
+        rng = np.random.default_rng(5)
+        n, l, B = 8, 4, 20
+        t = np.array([1.0, 0, 1, 0, 0, 1, 0, 1])  # every block holds both arms
+        x = rng.normal(size=(n, 3))
+        y = x.sum(axis=1) + t + rng.normal(size=n)
+        w1, w3 = _dataset(y, t), _dataset(y, t, x)
+        starts = np.random.default_rng(0).integers(0, n - l + 1, size=(B, n // l + 1))
+        assert (starts[:, 0] == starts[:, 1]).any()  # some resample has 4 distinct rows
+        v1, v3 = sigma_tau_mbb([w1, w3], l, B, np.random.default_rng(0))
+        assert isinstance(v3, EstimatorError) and "singular design" in str(v3)
+        assert v1.value == sigma_tau_mbb(w1, l, B, np.random.default_rng(0)).value
+        with pytest.raises(EstimatorError, match="singular design"):
+            sigma_tau_mbb(w3, l, B, np.random.default_rng(0))
 
 
 class TestSigmaTauBootstrap:
@@ -420,12 +458,16 @@ class TestSharedResamples:
 
     @pytest.mark.parametrize("method", ["boot", "mbb", "mbj"])
     def test_a_sequence_is_each_dataset_on_the_same_draw(self, method):
+        """The first, second and fourth datasets are a chain of nested working
+        models (W3, W2, W1); the third and the last are chains of their own."""
         data = self._data()
         other = np.random.default_rng(43).normal(size=data.n)
         datas = [
             data,
             dataclasses.replace(data, x_obs=data.x_obs[:, :1]),
             dataclasses.replace(data, y=other, x_obs=None),
+            dataclasses.replace(data, x_obs=None),
+            dataclasses.replace(data, x_obs=data.x_obs[:, 1:]),  # not a prefix
         ]
         rng = np.random.default_rng(44)
         shared = self._run(method, datas, rng)
@@ -518,6 +560,48 @@ class TestPooledResamples:
             np.testing.assert_array_equal(v.params["tau"], single.params["tau"])
             assert rng.random() == alone.random()
         assert emptied > 0
+
+
+class TestSweep:
+    """``_sweep``: Gauss-Jordan elimination over a (k, k + r, m) stack of
+    augmented normal equations, the one refit kernel of mbj, mbb and boot."""
+
+    @staticmethod
+    def _stack(k, r, m=9, seed=0):
+        rng = np.random.default_rng(seed + 10 * k + r)
+        X = rng.normal(size=(m, 3 * k, k)) * rng.uniform(0.1, 10.0, size=k)
+        G = X.swapaxes(1, 2) @ X
+        b = rng.normal(size=(m, k, r)) * 5.0
+        return G, b, np.ascontiguousarray(np.concatenate([G, b], axis=2).transpose(1, 2, 0))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_matches_a_solve_on_spd_stacks(self, k, r):
+        """Within 1e-12 of the largest entry solved for."""
+        G, b, A = self._stack(k, r)
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+        taus = list(inference._sweep(A, "a test stack"))
+        assert len(taus) == k - 1
+        for s, tau in enumerate(taus, start=2):  # each leading s x s system
+            theta = np.linalg.solve(G[:, :s, :s], b[:, :s])
+            close(tau, (theta[:, 0] - theta[:, 1]).T)
+        close(A[:, k:], np.linalg.solve(G, b).transpose(1, 2, 0))
+
+    def test_a_pivot_in_the_span_of_the_earlier_columns_raises(self):
+        """Column 3 of one system is column 2 plus rounding: the leading 3 x 3
+        systems are still read, then the fourth pivot fails the guard."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(4, 12, 5))
+        X[2, :, 3] = X[2, :, 2] * (1.0 + 1e-15)
+        M = X[..., :4].swapaxes(1, 2) @ X
+        A = np.ascontiguousarray(M.transpose(1, 2, 0))
+        sweep = inference._sweep(A, "a test stack")
+        assert len([next(sweep), next(sweep)]) == 2
+        with pytest.raises(EstimatorError, match="^singular design in a test stack$"):
+            next(sweep)
 
 
 class TestAdjustedTest:
