@@ -10,8 +10,13 @@ hold the runs of a parent commit and of a change side by side:
     python3 bench/run.py --out BENCH.json --label change
     python3 bench/run.py --out BENCH.json --label parent --repo ../parent
     python3 bench/run.py --out quick.json --quick      # R/10, about a tenth
+    python3 bench/run.py --out BENCH.json --tier1      # and the Tier-1 tests
 
-``--repo`` runs another checkout's ``src/`` on its own configs.
+``--repo`` runs another checkout's ``src/`` on its own configs (and, with
+``--tier1``, its own tests).  ``--tier1`` also runs the Tier-1 command,
+``python -m pytest -q --continue-on-collection-errors`` in the checkout, once
+in a fresh process, and records its wall time, exit code and pytest's
+summary line.
 """
 
 import argparse
@@ -83,12 +88,26 @@ def _run_config(cfg: Path, quick: bool, env, work: Path) -> dict:
     }
 
 
+def _run_tier1(repo: Path, env) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=repo, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = [line.strip(" =") for line in proc.stdout.splitlines() if line.strip(" =")]
+    return {
+        "wall_s": round(wall, 1),
+        "exit_code": proc.returncode,
+        "summary": lines[-1] if lines else "",
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="JSON file to write the record into")
     p.add_argument("--label", default="change", help="key of this run's record in the file")
     p.add_argument("--repo", type=Path, default=ROOT, help="checkout whose src/ and configs run")
     p.add_argument("--quick", action="store_true", help="run each config at R/10")
+    p.add_argument("--tier1", action="store_true", help="also run the Tier-1 tests once")
     args = p.parse_args(argv)
     repo = args.repo.resolve()
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -107,12 +126,15 @@ def main(argv=None) -> int:
             row = _run_config(cfg, args.quick, env, Path(tmp))
             record["configs"][cfg.stem] = row
             print(f"{cfg.stem}: {row}", flush=True)
+    if args.tier1:
+        record["tier1"] = _run_tier1(repo, env)
+        print(f"tier1: {record['tier1']}", flush=True)
     out = Path(args.out)
     runs = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     runs[args.label] = record
     out.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     failed = [name for name, row in record["configs"].items() if row["exit_code"] != 0]
-    return 1 if failed else 0
+    return 1 if failed or record.get("tier1", {}).get("exit_code") else 0
 
 
 if __name__ == "__main__":

@@ -24,11 +24,15 @@ the general potentials, 2 * 2 * (d[0] - d[1]).  This keeps the conventional
 clamp bound (cap = 3) meaningful for continuous allocation.
 
 ``simulate_assignments`` advances a batch of independent trials together,
-one unit at a time.  Each step takes one product d = S phi_i per trial, one
-call of the allocation rule over the batch, one uniform draw per trial
-against the rule's cumulative thresholds in arm order, and adds phi_i to the
-sums of the drawn arm.  Every trial gets the assignments it would get alone,
-and ``assign_next`` is a batch of one, so seeded runs replay exactly.
+one unit at a time, and it can advance several procedures' batches in the
+same unit loop, each with its own policy.  All the trials share one flat
+array of per-arm sums.  Each step gathers the sums at the unit's columns for
+every trial in one take, reduces each batch's part to d = S phi_i, calls
+each distinct policy's rule once over that policy's trials, compares one
+uniform per trial with the rule's cumulative thresholds in arm order, and
+adds phi_i to the sums of the drawn arms in one scatter.  Every trial gets
+the assignments it would get alone, and ``assign_next`` is a one-unit call
+that continues a trial's sums, so seeded runs replay exactly.
 
 An indicator map may enter as its level columns instead
 (``features.level_columns``), n x blocks integers rather than n x q floats:
@@ -60,6 +64,8 @@ from .errors import DomainError
 
 # Cap on the stacked engine input of one batch of trials (bytes).
 _BATCH_BYTES = 2 << 20
+# Cap on the columns and values ``_simulate`` stages per block of units (bytes).
+_BLOCK_BYTES = 1 << 18
 
 __all__ = [
     "TrialState",
@@ -67,6 +73,7 @@ __all__ = [
     "potential_imbalances",
     "assign_next",
     "simulate_assignments",
+    "Inputs",
     "batch_size",
     "total_imbalance",
     "imbalance_metrics",
@@ -139,7 +146,8 @@ def _thresholds(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
     if isinstance(policy, PocockSimonRank):
         p = pocock_simon_multi(d, policy.kappa)
     elif isinstance(policy, MultiContinuous):
-        p = continuous_multi(2.0 * (d - d.mean(axis=1, keepdims=True)), policy.cap)
+        mean = d.sum(axis=1, keepdims=True) / d.shape[1]  # np.mean's value, not its overhead
+        p = continuous_multi(2.0 * (d - mean), policy.cap)
     else:
         diff = 4.0 * (d[:, 0] - d[:, 1])  # two-arm scale
         if isinstance(policy, EfronBiasedCoin):
@@ -148,46 +156,29 @@ def _thresholds(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
     return np.cumsum(p[:, :-1], axis=1)
 
 
-def _step(sums: np.ndarray, x_i: np.ndarray, policy, u: np.ndarray, roots=None, base=None):
-    """Assign one unit in every trial of the batch and add it to its arm's sums.
-
-    ``x_i`` holds each trial's feature vector or, with ``roots``, its level
-    columns, and ``base`` the (trials, T, 1) flat offsets of each trial's arms
-    in ``sums`` (C-contiguous, so ``ravel`` is a view): d is then a gather of
-    the columns' sums and the unit is added by a scatter of ``roots``.
-    """
-    B, T, q = sums.shape
-    if roots is None:
-        d = np.einsum("btq,bq->bt", sums, x_i)
-    else:
-        d = sums.ravel()[x_i[:, None, :] + base] @ roots
-    arms = (u[:, None] >= _thresholds(policy, d)).sum(axis=1)
-    if roots is None:
-        sums[np.arange(B), arms] += x_i
-    else:  # one column per block: no repeats
-        sums.ravel()[x_i + base[:, 0] + q * arms[:, None]] += roots
-    return arms
-
-
 def assign_next(state: TrialState, phi_x, policy: AllocationPolicy, rng) -> int:
     """Draw the next assignment, update the state, and return the arm index."""
     phi = _check_phi(state, phi_x)
-    check_policy(policy, state.treatments)
-    u = np.array([rng.random()])
-    t = int(_step(state.sums[None], phi[None], policy, u)[0])
+    u, sums = [rng.random()], state.sums
+    t = int(simulate_assignments(phi[None], policy, state.treatments, uniforms=u, sums=sums)[0])
     state.counts[t] += 1
     state.n += 1
     return t
 
 
+class Inputs(tuple):
+    """Several procedures' (trials, n, width) engine inputs for one
+    ``simulate_assignments`` call; ``shape`` is (trials, n) over all of
+    them, so a caller that sizes calls by ``np.shape`` counts trials."""
+
+    @property
+    def shape(self) -> tuple:
+        return sum(len(x) for x in self), np.shape(self[0])[1] if self else 0
+
+
 def simulate_assignments(
-    phi,
-    policy: AllocationPolicy,
-    treatments: int,
-    rng=None,
-    uniforms=None,
-    weights=None,
-) -> np.ndarray:
+    phi, policy, treatments: int, rng=None, uniforms=None, weights=None, sums=None
+):
     """Run whole trials over their feature matrices and return the assignments.
 
     ``phi`` is one trial's (n, q) feature matrix, giving an (n,) assignment
@@ -196,43 +187,151 @@ def simulate_assignments(
     or (trials, n, blocks), and ``weights`` the blocks' sqrt-weights
     (``features.level_columns``): the same trials on the sparse form.  One
     uniform draw is consumed per unit, in unit order (trial by trial for a
-    batch drawn from ``rng``); ``uniforms`` of shape (n,) or (trials, n) may
-    be supplied instead.  A trial's assignments do not depend on the rest of
-    its batch.
+    batch drawn from ``rng``); ``uniforms`` of shape (n,) or (trials, n),
+    each finite and in [0, 1), may be supplied instead.  ``sums`` continues
+    one trial of feature rows from its (treatments, q) per-arm sums, in
+    place.  Arms come as the smallest signed integers that hold them.
+
+    With a sequence of policies, one per procedure, the procedures' batches
+    run in one unit loop: ``phi`` is their ``Inputs``, ``uniforms`` and
+    ``weights`` are sequences alike (weights None for feature rows), and the
+    result is the list of their assignments.  A trial's assignments do not
+    depend on the rest of the call.
     """
     T = _check_arms(treatments)
-    levels = weights is not None
-    phi = np.asarray(phi, dtype=np.int64 if levels else float)
+    if isinstance(policy, AllocationPolicy):
+        out = _simulate([_group(phi, policy, T, rng, uniforms, weights)], T, sums)[0]
+        return out[0] if np.ndim(phi) == 2 else out
+    k = len(policy)
+    uniforms = [None] * k if uniforms is None else uniforms
+    weights = [None] * k if weights is None else weights
+    if not len(phi) == len(uniforms) == len(weights) == k:
+        raise DomainError("need one input, uniform and weight entry per policy")
+    args = zip(phi, policy, uniforms, weights)
+    return _simulate([_group(x, p, T, rng, u, w) for x, p, u, w in args], T)
+
+
+def _group(phi, policy, T, rng, uniforms, weights) -> tuple:
+    """One procedure's checked (inputs, policy, uniforms, roots): inputs
+    3-d, uniforms 2-d, roots None for feature rows."""
+    phi = np.asarray(phi)
     if phi.ndim not in (2, 3):
         raise DomainError("feature matrix must be 2-d, or 3-d for a batch of trials")
-    if levels:
+    if weights is not None:
+        if not np.issubdtype(phi.dtype, np.integer):
+            phi = phi.astype(np.int64)
         weights = np.asarray(weights, dtype=float)
         if weights.shape != phi.shape[-1:] or not np.all(np.isfinite(weights)):
             raise DomainError("level weights must be finite, one per level column")
         if phi.min(initial=0) < 0:
             raise DomainError("level columns must be non-negative")
-    elif not np.all(np.isfinite(phi)):
-        raise DomainError("feature matrix must be finite")
+    else:
+        phi = phi.astype(float, copy=False)
+        if not np.all(np.isfinite(phi)):
+            raise DomainError("feature matrix must be finite")
     if uniforms is None:
         uniforms = rng.random(phi.shape[:-1])
     uniforms = np.asarray(uniforms, dtype=float)
     if uniforms.shape != phi.shape[:-1]:
         raise DomainError("uniforms must have one entry per unit")
+    if uniforms.size and not (uniforms.min() >= 0.0 and uniforms.max() < 1.0):
+        raise DomainError("uniforms must be finite and in [0, 1)")
     check_policy(policy, T)
-    if isinstance(policy, CompleteRandomization):  # the state never enters
-        return (uniforms[..., None] >= _thresholds(policy, np.zeros((1, T)))[0]).sum(axis=-1)
-    single = phi.ndim == 2
-    batch, u = (phi[None], uniforms[None]) if single else (phi, uniforms)
-    B, n, q = batch.shape
-    base = None
-    if levels:  # flat offset of each trial's arms in its sums
-        q = int(batch.max(initial=0)) + 1
-        base = (q * np.arange(B * T)).reshape(B, T, 1)
-    sums = np.zeros((B, T, q))
-    out = np.empty((B, n), dtype=np.int64)
-    for i in range(n):
-        out[:, i] = _step(sums, batch[:, i], policy, u[:, i], weights, base)
-    return out[0] if single else out
+    if phi.ndim == 2:
+        phi, uniforms = phi[None], uniforms[None]
+    return phi, policy, uniforms, weights
+
+
+def _simulate(groups, T: int, sums=None) -> list:
+    """Every group's (trials, n) assignments, its trials advanced together.
+
+    Complete randomization compares its uniforms with its thresholds, unless
+    ``sums`` asks for the state.  The other trials share one flat state, T
+    runs of Q columns each, in policy order.  A unit step gathers every
+    trial's (T, width) sums at the unit's columns (a feature row's are
+    0 .. q - 1) in one take, reduces each group's part to d as a call of its
+    own would, calls each policy's rule once, and adds the unit to the drawn
+    arms in one scatter, its rows padded to the widest input with zeros on
+    column Q - 1, which no input uses.  Inputs are staged a block of units
+    at a time.
+    """
+    n = groups[0][2].shape[1] if groups else 0
+    if any(u.shape[1] != n for _, _, u, _ in groups):
+        raise DomainError("every batch of a call must have the same number of units")
+    arm = np.min_scalar_type(-T)  # the smallest signed type holding every arm
+    outs = [np.empty((len(u), n), dtype=arm) for _, _, u, _ in groups]
+    live = {}  # policy -> its state-carrying groups
+    for g, (_, policy, u, _) in enumerate(groups):
+        if isinstance(policy, CompleteRandomization) and sums is None:  # no state enters
+            cum = _thresholds(policy, np.zeros((1, T)))[0]
+            outs[g][...] = (u[..., None] >= cum).sum(axis=-1)
+        else:
+            live.setdefault(policy, []).append(g)
+    # per group: its trials' rows and its part of the gathered sums
+    parts, rules, B, L = [], [], 0, 0
+    for policy, members in live.items():
+        first = B
+        for g in members:
+            trials, _, w = groups[g][0].shape
+            parts.append((g, slice(B, B + trials), slice(L, L + trials * T * w)))
+            B, L = B + trials, L + trials * T * w
+        rules.append((policy, slice(first, B)))
+    if not parts:
+        return outs
+    W = max(groups[g][0].shape[2] for g, _, _ in parts)
+    Q = 1 + max(x.shape[2] if r is None else int(x.max(initial=0)) + 1 for x, _, _, r in groups)
+    base = (T * Q * np.arange(B)[:, None] + Q * np.arange(T))[..., None]  # (B, T, 1)
+    m = max(1, min(n, _BLOCK_BYTES // (8 * (2 * B * W + L + 1))))  # units per block
+    cols = np.empty((m, B, W), dtype=np.intp)  # the scatter's arm-0 indices and values
+    cols[...] = base[:, 0] + Q - 1
+    vals = np.zeros((m, B, W))
+    at = np.empty((m, L), dtype=np.intp)  # the gather's flat indices
+    draws = np.empty((m, B))
+    arms = np.empty((m, B), dtype=np.int64)
+    state = np.zeros((B, T, Q))
+    if sums is not None:
+        state[0, :, : sums.shape[1]] = sums
+    flat = state.ravel()
+    gathered, d, thr = np.empty(L), np.empty((B, T)), np.empty((B, T - 1))
+    for p, (g, rows, seg) in enumerate(parts):  # views of each group's sums and d
+        x, _, unif, roots = groups[g]
+        w = x.shape[2]
+        if roots is None:
+            cols[:, rows, :w] = base[rows, 0] + np.arange(w)
+            at[:, seg] = (base[rows] + np.arange(w)).ravel()
+            part, out = gathered[seg].reshape(len(x), T, w), d[rows]
+        else:
+            vals[:, rows, :w] = roots
+            part = gathered[seg].reshape(len(x) * T, w)
+            out = d.reshape(-1)[rows.start * T : rows.stop * T]
+        parts[p] = (rows, seg, x, unif, roots, part, out, outs[g])
+    for i0 in range(0, n, m):
+        k = min(m, n - i0)
+        for rows, seg, x, unif, roots, *_ in parts:
+            block = x[:, i0 : i0 + k].swapaxes(0, 1)
+            if roots is None:
+                vals[:k, rows, : x.shape[2]] = block
+            else:
+                staged = cols[:k, rows, : x.shape[2]]
+                np.add(block, base[rows, 0], out=staged)
+                at[:k, seg] = (staged[:, :, None] + Q * np.arange(T)[:, None]).reshape(k, -1)
+            draws[:k, rows] = unif[:, i0 : i0 + k].T
+        for j in range(k):
+            flat.take(at[j], out=gathered, mode="clip")  # in range; clip skips a buffer
+            for _, _, x, _, roots, part, out, _ in parts:
+                if roots is None:  # the einsum of a feature batch of its own
+                    np.einsum("btq,bq->bt", part, x[:, i0 + j], out=out)
+                else:  # one product of the level rows' sums with the roots
+                    np.matmul(part, roots, out=out)
+            for policy, sl in rules:
+                thr[sl] = _thresholds(policy, d[sl])
+            np.sum(draws[j][:, None] >= thr, axis=1, out=arms[j])
+            flat[cols[j] + Q * arms[j][:, None]] += vals[j]
+        for rows, *_, assigned in parts:
+            assigned[:, i0 : i0 + k] = arms[:k, rows].T
+    if sums is not None:
+        sums[...] = state[0, :, : sums.shape[1]]
+    return outs
 
 
 def batch_size(n: int, q: int) -> int:

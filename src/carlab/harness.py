@@ -18,11 +18,11 @@ Determinism: every replicate draws from generators seeded by mixing
 (a documented avalanche mixer), so results are independent of worker-thread
 count and of which other procedures or tests appear in the run; a
 resampling test's stream, one per (replicate, procedure, test), serves every
-delta and working model.  Replicates run in consecutive chunks, and each
-procedure randomizes a chunk's trials as one engine batch; a trial's
-assignments do not depend on its batch.  Replicate results land in
-pre-allocated indexed slots and aggregation is a fold in slot order, so
-identical (config, seed) produce identical output bytes.
+delta and working model.  Replicates run in consecutive chunks, and one
+engine call randomizes every procedure's trials of a chunk in one unit loop;
+a trial's assignments do not depend on the rest of the call.  Replicate
+results land in pre-allocated indexed slots and aggregation is a fold in
+slot order, so identical (config, seed) produce identical output bytes.
 
 Procedure presets mirror the standard comparison set: complete randomization
 (CR), stratified biased-coin randomization on discretized covariates (SR),
@@ -65,7 +65,7 @@ from .datagen import (
     responses_given_noise,
     with_effect,
 )
-from .engine import batch_size, imbalance_metrics, simulate_assignments
+from .engine import Inputs, batch_size, imbalance_metrics, simulate_assignments
 from .errors import ConfigError, DomainError, EstimatorError, FitError
 from .features import (
     Composite,
@@ -505,8 +505,8 @@ def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTa
     def work(slots):
         def chunk(rs: range):
             Xs = [_covariates(spec, r) for r in rs]
-            for proc in spec.procedures:
-                assigns = _assign_chunk(spec, proc, rs, Xs)[1]  # features freed here
+            runs = _assign_chunk(spec, spec.procedures, rs, Xs)
+            for proc, (_, assigns) in zip(spec.procedures, runs):
                 for r, X, assign in zip(rs, Xs, assigns):
                     if assign is None:
                         continue  # its features failed: the slots stay NaN
@@ -526,11 +526,12 @@ def _covariates(spec: ExperimentSpec, r: int) -> np.ndarray:
 
 
 def _run_chunks(work, spec: ExperimentSpec, threads: int):
-    """Call ``work`` on consecutive ranges of replicates, as many as the
-    engine batches for the widest feature map of any procedure, in worker
-    threads when asked (at most one per chunk and per CPU); results land in
-    per-replicate slots, so neither the range boundaries nor the thread count
-    change them."""
+    """Call ``work`` on consecutive ranges of replicates, each as many as one
+    engine batch of the widest engine input of any procedure holds (a chunk's
+    engine call stacks one such batch per procedure), in worker threads when
+    asked (at most one per chunk and per CPU); results land in per-replicate
+    slots, so neither the range boundaries nor the thread count change
+    them."""
     fspecs = [feature_spec(p, spec.setting) for p in spec.procedures]
     size = batch_size(spec.n, max((input_width(f) for f in fspecs if f is not None), default=1))
     chunks = [range(r, min(r + size, spec.replicates)) for r in range(0, spec.replicates, size)]
@@ -562,18 +563,49 @@ class _Features(Sequence):
         return x if x is None or isinstance(self.fspec, Composite) else level_matrix(self.fspec, x)
 
 
-def _assign_chunk(spec: ExperimentSpec, proc: ProcedureSpec, rs: range, Xs: list):
-    """Feature matrices (``_Features``) and assignments of one procedure for a
-    range of replicates, randomized as one batch: an indicator map enters the
-    engine as level columns.  Each replicate draws its uniforms from its own
-    procedure stream.  A replicate whose features raise ``DomainError`` is
-    left out of the batch, with None assignments: it fails in that
-    procedure's cells only."""
-    fspec = feature_spec(proc, spec.setting)
+def _assign_chunk(spec: ExperimentSpec, procs, rs: range, Xs: list) -> list:
+    """Per procedure of ``procs``, the feature matrices (``_Features``) and
+    assignments of a range of replicates, every procedure's batch randomized
+    in one engine call; procedures with the same feature map share its
+    batch.  Each replicate draws its uniforms from its own procedure stream.
+    A replicate whose features raise ``DomainError`` is left out of its
+    procedure's batch, with None assignments: it fails in that procedure's
+    cells only."""
+    fspecs = [feature_spec(proc, spec.setting) for proc in procs]
+    maps = {}  # feature map -> (kept replicates, batch, roots)
+    for proc, fspec in zip(procs, fspecs):
+        if fspec not in maps:
+            maps[fspec] = _chunk_inputs(spec, proc, fspec, Xs)
+    built = [maps[fspec] for fspec in fspecs]
+    uniforms = []
+    for proc, (kept, _, _) in zip(procs, built):
+        uniforms.append(np.empty((len(kept), spec.n)))
+        for j, k in enumerate(kept):
+            uniforms[-1][j] = _stream(spec.base_seed, rs[k], _name_tag(proc.name)).random(spec.n)
+    outs = simulate_assignments(
+        Inputs(batch for _, batch, _ in built),
+        tuple(proc.policy for proc in procs),
+        spec.treatments,
+        uniforms=uniforms,
+        weights=[roots for *_, roots in built],
+    )
+    result = []
+    for fspec, (kept, batch, roots), out in zip(fspecs, built, outs):
+        inputs, assigns = [None] * len(rs), [None] * len(rs)
+        for j, k in enumerate(kept):
+            inputs[k], assigns[k] = (None if fspec is None else batch[j]), out[j]
+        result.append((_Features(fspec, inputs, roots), assigns))
+    return result
+
+
+def _chunk_inputs(spec: ExperimentSpec, proc: ProcedureSpec, fspec, Xs: list) -> tuple:
+    """A feature map's engine batch for a chunk's covariates: the replicates
+    kept (those whose features do not raise ``DomainError``), their stacked
+    inputs, and the sqrt-weights of an indicator map, which enters as level
+    columns (None otherwise).  Complete randomization's inputs are empty."""
     levels = isinstance(fspec, (Stratified, Marginal, HuHu))
-    # complete randomization balances nothing; the batch is filled in place
-    width = 1 if fspec is None else input_width(fspec)
-    batch = np.zeros((len(rs), spec.n, width), dtype=np.int64 if levels else float)
+    width = 0 if fspec is None else input_width(fspec)
+    batch = np.zeros((len(Xs), spec.n, width), dtype=np.int32 if levels else float)
     roots, kept = None, []
     for k, X in enumerate(Xs):
         try:
@@ -584,17 +616,7 @@ def _assign_chunk(spec: ExperimentSpec, proc: ProcedureSpec, rs: range, Xs: list
             kept.append(k)
         except DomainError:
             pass
-    batch = batch if len(kept) == len(rs) else batch[kept]
-    inputs, assigns = [None] * len(rs), [None] * len(rs)
-    if kept:
-        tag = _name_tag(proc.name)
-        uniforms = np.stack([_stream(spec.base_seed, rs[k], tag).random(spec.n) for k in kept])
-        out = simulate_assignments(
-            batch, proc.policy, spec.treatments, uniforms=uniforms, weights=roots
-        )
-        for j, k in enumerate(kept):
-            inputs[k], assigns[k] = (None if fspec is None else batch[j]), out[j]
-    return _Features(fspec, inputs, roots), assigns
+    return kept, batch if len(kept) == len(Xs) else batch[kept], roots
 
 
 def _power_tests(spec: ExperimentSpec, proc: ProcedureSpec) -> tuple:
@@ -650,16 +672,12 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
             Xs = [_covariates(spec, r) for r in rs]
             streams = [_stream(spec.base_seed, r, _TAG_NOISE) for r in rs]
             noises = [draw_noise(model0, spec.n, rng) for rng in streams]
-            for proc in spec.procedures:
-                if _power_tests(spec, proc):
-                    procedure(proc, rs, Xs, noises)
-
-        def procedure(proc, rs, Xs, noises):
-            # a frame of its own, so the chunk's features are freed on return
-            phis, assigns = _assign_chunk(spec, proc, rs, Xs)
-            boots = _boot_resamples(spec, proc, rs, phis, assigns)
-            for r, X, noise, phi, assign in zip(rs, Xs, noises, phis, assigns):
-                if assign is not None:  # else its features failed: the slots stay NaN
+            procs = [proc for proc in spec.procedures if _power_tests(spec, proc)]
+            for proc, (phis, assigns) in zip(procs, _assign_chunk(spec, procs, rs, Xs)):
+                boots = _boot_resamples(spec, proc, rs, phis, assigns)
+                for r, X, noise, phi, assign in zip(rs, Xs, noises, phis, assigns):
+                    if assign is None:
+                        continue  # its features failed: the slots stay NaN
                     args = (r, X, noise, phi, assign, next(boots))
                     stats = _power_statistics(spec, classes, proc, *args)
                     stats = stats.ravel()  # 1.0 or 0.0 as each test rejects, NaN if it failed

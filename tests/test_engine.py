@@ -13,6 +13,7 @@ from carlab.allocation import (
     pocock_simon_multi,
 )
 from carlab.engine import (
+    Inputs,
     TrialState,
     assign_next,
     imbalance_metrics,
@@ -421,3 +422,65 @@ class TestLevelColumns:
             simulate_assignments(cols, policy, 2, uniforms=np.zeros(5), weights=[1.0, np.nan])
         with pytest.raises(DomainError):
             simulate_assignments(cols - 1, policy, 2, uniforms=np.zeros(5), weights=[1.0, 1.0])
+
+
+class TestUniformsChecked:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.0, 5.0])
+    @pytest.mark.parametrize("path", ["dense", "level", "CR"])
+    def test_an_invalid_uniform_raises(self, path, bad):
+        u = np.full((2, 6), 0.5)
+        u[1, 3] = bad
+        args = {
+            "dense": (np.ones((2, 6, 2)), EfronBiasedCoin(0.9), 2, {}),
+            "level": (np.zeros((2, 6, 1), dtype=np.int64), PocockSimonRank(), 3,
+                      {"weights": [1.0]}),
+            "CR": (np.zeros((2, 6, 1)), CompleteRandomization(), 3, {}),
+        }[path]
+        phi, policy, T, kwargs = args
+        with pytest.raises(DomainError, match=r"uniforms must be finite and in \[0, 1\)"):
+            simulate_assignments(phi, policy, T, uniforms=u, **kwargs)
+        with pytest.raises(DomainError, match=r"uniforms must be finite and in \[0, 1\)"):
+            simulate_assignments(Inputs([phi]), (policy,), T, uniforms=[u],
+                                 weights=[kwargs.get("weights")])
+
+
+class TestSeveralProcedures:
+    """Several procedures' batches in one call: each gets the assignments of
+    a call of its own, whatever the widths and weights of the others."""
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_each_batch_as_if_alone(self, T):
+        rng = np.random.default_rng(40 + T)
+        n, trials = 90, 4
+        spec = HuHu((0, 1, 2), LEVELS, w0=0.5, w_margins=(2.0, 2.0, 2.0), w_stratum=0.3)
+        X = rng.integers(0, [2, 3, 2], size=(trials, n, 3)).astype(float)
+        cols = np.stack([level_columns(spec, x)[0] for x in X]).astype(np.int32)
+        roots = level_columns(spec, X[0])[1]
+        wide = rng.normal(size=(trials, n, 7))  # wider than the level columns
+        narrow = rng.normal(size=(trials + 1, n, 2))
+        rules = _kernel_policies(T)[1:]  # the state-carrying rules
+        batches = [
+            (cols, rules[1], None, roots),
+            (wide, rules[0], None, None),
+            (narrow, rules[-1], None, None),
+            (cols, rules[0], None, roots),
+            (np.zeros((trials, n, 0)), CompleteRandomization(), None, None),
+        ]
+        uniforms = [rng.random(x.shape[:2]) for x, *_ in batches]
+        outs = simulate_assignments(
+            Inputs(x for x, *_ in batches), tuple(p for _, p, *_ in batches), T,
+            uniforms=uniforms, weights=[w for *_, w in batches],
+        )
+        assert len(outs) == len(batches)
+        for (x, policy, _, w), u, out in zip(batches, uniforms, outs):
+            alone = simulate_assignments(x, policy, T, uniforms=u, weights=w)
+            np.testing.assert_array_equal(out, alone, err_msg=repr(policy))
+
+    def test_batches_must_match(self):
+        phi, u = np.zeros((1, 5, 1)), np.full((1, 5), 0.5)
+        policy = EfronBiasedCoin(0.9)
+        with pytest.raises(DomainError):
+            simulate_assignments(Inputs([phi, phi]), (policy,), 2, uniforms=[u, u], weights=[None])
+        with pytest.raises(DomainError):
+            simulate_assignments(Inputs([phi, phi[:, :4]]), (policy, policy), 2,
+                                 uniforms=[u, u[:, :4]], weights=[None, None])

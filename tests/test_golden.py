@@ -33,6 +33,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 REPLICATES = 20
 
 GOLDEN = {
+    "imbalance_3arm": "883e2b4bc56032e4129bb5be7d2df3f47b9ffb998119336043d0cc43f1e5aa12",
     "imbalance_s1": "2fff37137631eb55c44cc6563a81bddd8135e80bc1c2c9c238b5d5c1b82596a8",
     "power_bootstrap": "b023218623b321e495f886db949f525b87a8a52eb7756cca05bbb999cc0756a2",
     "power_setting1": "f35ede83bdaea04e3794c76c91c3764bb800ba01a56d18cd436fa5cee77b750d",
@@ -109,7 +110,8 @@ def test_resampling_power_agrees_with_the_recorded_table(tmp_path):
         assert abs(p - q) <= 4.0 * se, (key(a), p, q, se)
 
 
-# No demo config runs HH or a setting with declared-discrete levels; this one does.
+# The demo configs run HH only with its default, integer weights; this one
+# weights it with non-integer weights, whose products tie by rounding order.
 HUHU_IMBALANCE_CFG = """
 kind = imbalance
 setting = S4

@@ -331,6 +331,31 @@ class TestRunners:
         write_table(run_power_experiment(_tiny_power_spec(), threads=3), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("study", ["three-arm imbalance", "resampling power"])
+    def test_thread_count_and_chunks_do_not_change_output(self, study, tmp_path, monkeypatch):
+        if study == "three-arm imbalance":
+            run, spec = run_imbalance_experiment, ExperimentSpec(
+                kind="imbalance", n=40, setting=CovariateSetting("S4"), treatments=3,
+                procedures=tuple(
+                    procedure_preset(p, 3)
+                    for p in ("CR", "SR", "PS", "HH", "phi-CAR-BC", "phi-CAR-Con")
+                ),
+                replicates=10, base_seed=8,
+            )
+        else:
+            run, spec = run_power_experiment, ExperimentSpec(
+                kind="power", n=40, setting=CovariateSetting("S1"),
+                procedures=(procedure_preset("SR"), procedure_preset("phi-CAR-Con")),
+                replicates=8, base_seed=9, model="setting1", deltas=(0.0, 10.0),
+                working_models=("W1", "W3"), tests=("t_ls", "t_mbb", "t_boot"),
+                bootstrap_size=6,
+            )
+        paths = [tmp_path / f"{k}.csv" for k in range(2)]
+        write_table(run(spec, threads=1), paths[0])
+        monkeypatch.setattr(harness, "batch_size", lambda n, q: 3)  # chunks of 3
+        write_table(run(spec, threads=3), paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     @pytest.mark.parametrize(
         "threads, cpus, workers",
         [(10**9, 4, 4), (10**9, 64, 5), (3, 64, 3), (2, None, None), (1, 64, None)],
@@ -441,9 +466,9 @@ class TestRunners:
             base_seed=4,
             metrics=(0, 1),
         )
-        proc, rs = spec.procedures[0], range(6)
+        procs, rs = spec.procedures, range(6)
         Xs = [harness._covariates(spec, r) for r in rs]
-        phis, assigns = harness._assign_chunk(spec, proc, rs, Xs)
+        ((phis, assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
         real = harness.build_phi
 
         def build_phi(proc, setting, X):
@@ -452,11 +477,20 @@ class TestRunners:
             return real(proc, setting, X)
 
         monkeypatch.setattr(harness, "build_phi", build_phi)
-        kept_phis, kept_assigns = harness._assign_chunk(spec, proc, rs, Xs)
+        ((kept_phis, kept_assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
         assert kept_phis[2] is None and kept_assigns[2] is None
         for k in (0, 1, 3, 4, 5):
             np.testing.assert_array_equal(kept_phis[k], phis[k])
             np.testing.assert_array_equal(kept_assigns[k], assigns[k])
+
+    def test_a_chunk_without_randomized_procedures_is_empty(self):
+        spec = ExperimentSpec(
+            kind="power", n=30, setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("CR"),), replicates=4, model="setting1",
+            tests=("t_reg",),  # not run under complete randomization
+        )
+        table = run_power_experiment(spec)
+        assert table.rows == [] and table.failures == {}
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -706,8 +740,8 @@ class TestSharedFit:
             for r in range(spec.replicates)
         ]
         failed = 0
-        for proc in spec.procedures:
-            phis, assigns = harness._assign_chunk(spec, proc, range(spec.replicates), Xs)
+        runs = harness._assign_chunk(spec, spec.procedures, range(spec.replicates), Xs)
+        for proc, (phis, assigns) in zip(spec.procedures, runs):
             for r in range(spec.replicates):
                 args = (r, Xs[r], noises[r], phis[r], assigns[r])
                 ref_stats, ref_row = _per_delta_reference(spec, proc, *args)
@@ -918,7 +952,8 @@ class TestPooledBootstrap:
 
 def test_an_imbalance_run_randomizes_each_procedure_in_one_batch(monkeypatch):
     """Indicator maps enter the engine as level columns, so the chunks are
-    sized by the widest composite map: 30 replicates of S1 fit one batch."""
+    sized by the widest composite map: 30 replicates of S1 fit one chunk,
+    and its procedures' batches of 30 trials run in one engine call."""
     from pathlib import Path
 
     cfg = Path(__file__).resolve().parents[1] / "demos" / "configs" / "imbalance_s1.cfg"
@@ -928,12 +963,77 @@ def test_an_imbalance_run_randomizes_each_procedure_in_one_batch(monkeypatch):
     real = harness.simulate_assignments
 
     def counting(phi, policy, treatments, **kwargs):
-        calls.append(len(phi))
+        calls.append([len(x) for x in phi])
         return real(phi, policy, treatments, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_assignments", counting)
     run_imbalance_experiment(spec)
-    assert calls == [30] * len(spec.procedures)
+    assert calls == [[30] * len(spec.procedures)]
+
+
+# A chunk of each arm count for the shared unit loop, complete randomization
+# included, and the feature plan whose features raise for one replicate.
+SHARED_LOOP = {
+    2: ("S1", ("CR", "SR", "PS", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con"), "raw"),
+    3: ("S4", ("CR", "SR", "PS", "HH", "phi-CAR-BC", "phi-CAR-Con"), "raw_plus_one"),
+}
+RULES = {
+    2: ("efron_two_treatment", "continuous_two_treatment"),
+    3: ("pocock_simon_multi", "continuous_multi"),
+}
+
+
+class TestSharedLoop:
+    """A chunk's procedures advance in one unit loop: each procedure gets the
+    assignments of a one-procedure ``simulate_assignments`` on its inputs and
+    uniforms, and each unit costs one rule call per policy."""
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_each_procedure_as_if_alone(self, T, monkeypatch):
+        setting, names, failing = SHARED_LOOP[T]
+        procs = tuple(
+            procedure_preset(name, T, hh_weights=(0.5, 2.0, 0.3) if name == "HH" else None)
+            for name in names
+        )
+        spec = ExperimentSpec(
+            kind="imbalance", n=60, setting=CovariateSetting(setting), procedures=procs,
+            treatments=T, replicates=7, base_seed=3,
+        )
+        rs = range(spec.replicates)
+        Xs = [harness._covariates(spec, r) for r in rs]
+        real_phi = harness.build_phi
+
+        def build_phi(proc, setting, X):
+            if X is Xs[2] and proc.feature == failing:
+                raise DomainError("injected")
+            return real_phi(proc, setting, X)
+
+        calls = {}
+
+        def counted(rule, real):
+            def call(*args):
+                calls[rule] = calls.get(rule, 0) + 1
+                return real(*args)
+
+            return call
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "build_phi", build_phi)
+            for rule in RULES[T]:
+                m.setattr(engine, rule, counted(rule, getattr(engine, rule)))
+            runs = harness._assign_chunk(spec, procs, rs, Xs)
+        assert calls == {rule: spec.n for rule in RULES[T]}  # n steps, not n per procedure
+        for proc, (phis, assigns) in zip(procs, runs):
+            for r in rs:
+                if r == 2 and proc.feature == failing:
+                    assert assigns[r] is None and phis[r] is None
+                    continue
+                u = harness._stream(spec.base_seed, r, harness._name_tag(proc.name)).random(spec.n)
+                x = np.zeros((spec.n, 0)) if phis.inputs[r] is None else phis.inputs[r]
+                alone = engine.simulate_assignments(
+                    x, proc.policy, T, uniforms=u, weights=phis.roots
+                )
+                np.testing.assert_array_equal(assigns[r], alone, err_msg=f"{proc.name} {r}")
 
 
 def test_every_traced_layer_exists():
