@@ -4,8 +4,10 @@ Each ``demos/configs/*.cfg`` runs in a fresh process with
 ``OPENBLAS_NUM_THREADS=1`` and ``--threads 1``.  The record of a run holds,
 per config, the wall time, the SHA-256 of the result CSV, the process's peak
 resident memory and its exit code, plus the versions, CPU count and commit
-it ran on.  Records are kept in one JSON file under a label, so one file can
-hold the runs of a parent commit and of a change side by side:
+it ran on, and the lines of its ``src/`` (``src_lines``, and
+``src_code_lines`` without blank, comment and docstring lines).  Records are
+kept in one JSON file under a label, so one file can hold the runs of a
+parent commit and of a change side by side:
 
     python3 bench/run.py --out BENCH.json --label change
     python3 bench/run.py --out BENCH.json --label parent --repo ../parent
@@ -20,6 +22,7 @@ summary line.
 """
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -59,6 +62,25 @@ def _versions(env) -> dict:
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(out.stdout)
+
+
+def _src_lines(repo: Path) -> tuple:
+    """All lines of the checkout's ``src/**/*.py``, and its code lines: those
+    neither blank, nor comments, nor in a module, class or function
+    docstring (found with ``ast``)."""
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    lines = code = 0
+    for path in sorted(repo.glob("src/**/*.py")):
+        text = path.read_text(encoding="utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, documented) and ast.get_docstring(node) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for i, line in enumerate(text.splitlines(), start=1):
+            lines += 1
+            if line.strip() and not line.lstrip().startswith("#") and i not in docs:
+                code += 1
+    return lines, code
 
 
 def _run_config(cfg: Path, quick: bool, env, work: Path) -> dict:
@@ -121,6 +143,7 @@ def main(argv=None) -> int:
         "versions": _versions(env),
         "configs": {},
     }
+    record["src_lines"], record["src_code_lines"] = _src_lines(repo)
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in sorted((repo / "demos" / "configs").glob("*.cfg")):
             row = _run_config(cfg, args.quick, env, Path(tmp))

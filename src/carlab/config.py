@@ -67,24 +67,29 @@ def _parse_lines(text: str) -> dict:
     return cfg
 
 
-def _coerce(key: str, value):
+def _number(key: str, value, conv):
+    """``value`` as ``conv`` (int or float); a bool, or a fraction where an
+    integer is wanted (``int`` would truncate it), cannot be interpreted."""
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            if isinstance(value, bool):
-                return value
-            v = str(value).strip().lower()
-            if v in ("true", "yes", "1"):
-                return True
-            if v in ("false", "no", "0"):
-                return False
+        truncated = conv is int and isinstance(value, float) and not value.is_integer()
+        if isinstance(value, bool) or truncated:
             raise ValueError(value)
-        return value
+        return conv(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: cannot interpret value {value!r}") from None
+
+
+def _coerce(key: str, value):
+    if key in _INT_KEYS | _FLOAT_KEYS:
+        return _number(key, value, int if key in _INT_KEYS else float)
+    if key in _BOOL_KEYS and not isinstance(value, bool):
+        v = str(value).strip().lower()
+        if v in ("true", "yes", "1"):
+            return True
+        if v in ("false", "no", "0"):
+            return False
+        raise ConfigError(f"{key}: cannot interpret value {value!r}")
+    return value
 
 
 _IDENT_RE = re.compile(r"^x(\d+)$")
@@ -256,13 +261,7 @@ def load_config(text: str) -> ExperimentSpec:
     procedures = tuple(parse_procedure(e, treatments) for e in proc_entries)
 
     def num_list(key, default, conv):
-        out = []
-        for v in listify(key, list(default)):
-            try:
-                out.append(conv(v))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}: cannot interpret value {v!r}") from None
-        return tuple(out)
+        return tuple(_number(key, v, conv) for v in listify(key, list(default)))
 
     spec = ExperimentSpec(
         kind=kind,

@@ -37,7 +37,6 @@ import itertools
 import math
 import os
 import zlib
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -135,6 +134,7 @@ DIRECT_TESTS = ("t_mbj", "t_mbb", "t_boot")  # statistic sqrt(n) tau / (2 sigma)
 LOGISTIC_TESTS = ("t_logi", "t_oracle")
 _WORKING_MODELS = {"W1": (), "W2": (0,), "W3": (0, 1, 2)}
 _THRESHOLDS = (0.0, 2.0)  # cut points of continuous covariates for SR, PS and HH
+_RANK_TOL = 1e-9  # relative size of the smallest pivot ``reduce_columns`` keeps
 PRESET_NAMES = ("CR", "SR", "PS", "HH", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con")
 
 
@@ -425,7 +425,7 @@ def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
     return None if spec is None else feature_matrix(spec, _observed(spec, setting, X))
 
 
-def reduce_columns(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def reduce_columns(M: np.ndarray) -> np.ndarray:
     """Keep a full-rank subset of columns (pivoted QR), in original order.
 
     Indicator feature blocks are rank-deficient by construction (level
@@ -439,7 +439,7 @@ def reduce_columns(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0.0:
         raise EstimatorError("feature matrix is identically zero")
-    rank = int(np.sum(diag > tol * diag[0]))
+    rank = int(np.sum(diag > _RANK_TOL * diag[0]))
     keep = np.sort(piv[:rank])
     return M[:, keep]
 
@@ -506,7 +506,7 @@ def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTa
         def chunk(rs: range):
             Xs = [_covariates(spec, r) for r in rs]
             runs = _assign_chunk(spec, spec.procedures, rs, Xs)
-            for proc, (_, assigns) in zip(spec.procedures, runs):
+            for proc, (*_, assigns) in zip(spec.procedures, runs):
                 for r, X, assign in zip(rs, Xs, assigns):
                     if assign is None:
                         continue  # its features failed: the slots stay NaN
@@ -544,33 +544,15 @@ def _run_chunks(work, spec: ExperimentSpec, threads: int):
             work(rs)
 
 
-@dataclass
-class _Features(Sequence):
-    """Replicates' feature matrices (None under complete randomization or
-    where the features failed); an indicator map's are built from their level
-    columns (``inputs``, sqrt-weights ``roots``) when read, one replicate at
-    a time."""
-
-    fspec: object
-    inputs: list
-    roots: np.ndarray
-
-    def __len__(self):
-        return len(self.inputs)
-
-    def __getitem__(self, k):
-        x = self.inputs[k]
-        return x if x is None or isinstance(self.fspec, Composite) else level_matrix(self.fspec, x)
-
-
 def _assign_chunk(spec: ExperimentSpec, procs, rs: range, Xs: list) -> list:
-    """Per procedure of ``procs``, the feature matrices (``_Features``) and
-    assignments of a range of replicates, every procedure's batch randomized
-    in one engine call; procedures with the same feature map share its
-    batch.  Each replicate draws its uniforms from its own procedure stream.
-    A replicate whose features raise ``DomainError`` is left out of its
-    procedure's batch, with None assignments: it fails in that procedure's
-    cells only."""
+    """Per procedure of ``procs``, the engine inputs (``_chunk_inputs``), the
+    sqrt-weights of level columns and the assignments of a range of
+    replicates, every procedure's batch randomized in one engine call;
+    procedures with the same feature map share its batch.  Each replicate
+    draws its uniforms from its own procedure stream.  A replicate whose
+    features raise ``DomainError`` is left out of its procedure's batch,
+    with None inputs and assignments: it fails in that procedure's cells
+    only."""
     fspecs = [feature_spec(proc, spec.setting) for proc in procs]
     maps = {}  # feature map -> (kept replicates, batch, roots)
     for proc, fspec in zip(procs, fspecs):
@@ -594,7 +576,7 @@ def _assign_chunk(spec: ExperimentSpec, procs, rs: range, Xs: list) -> list:
         inputs, assigns = [None] * len(rs), [None] * len(rs)
         for j, k in enumerate(kept):
             inputs[k], assigns[k] = (None if fspec is None else batch[j]), out[j]
-        result.append((_Features(fspec, inputs, roots), assigns))
+        result.append((inputs, roots, assigns))
     return result
 
 
@@ -667,19 +649,25 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
         classes = _fit_classes(spec)
         model0 = classes[0][0]  # the noise depends only on the model family
         crit = normal_quantile(1.0 - spec.alpha / 2.0)
+        lblock = block_length(spec.n, spec.block_rule)
+        tests = {proc.name: _power_tests(spec, proc) for proc in spec.procedures}
+        procs = [proc for proc in spec.procedures if tests[proc.name]]
 
         def chunk(rs: range):
             Xs = [_covariates(spec, r) for r in rs]
             streams = [_stream(spec.base_seed, r, _TAG_NOISE) for r in rs]
             noises = [draw_noise(model0, spec.n, rng) for rng in streams]
-            procs = [proc for proc in spec.procedures if _power_tests(spec, proc)]
-            for proc, (phis, assigns) in zip(procs, _assign_chunk(spec, procs, rs, Xs)):
-                boots = _boot_resamples(spec, proc, rs, phis, assigns)
-                for r, X, noise, phi, assign in zip(rs, Xs, noises, phis, assigns):
+            for proc, (inputs, roots, assigns) in zip(procs, _assign_chunk(spec, procs, rs, Xs)):
+                proc_tests, fspec = tests[proc.name], feature_spec(proc, spec.setting)
+                boots = _boot_resamples(spec, proc, rs, inputs, roots, assigns)
+                for r, X, noise, x, assign in zip(rs, Xs, noises, inputs, assigns):
                     if assign is None:
                         continue  # its features failed: the slots stay NaN
+                    phi = None  # the dense features, which only t_reg reads
+                    if "t_reg" in proc_tests:
+                        phi = x if roots is None else level_matrix(fspec, x)
                     args = (r, X, noise, phi, assign, next(boots))
-                    stats = _power_statistics(spec, classes, proc, *args)
+                    stats = _power_statistics(spec, classes, lblock, proc, proc_tests, *args)
                     stats = stats.ravel()  # 1.0 or 0.0 as each test rejects, NaN if it failed
                     slots[proc.name][r] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
 
@@ -688,34 +676,32 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     return _study(spec, "power", threads, cells, work)
 
 
-def _boot_resamples(spec, proc, rs, phis, assigns):
+def _boot_resamples(spec, proc, rs, inputs, roots, assigns):
     """Per replicate of the chunk with assignments, in order: its ``t_boot``
     stream and the resamples ``rerandomized_resamples`` draws from it as they
-    are read, the chunk's resamples rerandomized together (None without
-    ``t_boot``)."""
+    are read, on its engine input (sqrt-weights ``roots``), the chunk's first
+    B resamples rerandomized together (None without ``t_boot``)."""
     if "t_boot" not in _power_tests(spec, proc):
         return itertools.repeat(None)
     kept = [k for k, assign in enumerate(assigns) if assign is not None]
     tag = _name_tag(proc.name, "t_boot")
     rngs = [_stream(spec.base_seed, rs[k], tag) for k in kept]
-    inputs = [phis.inputs[k] for k in kept]
-    B = spec.bootstrap_size
-    return zip(rngs, rerandomized_resamples(inputs, proc.policy, B, rngs, phis.roots))
+    inputs = [inputs[k] for k in kept]
+    return zip(rngs, rerandomized_resamples(inputs, proc.policy, spec.bootstrap_size, rngs, roots))
 
 
-def _power_statistics(spec, classes, proc, r, X, noise, phi, assign, boot=None) -> np.ndarray:
-    """One replicate's (deltas, working models, tests) statistics, NaN where a
-    fit or estimator fails: one fit per class and working model, a logistic
-    test once per class, ``run_test`` once per fit and per-fit test, and one
-    ``_refit`` call over every fit's data per refit test, ``t_boot``'s on the
-    (stream, resamples) ``boot`` when given.  Each delta's statistic is the
-    fit's tau_hat plus its shift over a ``statistic_scale``."""
+def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assign, boot):
+    """One replicate's (deltas, working models, ``tests``) statistics, NaN
+    where a fit or estimator fails: one fit per class and working model, a
+    logistic test once per class, ``run_test`` once per fit and per-fit
+    test, and one ``_refit`` call over every fit's data per refit test.
+    ``phi``: the dense features, for ``t_reg``; ``boot``: ``t_boot``'s
+    (stream, resamples); each None when not run.  Each delta's statistic is
+    the fit's tau_hat plus its shift over a ``statistic_scale``."""
     n = spec.n
     treat = (assign == 0).astype(float)
-    proc_tests = _power_tests(spec, proc)
-    phi_red = regression_features(phi) if "t_reg" in proc_tests else None
-    lblock = block_length(n, spec.block_rule)
-    stats = np.full((len(spec.deltas), len(spec.working_models), len(proc_tests)), np.nan)
+    phi_red = regression_features(phi)
+    stats = np.full((len(spec.deltas), len(spec.working_models), len(tests)), np.nan)
 
     def attempt(f, *args):
         try:
@@ -727,11 +713,11 @@ def _power_statistics(spec, classes, proc, r, X, noise, phi, assign, boot=None) 
     for model, members in classes:
         y = responses_given_noise(model, X, treat, noise)
         for wi, wm in enumerate(spec.working_models):
-            data = TrialDataset(y=y, t=treat, x_obs=X[:, list(_WORKING_MODELS[wm])], phi=phi)
+            data = TrialDataset(y=y, t=treat, x_obs=X[:, list(_WORKING_MODELS[wm])])
             runs.append((members, wi, data, attempt(lse_fit, data)))
     fits = [run for run in runs if run[3] is not None]
     run_args = (spec.alpha, lblock, None, None, None, phi_red)  # for a per-fit test
-    for ti, test in enumerate(proc_tests):
+    for ti, test in enumerate(tests):
         if test in LOGISTIC_TESTS:  # the design ignores the working model: one fit per class
             observed = np.flatnonzero(spec.setting.observed_mask)
             covariates = (X[:, observed],) if test == "t_oracle" else ()
@@ -742,10 +728,8 @@ def _power_statistics(spec, classes, proc, r, X, noise, phi, assign, boot=None) 
                     stats[[di for di, _ in members], :, ti] = res.statistic
             continue
         if test in DIRECT_TESTS and fits:  # one call over every fit
-            rng, drawn = None, None  # t_mbj reads no stream
-            if test == "t_boot" and boot is not None:
-                rng, drawn = boot
-            elif test != "t_mbj":
+            rng, drawn = boot if test == "t_boot" else (None, None)  # t_mbj reads no stream
+            if test == "t_mbb":
                 rng = _stream(spec.base_seed, r, _name_tag(proc.name, test))
             datas = [data for _, _, data, _ in fits]
             B = spec.bootstrap_size

@@ -13,7 +13,7 @@ effect estimate.  Five such estimators are provided:
   features (requires the features at analysis time).
 * ``sigma_tau_bootstrap``: resample units with replacement, re-run the
   randomization procedure on the resampled features, refit (requires the
-  features and the procedure).
+  procedure, and the features or resamples drawn from them already).
 * ``sigma_tau_mb``: moving-block sample variance of signed residuals.
 * ``sigma_tau_mbj``: moving-block jackknife (refit with one block deleted).
 * ``sigma_tau_mbb``: moving-block bootstrap (refit on concatenated blocks).
@@ -30,8 +30,8 @@ tau* (of y[I]) and kappa* (of t[I]) for responses y + s t (``shifted_value``).
 The rerandomizing bootstrap's draws come from ``rerandomized_resamples``,
 which rerandomizes the resamples of consecutive replicates (a power study's
 chunk) together, in shared engine batches, while each replicate reads its
-own stream; a single call, ``carlab analyze`` and the replacement of a
-resample that empties an arm run it on a group of one replicate.
+own stream, its refills too; a single call and ``carlab analyze`` run it on
+a group of one replicate.
 
 Single systems (the working-model fit, the residual regression and each
 logistic iteration) go through one guarded LU solve, ``_solve``, which also
@@ -45,7 +45,7 @@ rounding noise.
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -511,51 +511,53 @@ def sigma_tau_bootstrap(data, policy, B: int, rng, drawn=None):
     """Rerandomizing bootstrap: resample units iid, re-run the covariate-adaptive
     procedure on the resampled feature rows, refit the working model.
 
-    Requires ``data.phi`` (the balancing features) and the allocation policy
-    used at randomization.  The resamples come from ``rng`` through
-    ``rerandomized_resamples``, a group of one replicate, unless ``drawn``
-    holds the first B of them, the (I, t*) pieces that function gave for
-    this replicate and ``rng``.  A resample whose rerandomization empties an
-    arm is replaced by the next one of ``rng``.  The bootstrap variance of
-    the refitted effect estimate, v_B, is reported on the common scale as
-    n * v_B / 4 and kept in ``params["v_B"]``; the adjusted statistic in
-    direct mode is then exactly tau / sqrt(v_B).  ``data`` may be a sequence
-    of datasets.
+    The resamples are ``drawn``, a replicate's pieces from
+    ``rerandomized_resamples`` under ``policy`` (the allocation policy used
+    at randomization), or without it a group of one drawn from ``rng`` on
+    ``data.phi``, the balancing features.  They are read by count: one
+    whose rerandomization empties an arm is replaced by the next, and a
+    ``drawn`` that runs out raises.  The bootstrap variance of the refitted
+    effect estimate, v_B, is reported on the common scale as n * v_B / 4
+    and kept in ``params["v_B"]``; the adjusted statistic in direct mode is
+    then exactly tau / sqrt(v_B).  ``data`` may be a sequence of datasets.
     """
     datas = _datasets(data)
-    phi = datas[0].phi
-    if phi is None:
-        raise DomainError("the rerandomizing bootstrap needs the feature matrix")
-    drawn = iter(drawn or ())
+    if drawn is None:
+        if datas[0].phi is None:
+            raise DomainError("the rerandomizing bootstrap needs the feature matrix")
+        drawn = next(rerandomized_resamples([datas[0].phi], policy, B, [rng]))
+    drawn = iter(drawn)
 
     def draw(rng, m):
-        return next(drawn, None) or next(next(rerandomized_resamples([phi], policy, m, [rng])))
+        for piece in drawn:
+            return piece
+        raise DomainError("drawn ran out of bootstrap resamples")
 
     return _one_or_all(data, _resampled(datas, draw, B, rng, "a bootstrap resample", "boot"))
 
 
 def rerandomized_resamples(inputs, policy, B: int, rngs, weights=None):
-    """Yield each replicate's rerandomizing-bootstrap resamples in turn: B
-    resamples of its n units, each drawing its unit indices I and then its n
-    uniforms from the replicate's generator in ``rngs``, re-run under
-    ``policy`` on the replicate's input rows at I.  A replicate's resamples
-    come as an iterator of pieces, each a (m, n) block of indices I and the
-    (m, n) 0/1 treated indicators t*; the pieces are drawn as they are read,
-    and moving on to the next replicate drops what is left of one.
+    """Yield each replicate's rerandomizing-bootstrap resamples in turn, each
+    drawing its unit indices I and then its n uniforms from the replicate's
+    generator in ``rngs``, re-run under ``policy`` on the replicate's input
+    rows at I.  A replicate's resamples come as an endless iterator of
+    pieces, each a (m, n) block of indices I and the (m, n) 0/1 treated
+    indicators t*, drawn as they are read: B resamples, then one per piece.
+    Read it by count, never with ``list()``; moving on to the next replicate
+    drops what is left of its B.
 
     ``inputs`` holds each replicate's (n, q) feature matrix or, with
     ``weights``, an indicator map's (n, blocks) level columns, ``weights``
-    being the blocks' sqrt-weights (``features.level_columns``).  The
+    being the blocks' sqrt-weights (``features.level_columns``).  The B
     resamples of consecutive replicates are rerandomized together, in
     engine batches of at most ``batch_size(n, q or blocks)`` trials, one
     batch at a time; a trial's arms do not depend on its batch, so each
     replicate gets the resamples it would get alone.
     """
     n, width = np.shape(inputs[0])
-    rows = ((k, rng) for k, rng in enumerate(rngs) for _ in range(B))
 
-    def pieces():  # a piece is a copy, so no batch outlives its pieces' reading
-        while batch := list(islice(rows, batch_size(n, width))):
+    def pieces(rows, size):  # a piece is a copy, so no batch outlives its pieces' reading
+        while batch := list(islice(rows, size)):
             idx, treated = _rerandomized(batch, inputs, policy, weights)
             start = 0
             for k, run in groupby(batch, key=itemgetter(0)):
@@ -564,8 +566,9 @@ def rerandomized_resamples(inputs, policy, B: int, rngs, weights=None):
                 start = stop
             del idx, treated
 
-    for _, group in groupby(pieces(), key=itemgetter(0)):
-        yield map(itemgetter(1), group)
+    rows = ((k, rng) for k, rng in enumerate(rngs) for _ in range(B))
+    for k, group in groupby(pieces(rows, batch_size(n, width)), key=itemgetter(0)):
+        yield map(itemgetter(1), chain(group, pieces(repeat((k, rngs[k])), 1)))
 
 
 def _rerandomized(batch, inputs, policy, weights):

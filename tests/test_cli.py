@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import warnings
 
@@ -88,6 +89,18 @@ class TestValidateConfig:
         kind = "power" if base is POWER_CFG else "imbalance"
         assert main([kind, "--config", cfg, "--out", str(out)]) == 2
         assert not (out / f"{kind}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [("n", 500.7, "500.7"), ("replicates", True, "True"), ("seed", 1.9, "1.9"),
+         ("alpha", True, "True"), ("mu0", False, "False"), ("metrics", [0, 1.7], "1.7"),
+         ("delta", [True, 2], "True")],
+    )
+    def test_json_number_of_wrong_type(self, tmp_path, capsys, key, value, shown):
+        """int() and float() would truncate these or read a bool as 1 or 0."""
+        cfg = {"kind": "power", "model": "setting1", "n": 500, "tests": ["t_ls"], key: value}
+        assert main(["validate-config", _write(tmp_path, "c.json", json.dumps(cfg))]) == 2
+        assert f"{key}: cannot interpret value {shown}" in capsys.readouterr().err
 
     def test_kappa_length_names_the_procedure(self, tmp_path, capsys):
         text = IMBALANCE_CFG.replace(

@@ -468,7 +468,7 @@ class TestRunners:
         )
         procs, rs = spec.procedures, range(6)
         Xs = [harness._covariates(spec, r) for r in rs]
-        ((phis, assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
+        ((inputs, _, assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
         real = harness.build_phi
 
         def build_phi(proc, setting, X):
@@ -477,10 +477,10 @@ class TestRunners:
             return real(proc, setting, X)
 
         monkeypatch.setattr(harness, "build_phi", build_phi)
-        ((kept_phis, kept_assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
-        assert kept_phis[2] is None and kept_assigns[2] is None
+        ((kept_inputs, _, kept_assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
+        assert kept_inputs[2] is None and kept_assigns[2] is None
         for k in (0, 1, 3, 4, 5):
-            np.testing.assert_array_equal(kept_phis[k], phis[k])
+            np.testing.assert_array_equal(kept_inputs[k], inputs[k])
             np.testing.assert_array_equal(kept_assigns[k], assigns[k])
 
     def test_a_chunk_without_randomized_procedures_is_empty(self):
@@ -491,6 +491,25 @@ class TestRunners:
         )
         table = run_power_experiment(spec)
         assert table.rows == [] and table.failures == {}
+
+    @pytest.mark.parametrize(
+        "tests, scattered",
+        [(("t_ls", "t_mbb", "t_boot"), 0), (("t_ls", "t_reg"), 2 * 5)],
+        ids=["bootstraps", "t_reg"],
+    )
+    def test_only_t_reg_scatters_dense_features(self, tests, scattered, monkeypatch):
+        """Indicator maps run on level columns, the bootstrap's included; a
+        dense feature matrix is built per replicate only for ``t_reg``."""
+        spec = ExperimentSpec(
+            kind="power", n=40, setting=CovariateSetting("S1"), model="setting1",
+            procedures=(procedure_preset("SR"), procedure_preset("HH", hh_weights=(0.5, 2, 0.3))),
+            replicates=5, base_seed=6, tests=tests, bootstrap_size=6,
+        )
+        calls = []
+        real = harness.level_matrix
+        monkeypatch.setattr(harness, "level_matrix", lambda *a: calls.append(1) or real(*a))
+        assert not run_power_experiment(spec).failures
+        assert len(calls) == scattered
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -740,12 +759,18 @@ class TestSharedFit:
             for r in range(spec.replicates)
         ]
         failed = 0
-        runs = harness._assign_chunk(spec, spec.procedures, range(spec.replicates), Xs)
-        for proc, (phis, assigns) in zip(spec.procedures, runs):
-            for r in range(spec.replicates):
-                args = (r, Xs[r], noises[r], phis[r], assigns[r])
+        rs = range(spec.replicates)
+        runs = harness._assign_chunk(spec, spec.procedures, rs, Xs)
+        lblock = inference.block_length(spec.n, spec.block_rule)
+        for proc, (inputs, roots, assigns) in zip(spec.procedures, runs):
+            tests = harness._power_tests(spec, proc)
+            boots = harness._boot_resamples(spec, proc, rs, inputs, roots, assigns)
+            for r in rs:
+                args = (r, Xs[r], noises[r], build_phi(proc, spec.setting, Xs[r]), assigns[r])
                 ref_stats, ref_row = _per_delta_reference(spec, proc, *args)
-                stats = harness._power_statistics(spec, classes, proc, *args).ravel()
+                stats = harness._power_statistics(
+                    spec, classes, lblock, proc, tests, *args, next(boots)
+                ).ravel()
                 np.testing.assert_array_equal(slots[proc.name][r], ref_row)
                 np.testing.assert_array_equal(np.isnan(stats), np.isnan(ref_stats))
                 np.testing.assert_allclose(stats, ref_stats, rtol=1e-12, atol=0)
@@ -1023,16 +1048,14 @@ class TestSharedLoop:
                 m.setattr(engine, rule, counted(rule, getattr(engine, rule)))
             runs = harness._assign_chunk(spec, procs, rs, Xs)
         assert calls == {rule: spec.n for rule in RULES[T]}  # n steps, not n per procedure
-        for proc, (phis, assigns) in zip(procs, runs):
+        for proc, (inputs, roots, assigns) in zip(procs, runs):
             for r in rs:
                 if r == 2 and proc.feature == failing:
-                    assert assigns[r] is None and phis[r] is None
+                    assert assigns[r] is None and inputs[r] is None
                     continue
                 u = harness._stream(spec.base_seed, r, harness._name_tag(proc.name)).random(spec.n)
-                x = np.zeros((spec.n, 0)) if phis.inputs[r] is None else phis.inputs[r]
-                alone = engine.simulate_assignments(
-                    x, proc.policy, T, uniforms=u, weights=phis.roots
-                )
+                x = np.zeros((spec.n, 0)) if inputs[r] is None else inputs[r]
+                alone = engine.simulate_assignments(x, proc.policy, T, uniforms=u, weights=roots)
                 np.testing.assert_array_equal(assigns[r], alone, err_msg=f"{proc.name} {r}")
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from carlab import inference
 from carlab.allocation import CompleteRandomization, EfronBiasedCoin
 from carlab.datagen import CovariateSetting, LinearModel, gen_covariate_matrix, gen_responses
 from carlab.engine import simulate_assignments
-from carlab.errors import DomainError, EstimatorError, FitError
+from carlab.errors import CarlabError, DomainError, EstimatorError, FitError
 from carlab.features import (
     Composite,
     Constant,
+    HuHu,
     Identity,
     Marginal,
     Stratified,
@@ -536,6 +538,14 @@ class TestPooledResamples:
         for key in ("tau", "kappa"):
             np.testing.assert_array_equal(a.params[key], b.params[key])
 
+    @staticmethod
+    def _rows(pieces, rows):
+        """The next pieces of a replicate's iterator, up to ``rows`` resamples."""
+        got = []
+        while sum(len(I) for I, _ in got) < rows:
+            got.append(next(pieces))
+        return got
+
     def test_a_pooled_replicate_continues_its_stream_as_alone(self, monkeypatch):
         """At n = 5 some resamples empty an arm; the engine batches of 7 span
         the three replicates' 40 resamples each."""
@@ -550,16 +560,62 @@ class TestPooledResamples:
         pooled = rerandomized_resamples([d.phi for d in datas], policy, B, rngs)
         emptied = 0
         for k, (data, rng, drawn) in enumerate(zip(datas, rngs, pooled)):
-            drawn = list(drawn)  # pieces of at most one batch
-            assert sum(len(I) for I, _ in drawn) == B and max(len(I) for I, _ in drawn) <= 7
-            emptied += sum(int(np.isin(t.sum(axis=1), (0, n)).sum()) for _, t in drawn)
-            v = sigma_tau_bootstrap(data, policy, B, rng, drawn)
+            head = self._rows(drawn, B)  # pieces of at most one batch
+            assert sum(len(I) for I, _ in head) == B and max(len(I) for I, _ in head) <= 7
+            emptied += sum(int(np.isin(t.sum(axis=1), (0, n)).sum()) for _, t in head)
+            v = sigma_tau_bootstrap(data, policy, B, rng, chain(head, drawn))
             alone = np.random.default_rng(60 + k)
             single = sigma_tau_bootstrap(data, policy, B, alone)
             assert v.value == single.value
             np.testing.assert_array_equal(v.params["tau"], single.params["tau"])
             assert rng.random() == alone.random()
         assert emptied > 0
+
+    def test_refills_are_drawn_on_the_level_columns(self, monkeypatch):
+        """After a replicate's B pooled resamples come refills of one resample
+        each, the group-of-one continuation of its stream on its own level
+        columns and non-integer sqrt-weights."""
+        spec = HuHu((0, 1), ((0.0, 1.0, 2.0), (0.0, 1.0)), w0=0.5, w_margins=(2.0, 2.0),
+                    w_stratum=0.3)
+        n, B, policy = 24, 10, self.policy
+        rng = np.random.default_rng(70)
+        cols = [
+            level_columns(spec, np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, n)]))
+            for _ in range(3)
+        ]
+        roots = cols[0][1]
+        monkeypatch.setattr(inference, "batch_size", lambda n, q: 7)
+        rngs = [np.random.default_rng(71 + k) for k in range(3)]
+        pooled = rerandomized_resamples([c for c, _ in cols], policy, B, rngs, roots)
+        for k, drawn in enumerate(pooled):
+            assert sum(len(I) for I, _ in self._rows(drawn, B)) == B
+            refills = [next(drawn) for _ in range(3)]
+            fresh = [np.random.default_rng(71 + k)]
+            alone = next(rerandomized_resamples([cols[k][0]], policy, B + 3, fresh, roots))
+            rows = self._rows(alone, B + 3)
+            for got, want in zip(zip(*refills), zip(*rows)):
+                assert all(len(piece) == 1 for piece in got)
+                np.testing.assert_array_equal(np.concatenate(got), np.concatenate(want)[B:])
+
+    def test_drawn_resamples_need_no_features(self, monkeypatch):
+        """With ``drawn`` the bootstrap reads no ``phi``; a ``drawn`` that runs
+        out raises a carlab error that names it."""
+        spec = Stratified(coords=(0, 1), levels=((0.0, 1.0, 2.0), (0.0, 1.0)))
+        rng = np.random.default_rng(80)
+        n, B = 60, 30
+        X = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, n)]).astype(float)
+        cols, roots = level_columns(spec, X)
+        treat = (simulate_assignments(cols, self.policy, 2, rng, weights=roots) == 0).astype(float)
+        data = _dataset(rng.normal(size=n) + treat, treat, X[:, :1])
+        pooled = rerandomized_resamples([cols], self.policy, B, [np.random.default_rng(81)], roots)
+        v = sigma_tau_bootstrap([data], self.policy, B, None, next(pooled))[0]
+        dense = dataclasses.replace(data, phi=level_matrix(spec, cols))
+        want = sigma_tau_bootstrap(dense, self.policy, B, np.random.default_rng(81))
+        np.testing.assert_array_equal(v.params["tau"], want.params["tau"])
+        monkeypatch.setattr(inference, "batch_size", lambda n, q: 7)
+        short = rerandomized_resamples([cols], self.policy, B, [np.random.default_rng(81)], roots)
+        with pytest.raises(CarlabError, match="drawn"):
+            sigma_tau_bootstrap(data, self.policy, B, None, [next(next(short))])
 
 
 class TestSweep:
