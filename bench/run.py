@@ -5,7 +5,10 @@ Each ``demos/configs/*.cfg`` runs in a fresh process with
 per config, the wall time, the SHA-256 of the result CSV, the process's peak
 resident memory and its exit code, plus the versions, CPU count and commit
 it ran on, and the lines of its ``src/`` (``src_lines``, and
-``src_code_lines`` without blank, comment and docstring lines).  Records are
+``src_code_lines`` without blank, comment and docstring lines).  Each
+imbalance config also records ``engine_step_us``, the engine-step layer: the
+median time of one ``harness._assign_chunk`` call on a 64-replicate chunk,
+per unit-trial, in a fresh process of its own.  Records are
 kept in one JSON file under a label, so one file can hold the runs of a
 parent commit and of a change side by side:
 
@@ -83,6 +86,31 @@ def _src_lines(repo: Path) -> tuple:
     return lines, code
 
 
+# One engine-step probe: the median of 7 timed ``harness._assign_chunk`` calls
+# on one chunk of 64 replicates of the config, after one untimed call, in
+# microseconds per unit-trial (every procedure's trial counted).
+_ENGINE_STEP = """
+import statistics, sys, time
+from carlab import config, harness
+with open(sys.argv[1], encoding="utf-8") as fh:
+    spec = config.load_config(fh.read())
+rs = range(min(64, spec.replicates))
+Xs = [harness._covariates(spec, r) for r in rs]
+times = []
+for _ in range(8):
+    t0 = time.perf_counter()
+    harness._assign_chunk(spec, spec.procedures, rs, Xs)
+    times.append(time.perf_counter() - t0)
+print(1e6 * statistics.median(times[1:]) / (len(rs) * spec.n * len(spec.procedures)))
+"""
+
+
+def _engine_step(cfg: Path, env) -> float:
+    out = subprocess.run([sys.executable, "-c", _ENGINE_STEP, str(cfg)], env=env,
+                         capture_output=True, text=True, check=True)
+    return round(float(out.stdout), 4)
+
+
 def _run_config(cfg: Path, quick: bool, env, work: Path) -> dict:
     text = cfg.read_text(encoding="utf-8")
     kind = re.search(r"^kind\s*=\s*(\w+)", text, re.M).group(1)
@@ -101,13 +129,16 @@ def _run_config(cfg: Path, quick: bool, env, work: Path) -> dict:
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     csv_path = out / f"{kind}.csv"
     digest = hashlib.sha256(csv_path.read_bytes()).hexdigest() if csv_path.exists() else None
-    return {
+    row = {
         "replicates": replicates,
         "wall_s": round(wall, 3),
         "csv_sha256": digest,
         "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),  # ru_maxrss is in KiB on Linux
         "exit_code": proc.returncode,
     }
+    if kind == "imbalance":  # runs that are mostly engine
+        row["engine_step_us"] = _engine_step(cfg, env)
+    return row
 
 
 def _run_tier1(repo: Path, env) -> dict:

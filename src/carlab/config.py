@@ -15,7 +15,7 @@ import json
 import re
 
 from .datagen import CovariateSetting
-from .errors import CarlabError, ConfigError
+from .errors import CarlabError, ConfigError, DomainError
 from .features import Constant, Identity, Power, Product
 from .harness import ExperimentSpec, procedure_preset, validate_spec
 
@@ -155,26 +155,23 @@ def parse_procedure(entry, treatments: int):
     kwargs = {}
     hh = {}
     for k, v in overrides.items():
-        try:
-            if k == "rho":
-                kwargs["rho"] = float(v)
-            elif k in ("D", "K0", "cap"):
-                kwargs["cap"] = float(v)
-            elif k == "kappa":
-                parts = v if isinstance(v, (list, tuple)) else str(v).split("/")
-                kwargs["kappa"] = tuple(float(x) for x in parts)
-            elif k == "feature":
+        key = f"procedures: {name}: {k}"
+        if k == "rho":
+            kwargs["rho"] = _number(key, v, float)
+        elif k in ("D", "K0", "cap"):
+            kwargs["cap"] = _number(key, v, float)
+        elif k == "kappa":
+            parts = v if isinstance(v, (list, tuple)) else str(v).split("/")
+            kwargs["kappa"] = tuple(_number(key, x, float) for x in parts)
+        elif k == "feature":
+            try:
                 kwargs["terms"] = parse_feature_terms(v)
-            elif k in ("w0", "wm", "ws"):
-                hh[k] = float(v)
-            else:
-                raise ConfigError(f"procedures: {name}: unknown parameter {k!r}")
-        except ConfigError:
-            raise
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"procedures: {name}: {k}: cannot interpret value {v!r}"
-            ) from None
+            except DomainError:  # a term's index below x1
+                raise ConfigError(f"{key}: cannot interpret value {v!r}") from None
+        elif k in ("w0", "wm", "ws"):
+            hh[k] = _number(key, v, float)
+        else:
+            raise ConfigError(f"procedures: {name}: unknown parameter {k!r}")
     if hh:
         kwargs["hh_weights"] = (hh.get("w0", 1.0), hh.get("wm", 1.0), hh.get("ws", 1.0))
     try:

@@ -25,22 +25,26 @@ clamp bound (cap = 3) meaningful for continuous allocation.
 
 ``simulate_assignments`` advances a batch of independent trials together,
 one unit at a time, and it can advance several procedures' batches in the
-same unit loop, each with its own policy.  All the trials share one flat
-array of per-arm sums.  Each step gathers the sums at the unit's columns for
-every trial in one take, reduces each batch's part to d = S phi_i, calls
-each distinct policy's rule once over that policy's trials, compares one
-uniform per trial with the rule's cumulative thresholds in arm order, and
-adds phi_i to the sums of the drawn arms in one scatter.  Every trial gets
-the assignments it would get alone, and ``assign_next`` is a one-unit call
-that continues a trial's sums, so seeded runs replay exactly.
+same unit loop, each with its own policy.  Every input enters the loop in
+one form, per unit a row of columns and a row of values, phi_i holding each
+value at its column.  A feature row is its values on columns 0 .. q - 1; an
+indicator map may enter as its level columns instead
+(``features.level_columns``), n x blocks integers rather than n x q floats,
+whose values are the blocks' sqrt-weights.  All the trials share one flat
+array of per-arm sums.  Each step gathers the sums at every trial's columns
+in one take, forms every trial's d = S phi_i in one einsum, calls each
+distinct policy's rule once over that policy's trials, compares one uniform
+per trial with the rule's cumulative thresholds in arm order, and adds the
+values to the drawn arms' columns in one scatter.  Every trial gets the
+assignments it would get alone, up to rounding (``_simulate``), and
+``assign_next`` is a one-unit call that continues a trial's sums, so seeded
+runs replay exactly.
 
-An indicator map may enter as its level columns instead
-(``features.level_columns``), n x blocks integers rather than n x q floats:
-d is the gather sum_b sqrt(w_b) * S[:, col_b], and a unit is added by a
-scatter of the sqrt-weights into its columns.  With integer weights d is the
-dense product's exact integer; with others its rounding may differ.  Complete
-randomization ignores the state: its trials are one comparison of the
-uniforms with its thresholds, with no unit loop.
+Level columns with integer sqrt-weights keep d exact; with non-integer ones
+they are summed in another order than the dense product S phi_i, so their
+rounding may differ from it.  Complete randomization ignores the state: its
+trials are one comparison of the uniforms with its thresholds, with no unit
+loop.
 """
 
 from dataclasses import dataclass
@@ -196,7 +200,8 @@ def simulate_assignments(
     run in one unit loop: ``phi`` is their ``Inputs``, ``uniforms`` and
     ``weights`` are sequences alike (weights None for feature rows), and the
     result is the list of their assignments.  A trial's assignments do not
-    depend on the rest of the call.
+    depend on the rest of the call, up to the rounding noted in
+    ``_simulate``.
     """
     T = _check_arms(treatments)
     if isinstance(policy, AllocationPolicy):
@@ -212,23 +217,29 @@ def simulate_assignments(
 
 
 def _group(phi, policy, T, rng, uniforms, weights) -> tuple:
-    """One procedure's checked (inputs, policy, uniforms, roots): inputs
-    3-d, uniforms 2-d, roots None for feature rows."""
+    """One procedure's checked (columns, values, policy, uniforms), the first
+    two (trials, n, width) and the uniforms (trials, n): a feature row is its
+    values on columns 0 .. q - 1, a row of level columns its columns with the
+    sqrt-weights as values."""
     phi = np.asarray(phi)
     if phi.ndim not in (2, 3):
         raise DomainError("feature matrix must be 2-d, or 3-d for a batch of trials")
     if weights is not None:
-        if not np.issubdtype(phi.dtype, np.integer):
-            phi = phi.astype(np.int64)
         weights = np.asarray(weights, dtype=float)
         if weights.shape != phi.shape[-1:] or not np.all(np.isfinite(weights)):
             raise DomainError("level weights must be finite, one per level column")
+        if not np.issubdtype(phi.dtype, np.integer):
+            if not (np.all(np.isfinite(phi)) and np.all(phi == np.trunc(phi))):
+                raise DomainError("level columns must be finite whole numbers")
+            phi = phi.astype(np.int64)
         if phi.min(initial=0) < 0:
             raise DomainError("level columns must be non-negative")
+        columns, values = phi, np.broadcast_to(weights, phi.shape)
     else:
-        phi = phi.astype(float, copy=False)
-        if not np.all(np.isfinite(phi)):
+        values = phi.astype(float, copy=False)
+        if not np.all(np.isfinite(values)):
             raise DomainError("feature matrix must be finite")
+        columns = np.broadcast_to(np.arange(phi.shape[-1]), phi.shape)
     if uniforms is None:
         uniforms = rng.random(phi.shape[:-1])
     uniforms = np.asarray(uniforms, dtype=float)
@@ -238,99 +249,84 @@ def _group(phi, policy, T, rng, uniforms, weights) -> tuple:
         raise DomainError("uniforms must be finite and in [0, 1)")
     check_policy(policy, T)
     if phi.ndim == 2:
-        phi, uniforms = phi[None], uniforms[None]
-    return phi, policy, uniforms, weights
+        return columns[None], values[None], policy, uniforms[None]
+    return columns, values, policy, uniforms
 
 
 def _simulate(groups, T: int, sums=None) -> list:
     """Every group's (trials, n) assignments, its trials advanced together.
 
     Complete randomization compares its uniforms with its thresholds, unless
-    ``sums`` asks for the state.  The other trials share one flat state, T
-    runs of Q columns each, in policy order.  A unit step gathers every
-    trial's (T, width) sums at the unit's columns (a feature row's are
-    0 .. q - 1) in one take, reduces each group's part to d as a call of its
-    own would, calls each policy's rule once, and adds the unit to the drawn
-    arms in one scatter, its rows padded to the widest input with zeros on
-    column Q - 1, which no input uses.  Inputs are staged a block of units
-    at a time.
+    ``sums`` asks for the state.  The other trials share one state of T
+    runs, one per arm, each holding every trial's Q columns in policy
+    order.  Each group's columns and values are staged a block of units at a
+    time, rows padded to the widest input with zero values on column Q - 1,
+    which no input uses.  A unit step gathers every trial's sums at the
+    unit's columns from all T runs in one take, forms d = S phi of every
+    trial in one einsum, calls each policy's rule once, and adds the values
+    to the drawn arms' columns in one scatter.
+
+    Zero padding leaves integer sums exact, but numpy's einsum may sum a
+    padded row of non-integer values in another order than in a call of its
+    own (seen with numpy 2.4 for 5 .. 7 columns padded to 8 or more, 11 .. 15
+    to 16 or more): an ulp in d, which moves an arm only at a tie or where a
+    uniform lies within it of its threshold.
     """
-    n = groups[0][2].shape[1] if groups else 0
-    if any(u.shape[1] != n for _, _, u, _ in groups):
+    n = groups[0][3].shape[1] if groups else 0
+    if any(u.shape[1] != n for *_, u in groups):
         raise DomainError("every batch of a call must have the same number of units")
     arm = np.min_scalar_type(-T)  # the smallest signed type holding every arm
-    outs = [np.empty((len(u), n), dtype=arm) for _, _, u, _ in groups]
+    outs = [np.empty((len(u), n), dtype=arm) for *_, u in groups]
     live = {}  # policy -> its state-carrying groups
-    for g, (_, policy, u, _) in enumerate(groups):
+    for g, (_, _, policy, u) in enumerate(groups):
         if isinstance(policy, CompleteRandomization) and sums is None:  # no state enters
             cum = _thresholds(policy, np.zeros((1, T)))[0]
             outs[g][...] = (u[..., None] >= cum).sum(axis=-1)
         else:
             live.setdefault(policy, []).append(g)
-    # per group: its trials' rows and its part of the gathered sums
-    parts, rules, B, L = [], [], 0, 0
+    spans, rules, B = [], [], 0  # each group's rows of trials, and each policy's
     for policy, members in live.items():
         first = B
         for g in members:
-            trials, _, w = groups[g][0].shape
-            parts.append((g, slice(B, B + trials), slice(L, L + trials * T * w)))
-            B, L = B + trials, L + trials * T * w
+            spans.append((g, slice(B, B + len(outs[g]))))
+            B += len(outs[g])
         rules.append((policy, slice(first, B)))
-    if not parts:
+    if not spans:
         return outs
-    W = max(groups[g][0].shape[2] for g, _, _ in parts)
-    Q = 1 + max(x.shape[2] if r is None else int(x.max(initial=0)) + 1 for x, _, _, r in groups)
-    base = (T * Q * np.arange(B)[:, None] + Q * np.arange(T))[..., None]  # (B, T, 1)
-    m = max(1, min(n, _BLOCK_BYTES // (8 * (2 * B * W + L + 1))))  # units per block
-    cols = np.empty((m, B, W), dtype=np.intp)  # the scatter's arm-0 indices and values
-    cols[...] = base[:, 0] + Q - 1
+    W = max(groups[g][0].shape[2] for g, _ in spans)
+    Q = 2 + max(int(groups[g][0].max(initial=0)) for g, _ in spans)
+    base = Q * np.arange(B)[:, None]  # each trial's offset in an arm's run
+    m = max(1, min(n, _BLOCK_BYTES // (8 * B * (2 * W + 2))))  # units per block
+    cols = np.empty((m, B, W), dtype=np.intp)  # the units' columns in a run, and values
+    cols[...] = base + Q - 1
     vals = np.zeros((m, B, W))
-    at = np.empty((m, L), dtype=np.intp)  # the gather's flat indices
     draws = np.empty((m, B))
     arms = np.empty((m, B), dtype=np.int64)
-    state = np.zeros((B, T, Q))
+    state = np.zeros((T, B, Q))
     if sums is not None:
-        state[0, :, : sums.shape[1]] = sums
-    flat = state.ravel()
-    gathered, d, thr = np.empty(L), np.empty((B, T)), np.empty((B, T - 1))
-    for p, (g, rows, seg) in enumerate(parts):  # views of each group's sums and d
-        x, _, unif, roots = groups[g]
-        w = x.shape[2]
-        if roots is None:
-            cols[:, rows, :w] = base[rows, 0] + np.arange(w)
-            at[:, seg] = (base[rows] + np.arange(w)).ravel()
-            part, out = gathered[seg].reshape(len(x), T, w), d[rows]
-        else:
-            vals[:, rows, :w] = roots
-            part = gathered[seg].reshape(len(x) * T, w)
-            out = d.reshape(-1)[rows.start * T : rows.stop * T]
-        parts[p] = (rows, seg, x, unif, roots, part, out, outs[g])
+        state[:, 0, : sums.shape[1]] = sums
+    runs, flat = state.reshape(T, B * Q), state.ravel()
+    gathered, d, thr = np.empty((T, B * W)), np.empty((B, T)), np.empty((B, T - 1))
+    part = gathered.reshape(T, B, W)
     for i0 in range(0, n, m):
         k = min(m, n - i0)
-        for rows, seg, x, unif, roots, *_ in parts:
-            block = x[:, i0 : i0 + k].swapaxes(0, 1)
-            if roots is None:
-                vals[:k, rows, : x.shape[2]] = block
-            else:
-                staged = cols[:k, rows, : x.shape[2]]
-                np.add(block, base[rows, 0], out=staged)
-                at[:k, seg] = (staged[:, :, None] + Q * np.arange(T)[:, None]).reshape(k, -1)
+        for g, rows in spans:
+            columns, values, _, unif = groups[g]
+            w = columns.shape[2]
+            np.add(columns[:, i0 : i0 + k].swapaxes(0, 1), base[rows], out=cols[:k, rows, :w])
+            vals[:k, rows, :w] = values[:, i0 : i0 + k].swapaxes(0, 1)
             draws[:k, rows] = unif[:, i0 : i0 + k].T
         for j in range(k):
-            flat.take(at[j], out=gathered, mode="clip")  # in range; clip skips a buffer
-            for _, _, x, _, roots, part, out, _ in parts:
-                if roots is None:  # the einsum of a feature batch of its own
-                    np.einsum("btq,bq->bt", part, x[:, i0 + j], out=out)
-                else:  # one product of the level rows' sums with the roots
-                    np.matmul(part, roots, out=out)
+            runs.take(cols[j].ravel(), axis=1, out=gathered, mode="clip")  # clip: no buffer
+            np.einsum("tbw,bw->tb", part, vals[j], out=d.T)
             for policy, sl in rules:
                 thr[sl] = _thresholds(policy, d[sl])
             np.sum(draws[j][:, None] >= thr, axis=1, out=arms[j])
-            flat[cols[j] + Q * arms[j][:, None]] += vals[j]
-        for rows, *_, assigned in parts:
-            assigned[:, i0 : i0 + k] = arms[:k, rows].T
+            flat[cols[j] + B * Q * arms[j][:, None]] += vals[j]
+        for g, rows in spans:
+            outs[g][:, i0 : i0 + k] = arms[:k, rows].T
     if sums is not None:
-        sums[...] = state[0, :, : sums.shape[1]]
+        sums[...] = state[:, 0, : sums.shape[1]]
     return outs
 
 

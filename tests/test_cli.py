@@ -94,13 +94,22 @@ class TestValidateConfig:
         "key, value, shown",
         [("n", 500.7, "500.7"), ("replicates", True, "True"), ("seed", 1.9, "1.9"),
          ("alpha", True, "True"), ("mu0", False, "False"), ("metrics", [0, 1.7], "1.7"),
-         ("delta", [True, 2], "True")],
+         ("delta", [True, 2], "True"),
+         pytest.param("procedures", [{"name": "HH", "w0": True}], "True", id="HH-w0"),
+         pytest.param("procedures", [{"name": "phi-CAR-Con", "cap": True}], "True", id="Con-cap"),
+         pytest.param("procedures", [{"name": "PS", "kappa": [0.5, True, 0.25]}], "True",
+                      id="PS-kappa")],
     )
     def test_json_number_of_wrong_type(self, tmp_path, capsys, key, value, shown):
         """int() and float() would truncate these or read a bool as 1 or 0."""
         cfg = {"kind": "power", "model": "setting1", "n": 500, "tests": ["t_ls"], key: value}
+        field = key
+        if key == "procedures":  # a parameter's message names its procedure; three arms
+            (param,) = set(value[0]) - {"name"}
+            field = f"procedures: {value[0]['name']}: {param}"
+            cfg.update(kind="imbalance", setting="S4", treatments=3)
         assert main(["validate-config", _write(tmp_path, "c.json", json.dumps(cfg))]) == 2
-        assert f"{key}: cannot interpret value {shown}" in capsys.readouterr().err
+        assert f"{field}: cannot interpret value {shown}" in capsys.readouterr().err
 
     def test_kappa_length_names_the_procedure(self, tmp_path, capsys):
         text = IMBALANCE_CFG.replace(

@@ -422,6 +422,10 @@ class TestLevelColumns:
             simulate_assignments(cols, policy, 2, uniforms=np.zeros(5), weights=[1.0, np.nan])
         with pytest.raises(DomainError):
             simulate_assignments(cols - 1, policy, 2, uniforms=np.zeros(5), weights=[1.0, 1.0])
+        fractions = np.array([[0.5], [0.9], [0.2], [0.7]])  # truncated to 0, they read as CR
+        for bad in (fractions, np.array([[0.0], [np.nan], [1.0], [0.0]])):
+            with pytest.raises(DomainError, match="finite whole numbers"):
+                simulate_assignments(bad, policy, 2, uniforms=np.zeros(4), weights=[1.0])
 
 
 class TestUniformsChecked:
@@ -473,6 +477,27 @@ class TestSeveralProcedures:
         )
         assert len(outs) == len(batches)
         for (x, policy, _, w), u, out in zip(batches, uniforms, outs):
+            alone = simulate_assignments(x, policy, T, uniforms=u, weights=w)
+            np.testing.assert_array_equal(out, alone, err_msg=repr(policy))
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_integer_batches_padded_past_eight_columns_as_if_alone(self, T):
+        """Padding an integer row with zeros to a wider call leaves d exact,
+        so ties, which the rules break by d alone, stay ties."""
+        rng = np.random.default_rng(50 + T)
+        n, trials = 60, 3
+        rules = _kernel_policies(T)[1:]
+        batches = [
+            (rng.integers(0, 2, size=(trials, n, 5)).astype(float), rules[0], None),
+            (rng.integers(0, 3, size=(trials, n, 2)), rules[-1], [1.0, 2.0]),
+            (rng.integers(-2, 3, size=(trials, n, 17)).astype(float), rules[1], None),
+        ]
+        uniforms = [rng.random((trials, n)) for _ in batches]
+        outs = simulate_assignments(
+            Inputs(x for x, *_ in batches), tuple(p for _, p, _ in batches), T,
+            uniforms=uniforms, weights=[w for *_, w in batches],
+        )
+        for (x, policy, w), u, out in zip(batches, uniforms, outs):
             alone = simulate_assignments(x, policy, T, uniforms=u, weights=w)
             np.testing.assert_array_equal(out, alone, err_msg=repr(policy))
 

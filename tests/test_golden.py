@@ -153,7 +153,7 @@ def test_huhu_imbalance_digest(tmp_path):
     )
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
-        == "c2ac45854ece9574d145391e242bc55866345058d826dbb24abce72cb7333161"
+        == "5c49c6eadcab80f8ce2a95e4a7226a688f4a4896a731b5418033e637b4c2f68f"
     )
 
 
