@@ -8,7 +8,10 @@ it ran on, and the lines of its ``src/`` (``src_lines``, and
 ``src_code_lines`` without blank, comment and docstring lines).  Each
 imbalance config also records ``engine_step_us``, the engine-step layer: the
 median time of one ``harness._assign_chunk`` call on a 64-replicate chunk,
-per unit-trial, in a fresh process of its own.  Records are
+per unit-trial, in a fresh process of its own.  ``power_setting1.cfg`` also
+runs once more with ``--threads 2`` (``threads2``: its wall time, peak
+resident memory, exit code and whether its CSV SHA-256 equals the serial
+run's; a mismatch fails the script).  Records are
 kept in one JSON file under a label, so one file can hold the runs of a
 parent commit and of a change side by side:
 
@@ -111,7 +114,7 @@ def _engine_step(cfg: Path, env) -> float:
     return round(float(out.stdout), 4)
 
 
-def _run_config(cfg: Path, quick: bool, env, work: Path) -> dict:
+def _run_config(cfg: Path, quick: bool, env, work: Path, threads: int = 1) -> dict:
     text = cfg.read_text(encoding="utf-8")
     kind = re.search(r"^kind\s*=\s*(\w+)", text, re.M).group(1)
     replicates = int(re.search(r"^replicates\s*=\s*(\d+)", text, re.M).group(1))
@@ -121,7 +124,7 @@ def _run_config(cfg: Path, quick: bool, env, work: Path) -> dict:
     run_cfg, out = work / cfg.name, work / cfg.stem
     run_cfg.write_text(text, encoding="utf-8")
     cmd = [sys.executable, "-m", "carlab.cli", kind, "--config", str(run_cfg),
-           "--out", str(out), "--threads", "1"]
+           "--out", str(out), "--threads", str(threads)]
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak memory
@@ -180,6 +183,14 @@ def main(argv=None) -> int:
             row = _run_config(cfg, args.quick, env, Path(tmp))
             record["configs"][cfg.stem] = row
             print(f"{cfg.stem}: {row}", flush=True)
+        work = Path(tmp) / "threads2"  # so a failed run cannot leave the serial CSV to hash
+        work.mkdir()
+        row = _run_config(repo / "demos" / "configs" / "power_setting1.cfg", args.quick, env,
+                          work, threads=2)
+        serial = record["configs"]["power_setting1"]["csv_sha256"]
+        row["csv_matches_serial"] = serial is not None and row["csv_sha256"] == serial
+        record["threads2"] = {"power_setting1": row}
+        print(f"power_setting1 --threads 2: {row}", flush=True)
     if args.tier1:
         record["tier1"] = _run_tier1(repo, env)
         print(f"tier1: {record['tier1']}", flush=True)
@@ -188,6 +199,8 @@ def main(argv=None) -> int:
     runs[args.label] = record
     out.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     failed = [name for name, row in record["configs"].items() if row["exit_code"] != 0]
+    if not record["threads2"]["power_setting1"]["csv_matches_serial"]:
+        failed.append("threads2")
     return 1 if failed or record.get("tier1", {}).get("exit_code") else 0
 
 

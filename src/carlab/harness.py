@@ -360,6 +360,12 @@ def validate_spec(spec: ExperimentSpec):
             raise ConfigError(f"delta: values must be finite, got {d!r}")
     grids = {"delta": spec.deltas, "working_models": spec.working_models, "tests": spec.tests}
     check_unique(grids)
+    check_unique({"delta": [f"{d:g}" for d in spec.deltas]})  # as write_table prints them
+    if not any(_power_tests(spec, proc) for proc in spec.procedures):
+        raise ConfigError(
+            f"tests: none of {', '.join(spec.tests)} applies to procedures"
+            f" {', '.join(names)} (adjusted tests need a covariate-adaptive procedure)"
+        )
     if spec.block_rule not in ("sqrt", "cbrt"):
         raise ConfigError(f"block_rule must be sqrt or cbrt, got {spec.block_rule!r}")
 
@@ -677,17 +683,17 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
 
 
 def _boot_resamples(spec, proc, rs, inputs, roots, assigns):
-    """Per replicate of the chunk with assignments, in order: its ``t_boot``
-    stream and the resamples ``rerandomized_resamples`` draws from it as they
-    are read, on its engine input (sqrt-weights ``roots``), the chunk's first
-    B resamples rerandomized together (None without ``t_boot``)."""
+    """Per replicate of the chunk with assignments, in order: the resamples
+    ``rerandomized_resamples`` draws from its ``t_boot`` stream as they are
+    read, on its engine input (sqrt-weights ``roots``), the chunk's first B
+    resamples rerandomized together (None without ``t_boot``)."""
     if "t_boot" not in _power_tests(spec, proc):
         return itertools.repeat(None)
     kept = [k for k, assign in enumerate(assigns) if assign is not None]
     tag = _name_tag(proc.name, "t_boot")
     rngs = [_stream(spec.base_seed, rs[k], tag) for k in kept]
     inputs = [inputs[k] for k in kept]
-    return zip(rngs, rerandomized_resamples(inputs, proc.policy, spec.bootstrap_size, rngs, roots))
+    return rerandomized_resamples(inputs, proc.policy, spec.bootstrap_size, rngs, roots)
 
 
 def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assign, boot):
@@ -696,7 +702,7 @@ def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assi
     logistic test once per class, ``run_test`` once per fit and per-fit
     test, and one ``_refit`` call over every fit's data per refit test.
     ``phi``: the dense features, for ``t_reg``; ``boot``: ``t_boot``'s
-    (stream, resamples); each None when not run.  Each delta's statistic is
+    resamples; each None when not run.  Each delta's statistic is
     the fit's tau_hat plus its shift over a ``statistic_scale``."""
     n = spec.n
     treat = (assign == 0).astype(float)
@@ -728,12 +734,12 @@ def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assi
                     stats[[di for di, _ in members], :, ti] = res.statistic
             continue
         if test in DIRECT_TESTS and fits:  # one call over every fit
-            rng, drawn = boot if test == "t_boot" else (None, None)  # t_mbj reads no stream
+            rng = None  # t_mbj reads no stream, t_boot its drawn resamples
             if test == "t_mbb":
                 rng = _stream(spec.base_seed, r, _name_tag(proc.name, test))
             datas = [data for _, _, data, _ in fits]
             B = spec.bootstrap_size
-            vs = attempt(_refit, test, datas, lblock, B, rng, proc.policy, drawn) or ()
+            vs = attempt(_refit, test, datas, lblock, B, rng, proc.policy, boot) or ()
         else:  # run_test's (result, estimate) per fit
             vs = [attempt(run_test, test, fit, data, *run_args) for _, _, data, fit in fits]
         for (members, wi, _, fit), v in zip(fits, vs):
@@ -791,7 +797,6 @@ class AsymptoticParams:
     sigma_m2: float
     sigma_e2: float
     sigma_tau2: float
-    delta: float = 0.0
 
     def __post_init__(self):
         if self.sigma_eps2 < 0 or self.sigma_m2 < 0:
@@ -822,7 +827,7 @@ def theoretical_power(delta: float, params: AsymptoticParams, alpha: float = 0.0
     return rate_ls, rate_adj
 
 
-def setting1_params(working_model: str, delta: float = 0.0) -> AsymptoticParams:
+def setting1_params(working_model: str) -> AsymptoticParams:
     """Variance components for the linear simulation model with unit slopes.
 
     Valid for cells where the balancing features span the covariate signal,
@@ -839,7 +844,6 @@ def setting1_params(working_model: str, delta: float = 0.0) -> AsymptoticParams:
         sigma_m2=0.0,
         sigma_e2=4.0 + missing[working_model],
         sigma_tau2=4.0,
-        delta=delta,
     )
 
 

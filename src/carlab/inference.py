@@ -25,13 +25,16 @@ for the resampling estimators reduces to tau divided by the estimated
 standard deviation of tau.
 
 The jackknife and the two bootstraps also refit a sequence of datasets that
-share t and phi; the bootstraps refit all on one draw of resamples, keeping
-tau* (of y[I]) and kappa* (of t[I]) for responses y + s t (``shifted_value``).
-The rerandomizing bootstrap's draws come from ``rerandomized_resamples``,
-which rerandomizes the resamples of consecutive replicates (a power study's
-chunk) together, in shared engine batches, while each replicate reads its
-own stream, its refills too; a single call and ``carlab analyze`` run it on
-a group of one replicate.
+share t and phi, sweeping each chain of nested working models once per
+window or resample (``_sweep_chains``); the bootstraps refit all on one
+draw of resamples, keeping tau* (of y[I]) and kappa* (of t[I]) for
+responses y + s t (``shifted_value``).  Both read their resamples from one
+iterator of pieces, by count (``_resampled``): the block bootstrap's is
+drawn from its stream, the rerandomizing bootstrap's from
+``rerandomized_resamples``, which rerandomizes the resamples of
+consecutive replicates (a power study's chunk) together, in shared engine
+batches, while each replicate reads its own stream, its refills too; a
+single call and ``carlab analyze`` run it on a group of one replicate.
 
 Single systems (the working-model fit, the residual regression and each
 logistic iteration) go through one guarded LU solve, ``_solve``, which also
@@ -345,8 +348,8 @@ def sigma_tau_mbj(data, l: int):
     leave-block-out estimates scaled by (n - l) / l; it is reported on the
     common scale as n times that quantity over 4.  ``data`` may be a sequence
     of datasets; a window that empties an arm fails them all.  Nested working
-    models (``_chains``) share one sweep of the widest one's leave-window-out
-    normal equations, each read after its own number of pivots.
+    models share one sweep of the widest one's leave-window-out normal
+    equations (``_sweep_chains``).
     """
     datas = _datasets(data)
     n, t = datas[0].n, datas[0].t
@@ -357,24 +360,21 @@ def sigma_tau_mbj(data, l: int):
     bad = np.flatnonzero((n1_win == 0) | (n1_win == n - l))
     if bad.size:
         raise EstimatorError(f"leave-block-out window {int(bad[0])} empties an arm")
-    out = [None] * len(datas)
-    for chain in _chains(datas):
-        wide = datas[chain[0]]
-        x = np.ascontiguousarray(wide.x_obs.T)  # column means independent of the width
-        z = np.vstack([t, 1 - t, x - x.mean(axis=1, keepdims=True), wide.y])
+
+    def equations(d):
+        x = np.ascontiguousarray(d.x_obs.T)  # column means independent of the width
+        z = np.vstack([t, 1 - t, x - x.mean(axis=1, keepdims=True), d.y])
         c = np.cumsum(z[:-1, None] * z, axis=-1)  # (k, k + 1, n) sums over units
         A = c[..., -1:] - c[..., l - 1 :]  # total minus window, window by window
         A[..., 1:] += c[..., : m - 1]
-        try:
-            for pivots, tau in enumerate(_sweep(A, "a leave-block-out window"), start=2):
-                for j in chain:
-                    if datas[j].p + 2 == pivots:
-                        dev = tau[0] - tau[0].mean()
-                        sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
-                        out[j] = VarianceEstimate(n * sigma2_jack / 4.0, "mbj", {"l": int(l)})
-        except EstimatorError as exc:
-            for j in chain:
-                out[j] = out[j] or exc
+        return A
+
+    out = _sweep_chains(datas, equations, "a leave-block-out window")
+    for j, tau in enumerate(out):
+        if not isinstance(tau, EstimatorError):
+            dev = tau[0] - tau[0].mean()
+            sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
+            out[j] = VarianceEstimate(n * sigma2_jack / 4.0, "mbj", {"l": int(l)})
     return _one_or_all(data, out)
 
 
@@ -392,6 +392,25 @@ def _chains(datas: list) -> list:
         else:
             chain.append(j)
     return chains
+
+
+def _sweep_chains(datas: list, equations, what: str) -> list:
+    """Each dataset's contrasts theta_0 - theta_1, of shape (r, m), or the
+    ``EstimatorError`` of its refit, from one ``_sweep`` per chain of nested
+    working models (``_chains``): of the widest member's stack
+    ``equations(d)``, each member read after its own p + 2 pivots.  A pivot
+    that fails the guard fails the members not yet read."""
+    out = [None] * len(datas)
+    for chain in _chains(datas):
+        try:
+            for pivots, tau in enumerate(_sweep(equations(datas[chain[0]]), what), start=2):
+                for j in chain:
+                    if datas[j].p + 2 == pivots:
+                        out[j] = tau
+        except EstimatorError as exc:
+            for j in chain:
+                out[j] = exc if out[j] is None else out[j]
+    return out
 
 
 def _sweep(A: np.ndarray, what: str):
@@ -431,18 +450,20 @@ def _one_or_all(data, out: list):
     return out[0] if isinstance(data, TrialDataset) else out
 
 
-def _resampled(datas: list, draw, B: int, rng, what: str, method: str, **params):
+def _resampled(datas: list, pieces, B: int, what: str, method: str, **params):
     """Bootstrap estimates n var(tau*) / 4 (or ``EstimatorError``s) of the
     datasets ``datas``, from B resamples of their shared units.
 
-    ``draw(rng, m)`` returns the next resamples of the stream, at most m:
-    their unit indices I and 0/1 treatment indicators, one row each.  One
-    that empties an arm is dropped and the next ones in the stream take the
-    places left, so the stream is read up to the B-th kept resample and no
-    further; 100 dropped in a row raise.  Each dataset regresses y[I] and
-    t[I] on its resampled design in one ``_sweep``, for the tau* and kappa*
-    kept in ``params``, until every refit has failed; a resample whose design
-    fails the sweep's guard fails that dataset's estimate.
+    ``pieces`` is an iterator of resample pieces, each a block of unit
+    indices I and 0/1 treatment indicators t*, one row per resample and
+    never more rows than are still wanted.  It is read by count: a resample
+    that empties an arm is dropped and the next ones take the places left,
+    so it is read up to the B-th kept resample and no further; 100 dropped
+    in a row raise.  Each piece is refitted in one ``_sweep`` per chain of
+    nested working models (``_sweep_chains``), y[I] and t[I] regressed on
+    the widest member's resampled design, for the tau* and kappa* kept in
+    ``params``, until every refit has failed; a resample whose design fails
+    the sweep's guard fails the estimates of the members not yet read.
     """
     if B < 2:
         raise DomainError("bootstrap size must be >= 2")
@@ -450,7 +471,7 @@ def _resampled(datas: list, draw, B: int, rng, what: str, method: str, **params)
     out = [[] for _ in datas]
     kept, run = 0, 0
     while kept < B and any(isinstance(taus, list) for taus in out):
-        idx, t = draw(rng, B - kept)
+        idx, t = next(pieces)
         n1 = t.sum(axis=1)
         ok = (n1 > 0) & (n1 < t.shape[1])
         for good in ok:
@@ -458,13 +479,10 @@ def _resampled(datas: list, draw, B: int, rng, what: str, method: str, **params)
             if run == 100:
                 raise EstimatorError(f"{what} kept emptying an arm")
         idx, t = idx[ok], t[ok]
-        for j, d in enumerate(datas):
+        refits = _sweep_chains(datas, lambda d: _resampled_equations(d, t0, idx, t), what)
+        for j, taus in enumerate(refits):
             if isinstance(out[j], list):
-                try:
-                    *_, taus = _sweep(_resampled_equations(d, t0, idx, t), what)
-                    out[j].append(taus)
-                except EstimatorError as exc:
-                    out[j] = exc
+                out[j] = taus if isinstance(taus, EstimatorError) else out[j] + [taus]
         kept += idx.shape[0]
     for j, taus in enumerate(out):
         if isinstance(taus, list):
@@ -487,23 +505,20 @@ def sigma_tau_mbb(data, l: int, B: int, rng):
     """Moving-block bootstrap: concatenate resampled blocks, truncate to n, refit.
 
     Block starts are uniform on the n - l + 1 windows; each resample keeps
-    within-block serial structure intact.  A resample that empties an arm is
-    replaced by the next one drawn.  Reported on the common scale as n times
-    the bootstrap variance of the effect estimate over 4.  ``data`` may be a
-    sequence of datasets.
+    within-block serial structure intact.  The resamples are drawn from
+    ``rng`` as they are read, B in one piece and then one per piece, so a
+    resample that empties an arm is replaced by the next one drawn.
+    Reported on the common scale as n times the bootstrap variance of the
+    effect estimate over 4.  ``data`` may be a sequence of datasets.
     """
     datas = _datasets(data)
     t0, n = datas[0].t, datas[0].n
     _check_block(n, l)
-    m = n // l
-    offs = np.arange(l)
-
-    def draw(rng, rows):
-        starts = rng.integers(0, n - l + 1, size=(rows, m + 1))
-        idx = (starts[:, :, None] + offs).reshape(rows, (m + 1) * l)[:, :n]
-        return idx, t0[idx]
-
-    out = _resampled(datas, draw, B, rng, "a block-bootstrap resample", "mbb", l=int(l))
+    rows = chain([B], repeat(1))
+    starts = (rng.integers(0, n - l + 1, size=(r, n // l + 1)) for r in rows)
+    idx = ((s[:, :, None] + np.arange(l)).reshape(len(s), -1)[:, :n] for s in starts)
+    pieces = ((i, t0[i]) for i in idx)
+    out = _resampled(datas, pieces, B, "a block-bootstrap resample", "mbb", l=int(l))
     return _one_or_all(data, out)
 
 
@@ -511,29 +526,27 @@ def sigma_tau_bootstrap(data, policy, B: int, rng, drawn=None):
     """Rerandomizing bootstrap: resample units iid, re-run the covariate-adaptive
     procedure on the resampled feature rows, refit the working model.
 
-    The resamples are ``drawn``, a replicate's pieces from
+    The resamples are ``drawn``, a replicate's iterator of pieces from
     ``rerandomized_resamples`` under ``policy`` (the allocation policy used
     at randomization), or without it a group of one drawn from ``rng`` on
-    ``data.phi``, the balancing features.  They are read by count: one
-    whose rerandomization empties an arm is replaced by the next, and a
-    ``drawn`` that runs out raises.  The bootstrap variance of the refitted
-    effect estimate, v_B, is reported on the common scale as n * v_B / 4
-    and kept in ``params["v_B"]``; the adjusted statistic in direct mode is
-    then exactly tau / sqrt(v_B).  ``data`` may be a sequence of datasets.
+    ``data.phi``, the balancing features; ``rng`` is not read when
+    ``drawn`` is given.  The pieces are read by count: a resample whose
+    rerandomization empties an arm is replaced by the next, and a ``drawn``
+    that runs out raises.  The bootstrap variance of the refitted effect
+    estimate, v_B, is reported on the common scale as n * v_B / 4 and kept
+    in ``params["v_B"]``; the adjusted statistic in direct mode is then
+    exactly tau / sqrt(v_B).  ``data`` may be a sequence of datasets.
     """
     datas = _datasets(data)
     if drawn is None:
         if datas[0].phi is None:
             raise DomainError("the rerandomizing bootstrap needs the feature matrix")
         drawn = next(rerandomized_resamples([datas[0].phi], policy, B, [rng]))
-    drawn = iter(drawn)
-
-    def draw(rng, m):
-        for piece in drawn:
-            return piece
-        raise DomainError("drawn ran out of bootstrap resamples")
-
-    return _one_or_all(data, _resampled(datas, draw, B, rng, "a bootstrap resample", "boot"))
+    try:
+        out = _resampled(datas, iter(drawn), B, "a bootstrap resample", "boot")
+    except StopIteration:
+        raise DomainError("drawn ran out of bootstrap resamples") from None
+    return _one_or_all(data, out)
 
 
 def rerandomized_resamples(inputs, policy, B: int, rngs, weights=None):

@@ -74,12 +74,15 @@ class TestValidateConfig:
         [
             (POWER_CFG, "delta = 0", "delta = 0, 0", "delta: duplicate value 0"),
             (POWER_CFG, "delta = 0", "delta = 0.5, 2, 0.50", "delta: duplicate value 0.5"),
+            (POWER_CFG, "delta = 0", "delta = 0.1234567, 0.1234568",
+             "delta: duplicate value 0.123457"),
             (POWER_CFG, "working_models = W3", "working_models = W1, W3, W1",
              "working_models: duplicate value W1"),
             (POWER_CFG, "tests = t_ls", "tests = t_ls, t_ls", "tests: duplicate value t_ls"),
             (IMBALANCE_CFG, "metrics = 0, 1", "metrics = 1, 1", "metrics: duplicate value 1"),
         ],
-        ids=["delta", "delta-written-twice-differently", "working-models", "tests", "metrics"],
+        ids=["delta", "delta-written-twice-differently", "delta-printed-alike", "working-models",
+             "tests", "metrics"],
     )
     def test_duplicate_grid_value(self, tmp_path, capsys, base, line, repeated, message):
         cfg = _write(tmp_path, "c.cfg", base.replace(line, repeated))
@@ -89,6 +92,17 @@ class TestValidateConfig:
         kind = "power" if base is POWER_CFG else "imbalance"
         assert main([kind, "--config", cfg, "--out", str(out)]) == 2
         assert not (out / f"{kind}.csv").exists()
+
+    def test_no_test_applies_to_any_procedure(self, tmp_path, capsys):
+        """Adjusted tests do not run under complete randomization, so this
+        config has no cell; it would draw every replicate for an empty table."""
+        text = POWER_CFG.replace("CR, SR", "CR").replace("tests = t_ls", "tests = t_reg, t_mb")
+        cfg = _write(tmp_path, "c.cfg", text)
+        assert main(["validate-config", cfg]) == 2
+        assert "tests: none of t_reg, t_mb applies to procedures CR" in capsys.readouterr().err
+        out = tmp_path / "results"
+        assert main(["power", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "power.csv").exists()
 
     @pytest.mark.parametrize(
         "key, value, shown",

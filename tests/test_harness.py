@@ -483,14 +483,15 @@ class TestRunners:
             np.testing.assert_array_equal(kept_inputs[k], inputs[k])
             np.testing.assert_array_equal(kept_assigns[k], assigns[k])
 
-    def test_a_chunk_without_randomized_procedures_is_empty(self):
+    def test_a_spec_without_cells_is_rejected(self):
+        """No chunk runs without a randomized procedure: such a spec has no cell."""
         spec = ExperimentSpec(
             kind="power", n=30, setting=CovariateSetting("S1"),
             procedures=(procedure_preset("CR"),), replicates=4, model="setting1",
             tests=("t_reg",),  # not run under complete randomization
         )
-        table = run_power_experiment(spec)
-        assert table.rows == [] and table.failures == {}
+        with pytest.raises(ConfigError, match="none of t_reg applies to procedures CR"):
+            run_power_experiment(spec)
 
     @pytest.mark.parametrize(
         "tests, scattered",

@@ -483,16 +483,28 @@ class TestSharedResamples:
         assert rng.random() == alone.random()  # the stream is read as one call reads it
 
     def test_a_failed_refit_fails_its_dataset_only(self):
+        """The singular dataset is in no chain.  The widest model of the chain
+        (repeated, data, narrow) repeats its first covariate, so its sweep
+        fails at the last pivot, after the narrower members are read."""
         data = self._data()
         singular = dataclasses.replace(data, x_obs=np.ones((data.n, 1)))  # = t + (1 - t)
-        for method in ("mbb", "mbj"):
-            good, bad = self._run(method, [data, singular], np.random.default_rng(45), 20, 5)
-            assert isinstance(good, VarianceEstimate)
-            alone = self._run(method, data, np.random.default_rng(45), 20, 5)
-            assert good.value == alone.value
-            assert isinstance(bad, EstimatorError)
-            with pytest.raises(EstimatorError, match="singular design"):
-                self._run(method, singular, np.random.default_rng(45), 20, 5)
+        repeated = dataclasses.replace(data, x_obs=np.column_stack([data.x_obs, data.x_obs[:, 0]]))
+        narrow = dataclasses.replace(data, x_obs=data.x_obs[:, :1])
+        datas = [data, singular, repeated, narrow]
+        for method in ("boot", "mbb", "mbj"):
+            good, bad, worse, good_narrow = self._run(
+                method, datas, np.random.default_rng(45), 20, 5
+            )
+            for d, v in ((data, good), (narrow, good_narrow)):
+                assert isinstance(v, VarianceEstimate)
+                alone = self._run(method, d, np.random.default_rng(45), 20, 5)
+                assert v.value == alone.value
+                for key, value in v.params.items():
+                    np.testing.assert_array_equal(value, alone.params[key])
+            for d, v in ((singular, bad), (repeated, worse)):
+                assert isinstance(v, EstimatorError)
+                with pytest.raises(EstimatorError, match="singular design"):
+                    self._run(method, d, np.random.default_rng(45), 20, 5)
 
     def test_a_window_that_empties_an_arm_fails_the_call(self):
         data = self._data()
