@@ -8,7 +8,11 @@ it ran on, and the lines of its ``src/`` (``src_lines``, and
 ``src_code_lines`` without blank, comment and docstring lines).  Each
 imbalance config also records ``engine_step_us``, the engine-step layer: the
 median time of one ``harness._assign_chunk`` call on a 64-replicate chunk,
-per unit-trial, in a fresh process of its own.  ``power_setting1.cfg`` also
+per unit-trial, in a fresh process of its own; each power config records
+``power_statistics_us``, the statistics layer: the median time of one
+``harness._power_statistics`` call (one replicate and procedure) over the
+config's first 64 replicates, one chunk, also in a fresh process.
+``power_setting1.cfg`` also
 runs once more with ``--threads 2`` (``threads2``: its wall time, peak
 resident memory, exit code and whether its CSV SHA-256 equals the serial
 run's; a mismatch fails the script).  Records are
@@ -108,8 +112,28 @@ print(1e6 * statistics.median(times[1:]) / (len(rs) * spec.n * len(spec.procedur
 """
 
 
-def _engine_step(cfg: Path, env) -> float:
-    out = subprocess.run([sys.executable, "-c", _ENGINE_STEP, str(cfg)], env=env,
+# One statistics probe: every ``harness._power_statistics`` call of a power
+# run over the config's first 64 replicates timed, their median in
+# microseconds.
+_POWER_STATISTICS = """
+import dataclasses, statistics, sys, time
+from carlab import config, harness
+with open(sys.argv[1], encoding="utf-8") as fh:
+    spec = config.load_config(fh.read())
+real, times = harness._power_statistics, []
+def timed(*args):
+    t0 = time.perf_counter()
+    out = real(*args)
+    times.append(time.perf_counter() - t0)
+    return out
+harness._power_statistics = timed
+harness.run_power_experiment(dataclasses.replace(spec, replicates=min(64, spec.replicates)))
+print(1e6 * statistics.median(times))
+"""
+
+
+def _probe(code: str, cfg: Path, env) -> float:
+    out = subprocess.run([sys.executable, "-c", code, str(cfg)], env=env,
                          capture_output=True, text=True, check=True)
     return round(float(out.stdout), 4)
 
@@ -140,7 +164,9 @@ def _run_config(cfg: Path, quick: bool, env, work: Path, threads: int = 1) -> di
         "exit_code": proc.returncode,
     }
     if kind == "imbalance":  # runs that are mostly engine
-        row["engine_step_us"] = _engine_step(cfg, env)
+        row["engine_step_us"] = _probe(_ENGINE_STEP, cfg, env)
+    elif threads == 1:
+        row["power_statistics_us"] = _probe(_POWER_STATISTICS, cfg, env)
     return row
 
 

@@ -291,7 +291,7 @@ def _simulate(groups, T: int, sums=None) -> list:
             spans.append((g, slice(B, B + len(outs[g]))))
             B += len(outs[g])
         rules.append((policy, slice(first, B)))
-    if not spans:
+    if B == 0:  # no state-carrying trial: empty batches only
         return outs
     W = max(groups[g][0].shape[2] for g, _ in spans)
     Q = 2 + max(int(groups[g][0].max(initial=0)) for g, _ in spans)

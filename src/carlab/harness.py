@@ -8,10 +8,12 @@ models, runs the requested tests, and reports rejection rates.  Under the
 linear models (setting1, setting2) delta shifts only the treated arm's mean,
 so each working model is fitted once per replicate and every delta's
 statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
-model is fitted per delta, and its logistic tests run once per delta.  The
-refit tests ``t_mbj``, ``t_mbb`` and ``t_boot`` run once per replicate and
-procedure, over every fit's data (the bootstraps on one draw of resamples);
-the ``t_boot`` resamples of a chunk's replicates are rerandomized together.
+model is fitted per delta, and its logistic tests run once per delta.  Each
+other test makes one estimator call per replicate and procedure, over every
+fit (the bootstraps on one draw of resamples), and a fit's deltas are one
+array of statistics; only ``carlab analyze`` builds test results
+(``run_test``).  The ``t_boot`` resamples of a chunk's replicates are
+rerandomized together.
 
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
@@ -94,7 +96,6 @@ from .inference import (
     sigma_tau_reg,
     statistic_scale,
     t_ls,
-    wald_statistic,
 )
 
 __all__ = [
@@ -474,6 +475,8 @@ def _study(spec: ExperimentSpec, kind: str, threads: int, cells, work) -> Result
     validate_spec(spec)
     if spec.kind != kind:
         raise ConfigError(f"run_{kind}_experiment needs kind={kind}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     R = spec.replicates
     by_proc = {p.name: cells(p) for p in spec.procedures}
     slots = {name: np.full((R, len(named)), np.nan) for name, named in by_proc.items()}
@@ -541,7 +544,7 @@ def _run_chunks(work, spec: ExperimentSpec, threads: int):
     fspecs = [feature_spec(p, spec.setting) for p in spec.procedures]
     size = batch_size(spec.n, max((input_width(f) for f in fspecs if f is not None), default=1))
     chunks = [range(r, min(r + size, spec.replicates)) for r in range(0, spec.replicates, size)]
-    workers = min(threads or 1, len(chunks), os.cpu_count() or 1)
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, chunks))
@@ -614,7 +617,7 @@ def _power_tests(spec: ExperimentSpec, proc: ProcedureSpec) -> tuple:
 
 
 def _fit_classes(spec: ExperimentSpec) -> list:
-    """The delta grid as fit classes (model fitted, [(delta index, shift)]):
+    """The delta grid as fit classes (model fitted, slice of deltas, shifts):
     one class fitted at delta = 0, with shifts delta / sqrt(n), under
     setting1 and setting2; a class per delta, shift 0, under the logistic
     model."""
@@ -622,8 +625,8 @@ def _fit_classes(spec: ExperimentSpec) -> list:
     model0 = (family or LogisticModel)(mu0=spec.mu0, mu1=spec.mu0)
     if family is None:
         effect = [with_effect(model0, LocalAlternative(d), spec.n) for d in spec.deltas]
-        return [(m, [(di, 0.0)]) for di, m in enumerate(effect)]
-    return [(model0, [(di, d / math.sqrt(spec.n)) for di, d in enumerate(spec.deltas)])]
+        return [(m, slice(di, di + 1), np.zeros(1)) for di, m in enumerate(effect)]
+    return [(model0, slice(None), np.array(spec.deltas) / math.sqrt(spec.n))]
 
 
 def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
@@ -634,10 +637,9 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     Under setting1 and setting2 each working model is fitted once per
     replicate, and each delta's statistic is formed in closed form from that
     fit and its variances.  The logistic model is not linear in delta, so it
-    is fitted per delta (``_fit_classes``).  ``t_mbj``, ``t_mbb`` and
-    ``t_boot`` run once per replicate and procedure (``_power_statistics``);
-    ``t_boot``'s resamples are rerandomized for the chunk first
-    (``_boot_resamples``).
+    is fitted per delta (``_fit_classes``).  Each other test's estimator runs
+    once per replicate and procedure (``_power_statistics``), ``t_boot`` on
+    resamples rerandomized for the chunk first (``_boot_resamples``).
     """
 
     def cells(proc):
@@ -697,14 +699,12 @@ def _boot_resamples(spec, proc, rs, inputs, roots, assigns):
 
 
 def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assign, boot):
-    """One replicate's (deltas, working models, ``tests``) statistics, NaN
-    where a fit or estimator fails: one fit per class and working model, a
-    logistic test once per class, ``run_test`` once per fit and per-fit
-    test, and one ``_refit`` call over every fit's data per refit test.
-    ``phi``: the dense features, for ``t_reg``; ``boot``: ``t_boot``'s
-    resamples; each None when not run.  Each delta's statistic is
-    the fit's tau_hat plus its shift over a ``statistic_scale``."""
-    n = spec.n
+    """One replicate's (deltas, working models, ``tests``) statistics: one fit
+    per class and working model, a logistic test per class, one ``_estimates``
+    call over every fit per other test (``phi``: the dense features, for
+    ``t_reg``; ``boot``: ``t_boot``'s resamples).  A fit's deltas are
+    a * (tau_hat + shifts) / b by ``statistic_scale``; where b = 0, 0 if the
+    shifted tau_hat is 0.  NaN where a fit or estimator fails."""
     treat = (assign == 0).astype(float)
     phi_red = regression_features(phi)
     stats = np.full((len(spec.deltas), len(spec.working_models), len(tests)), np.nan)
@@ -715,77 +715,73 @@ def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assi
         except (FitError, EstimatorError, DomainError):
             return None
 
-    runs = []  # (members, working model index, data, fit) per class and working model
-    for model, members in classes:
+    runs = []  # (slice of deltas, shifts, working model index, data, fit) per class and model
+    for model, dis, shifts in classes:
         y = responses_given_noise(model, X, treat, noise)
         for wi, wm in enumerate(spec.working_models):
             data = TrialDataset(y=y, t=treat, x_obs=X[:, list(_WORKING_MODELS[wm])])
-            runs.append((members, wi, data, attempt(lse_fit, data)))
-    fits = [run for run in runs if run[3] is not None]
-    run_args = (spec.alpha, lblock, None, None, None, phi_red)  # for a per-fit test
+            runs.append((dis, shifts, wi, data, attempt(lse_fit, data)))
+    fits = [run for run in runs if run[-1] is not None]
     for ti, test in enumerate(tests):
         if test in LOGISTIC_TESTS:  # the design ignores the working model: one fit per class
             observed = np.flatnonzero(spec.setting.observed_mask)
             covariates = (X[:, observed],) if test == "t_oracle" else ()
-            design = np.column_stack([np.ones(n), treat - 0.5, *covariates])
-            for members, _, data, _ in runs[:: len(spec.working_models)]:
+            design = np.column_stack([np.ones(spec.n), treat - 0.5, *covariates])
+            for dis, _, _, data, _ in runs[:: len(spec.working_models)]:
                 res = attempt(logistic_wald_test, data.y, design, 1, spec.alpha, test)
                 if res is not None:
-                    stats[[di for di, _ in members], :, ti] = res.statistic
+                    stats[dis, :, ti] = res.statistic
             continue
-        if test in DIRECT_TESTS and fits:  # one call over every fit
-            rng = None  # t_mbj reads no stream, t_boot its drawn resamples
-            if test == "t_mbb":
-                rng = _stream(spec.base_seed, r, _name_tag(proc.name, test))
-            datas = [data for _, _, data, _ in fits]
-            B = spec.bootstrap_size
-            vs = attempt(_refit, test, datas, lblock, B, rng, proc.policy, boot) or ()
-        else:  # run_test's (result, estimate) per fit
-            vs = [attempt(run_test, test, fit, data, *run_args) for _, _, data, fit in fits]
-        for (members, wi, _, fit), v in zip(fits, vs):
-            if v is None or isinstance(v, Exception):
+        rng = _stream(spec.base_seed, r, _name_tag(proc.name, test)) if test == "t_mbb" else None
+        args = ([fit for *_, fit in fits], [data for *_, data, _ in fits], lblock,
+                spec.bootstrap_size, rng, proc.policy, phi_red, boot)
+        vs = attempt(_estimates, test, *args) if fits else None
+        mode = "direct" if test in DIRECT_TESTS else "gram"
+        for (dis, shifts, wi, _, fit), v in zip(fits, vs or ()):
+            if isinstance(v, Exception):
                 continue
-            if test not in DIRECT_TESTS:
-                v = v[1]  # None for t_ls, whose variance is the fit's own
-            value = fit.sigma_e2 if v is None else v.value
-            for di, shift in members:
-                if test == "t_boot":
-                    value = shifted_value(v, n, shift)
-                # t_mbb: kappa* = 1, so its variance does not depend on the shift
-                s = statistic_scale(fit, value, "direct" if test in DIRECT_TESTS else "gram")
-                stat = attempt(wald_statistic, fit.tau_hat + shift, s)
-                if stat is not None:
-                    stats[di, wi, ti] = stat
+            taus = fit.tau_hat + shifts
+            if test == "t_boot":
+                scales = [statistic_scale(fit, shifted_value(v, spec.n, s), mode) for s in shifts]
+                a, b = np.array(scales).T
+            else:  # t_mbb: kappa* = 1, so its variance does not depend on the shift
+                a, b = statistic_scale(fit, fit.sigma_e2 if v is None else v.value, mode)
+            zero = np.where(taus == 0.0, 0.0, np.nan)
+            stats[dis, wi, ti] = np.divide(a * taus, b, out=zero, where=b != 0.0)
     return stats
 
 
-def _refit(test, data, l, B, rng, policy, drawn=None):
-    """A refit test's (``DIRECT_TESTS``) estimate(s) on one dataset or a
-    sequence; ``drawn``: ``t_boot``'s resamples, if drawn already."""
-    if test == "t_mbj":
-        return sigma_tau_mbj(data, l)
-    if test == "t_mbb":
-        return sigma_tau_mbb(data, l, B, rng)
-    return sigma_tau_bootstrap(data, policy, B, rng, drawn)
-
-
-def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
-    """Run one non-logistic test on a working-model fit: block length ``l``,
-    bootstrap size ``B`` and generator ``rng`` as the table says, ``policy``
-    re-run by ``t_boot``, ``phi`` from ``regression_features`` for ``t_reg``.
-    Returns the test result and the variance estimate (None for ``t_ls``)."""
+def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None) -> list:
+    """A non-logistic test's variance estimates of ``fits`` (on ``datas``), in
+    one estimator call: a list with each fit's failure in its place (one all
+    share raises), None throughout for ``t_ls``.  ``l``, ``B`` and ``rng`` as
+    the table says, ``policy`` re-run by ``t_boot`` unless ``drawn``, and
+    ``phi`` from ``regression_features`` for ``t_reg``."""
     if test == "t_ls":
-        return t_ls(fit, alpha), None
+        return [None] * len(fits)
     if test == "t_reg":
         if phi is None:
             raise EstimatorError("no usable feature matrix for the residual regression")
-        v = sigma_tau_reg(fit, phi)
-    elif test == "t_mb":
-        v = sigma_tau_mb(fit, l)
-    elif test in DIRECT_TESTS:
-        v = _refit(test, data, l, B, rng, policy)
-    else:
-        raise ConfigError(f"unknown test {test!r}")
+        return sigma_tau_reg(fits, phi)
+    if test == "t_mb":
+        return sigma_tau_mb(fits, l)
+    if test == "t_mbj":
+        return sigma_tau_mbj(datas, l)
+    if test == "t_mbb":
+        return sigma_tau_mbb(datas, l, B, rng)
+    if test == "t_boot":
+        return sigma_tau_bootstrap(datas, policy, B, rng, drawn)
+    raise ConfigError(f"unknown test {test!r}")
+
+
+def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
+    """One non-logistic test on one working-model fit, by ``_estimates``: the
+    test result and the variance estimate (None for ``t_ls``)."""
+    (v,) = _estimates(test, [fit], [data], l, B, rng, policy, phi)
+    if isinstance(v, Exception):
+        raise v
+    if v is None:
+        return t_ls(fit, alpha), None
     return adjusted_test(fit, v, "direct" if test in DIRECT_TESTS else "gram", alpha), v
 
 

@@ -24,17 +24,17 @@ adjusted statistic in "direct" mode is sqrt(n) * tau / (2 * sigma), which
 for the resampling estimators reduces to tau divided by the estimated
 standard deviation of tau.
 
-The jackknife and the two bootstraps also refit a sequence of datasets that
-share t and phi, sweeping each chain of nested working models once per
-window or resample (``_sweep_chains``); the bootstraps refit all on one
-draw of resamples, keeping tau* (of y[I]) and kappa* (of t[I]) for
-responses y + s t (``shifted_value``).  Both read their resamples from one
-iterator of pieces, by count (``_resampled``): the block bootstrap's is
+Each estimator also takes a replicate's working models in one call: ``reg``
+and ``mb`` a sequence of fits sharing t (``reg`` in one solve on one feature
+Gram), the refit three a sequence of datasets sharing t and phi, sweeping
+each chain of nested models once per window or resample (``_sweep_chains``).
+The bootstraps refit all on one draw of resamples, keeping tau* (of y[I])
+and kappa* (of t[I]) for responses y + s t (``shifted_value``), read from
+one iterator of pieces, by count (``_resampled``): the block bootstrap's
 drawn from its stream, the rerandomizing bootstrap's from
-``rerandomized_resamples``, which rerandomizes the resamples of
-consecutive replicates (a power study's chunk) together, in shared engine
-batches, while each replicate reads its own stream, its refills too; a
-single call and ``carlab analyze`` run it on a group of one replicate.
+``rerandomized_resamples``, which rerandomizes a chunk's replicates
+together, in shared engine batches, each replicate reading its own stream,
+refills too; a single call and ``carlab analyze`` use a group of one.
 
 Single systems (the working-model fit, the residual regression and each
 logistic iteration) go through one guarded LU solve, ``_solve``, which also
@@ -184,19 +184,20 @@ def _design(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _solve(G: np.ndarray, b: np.ndarray, err_cls, what: str):
-    """x = G^-1 b and G^-1 by one LU solve of G [x | G^-1] = [b | I].  An
-    exactly singular G, or a 1-norm reciprocal condition 1 / (|G| |G^-1|)
-    below 1e-12 (a zero or non-finite product counts), raises ``err_cls``."""
+    """x = G^-1 b, b (q,) or (q, r), and G^-1 by one LU solve of G [x | G^-1] =
+    [b | I].  An exactly singular G, or a 1-norm reciprocal condition
+    1 / (|G| |G^-1|) below 1e-12 (a zero or non-finite product counts), raises ``err_cls``."""
+    q = G.shape[0]
     try:
-        sol = np.linalg.solve(G, np.column_stack([b, np.eye(G.shape[0])]))
+        sol = np.linalg.solve(G, np.column_stack([b, np.eye(q)]))
     except np.linalg.LinAlgError as exc:
         raise err_cls(f"singular {what}") from exc
-    inv = sol[:, 1:]
+    inv = sol[:, -q:]
     prod = np.abs(G).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
     rcond = 1.0 / prod if 0.0 < prod < math.inf else 0.0
     if rcond < _RCOND_LIMIT:
         raise err_cls(f"ill-conditioned {what} (rcond ~ {rcond:.2e})")
-    return sol[:, 0], inv
+    return sol[:, :-q].reshape(np.shape(b)), inv
 
 
 def _check_finite(**arrays):
@@ -242,19 +243,15 @@ def lse_fit(data: TrialDataset) -> FitResult:
     )
 
 
-def _contrast_gram(gram_inv: np.ndarray) -> float:
-    # L (X'X)^-1 L' with L = (1, -1, 0, ..., 0)
-    return float(gram_inv[0, 0] + gram_inv[1, 1] - 2.0 * gram_inv[0, 1])
-
-
 def statistic_scale(fit: FitResult, value: float, mode: str = "gram") -> tuple:
     """The scale (a, b) of a Wald statistic a * tau / b on this fit's design,
     for a variance estimate ``value``: ``gram`` mode keeps the design-based
     contrast variance, (1, sqrt(value * L (X'X)^-1 L')); ``direct`` mode is
     (sqrt(n), 2 sqrt(value)).  It does not depend on the responses, so one
     scale serves every effect estimate tau of the same design."""
-    if mode == "gram":
-        return 1.0, math.sqrt(value) * math.sqrt(_contrast_gram(fit.gram_inv))
+    if mode == "gram":  # L (X'X)^-1 L' with L = (1, -1, 0, ..., 0)
+        g = fit.gram_inv
+        return 1.0, math.sqrt(value) * math.sqrt(float(g[0, 0] + g[1, 1] - 2.0 * g[0, 1]))
     if mode == "direct":
         return math.sqrt(fit.n), 2.0 * math.sqrt(value)
     raise DomainError(f"unknown mode {mode!r}")
@@ -291,26 +288,28 @@ def _wald_result(stat: float, alpha: float, method: str) -> TestResult:
     )
 
 
-def sigma_tau_reg(fit: FitResult, phi: np.ndarray) -> VarianceEstimate:
+def sigma_tau_reg(fit, phi: np.ndarray):
     """Regress working-model residuals on the balancing features.
 
     The feature matrix is used as given (no intercept is added; include a
     constant column when the map carries one).  The estimate is the residual
     sum of squares of that regression over n - p - 2, p being the working
-    model's covariate count.
+    model's covariate count.  Over a sequence of fits a singular phi fails
+    them all, a fit without degrees of freedom only itself.
     """
+    fits = _fits(fit)
     phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != fit.n:
+    if phi.ndim != 2 or phi.shape[0] != fits[0].n:
         raise DomainError("phi must be an (n, q) matrix matching the fit")
     _check_finite(phi=phi)
-    alpha_hat, _ = _solve(phi.T @ phi, phi.T @ fit.residuals, EstimatorError, "feature regression")
-    zeta = fit.residuals - phi @ alpha_hat
-    dof = fit.n - fit.p - 2
-    if dof <= 0:
-        raise EstimatorError("no degrees of freedom for the residual regression")
-    return VarianceEstimate(
-        value=float(zeta @ zeta) / dof, method="reg", params={"q": phi.shape[1]}
-    )
+    e = np.column_stack([f.residuals for f in fits])
+    alpha_hat, _ = _solve(phi.T @ phi, phi.T @ e, EstimatorError, "feature regression")
+    zeta = e - phi @ alpha_hat
+    return _one_or_all(fit, [
+        VarianceEstimate(float(ss) / dof, "reg", {"q": phi.shape[1]}) if dof > 0
+        else EstimatorError("no degrees of freedom for the residual regression")
+        for ss, dof in zip(np.einsum("ij,ij->j", zeta, zeta), (f.n - f.p - 2 for f in fits))
+    ])
 
 
 def _check_block(n: int, l: int):
@@ -318,7 +317,7 @@ def _check_block(n: int, l: int):
         raise DomainError(f"block length must satisfy 1 <= l < n, got l={l!r}, n={n}")
 
 
-def sigma_tau_mb(fit: FitResult, l: int) -> VarianceEstimate:
+def sigma_tau_mb(fit, l: int):
     """Moving-block sample variance of the signed residuals.
 
     Signed residual r_i is +residual for the treated arm, -residual for the
@@ -327,18 +326,19 @@ def sigma_tau_mb(fit: FitResult, l: int) -> VarianceEstimate:
     a degrees-of-freedom correction in the divisor.  At l = 1 it equals the
     usual residual variance.
     """
-    n, p = fit.n, fit.p
+    fits = _fits(fit)
+    n = fits[0].n
     _check_block(n, l)
-    divisor = n - l + 1 - (p + 2)
-    if divisor <= 0:
-        raise DomainError(
-            f"block length {l} leaves no degrees of freedom (n={n}, p={p})"
-        )
-    r = (2.0 * fit.treat - 1.0) * fit.residuals
-    c = np.concatenate([[0.0], np.cumsum(r)])
-    block_sums = c[l:] - c[: n - l + 1]
-    value = float(block_sums @ block_sums) / l / divisor
-    return VarianceEstimate(value=value, method="mb", params={"l": int(l)})
+    r = (2.0 * fits[0].treat - 1.0) * np.stack([f.residuals for f in fits])
+    c = np.zeros((len(fits), n + 1))
+    np.cumsum(r, axis=1, out=c[:, 1:])
+    block_sums = c[:, l:] - c[:, : n - l + 1]
+    divisors = [n - l + 1 - (f.p + 2) for f in fits]
+    return _one_or_all(fit, [
+        VarianceEstimate(float(ss) / l / d, "mb", {"l": int(l)}) if d > 0
+        else DomainError(f"block length {l} leaves no degrees of freedom (n={n}, p={f.p})")
+        for f, d, ss in zip(fits, divisors, np.einsum("ij,ij->i", block_sums, block_sums))
+    ])
 
 
 def sigma_tau_mbj(data, l: int):
@@ -443,11 +443,20 @@ def _datasets(data) -> list:
     return datas
 
 
+def _fits(fit) -> list:
+    """A residual estimator's one fit, or sequence of fits sharing t, as a list."""
+    fits = [fit] if isinstance(fit, FitResult) else list(fit)
+    if any(not np.array_equal(f.treat, fits[0].treat) for f in fits[1:]):
+        raise DomainError("fits must share t")
+    return fits
+
+
 def _one_or_all(data, out: list):
-    """One dataset's estimate (its error raised), or a sequence's list of results."""
-    if isinstance(data, TrialDataset) and isinstance(out[0], Exception):
+    """One dataset's or fit's estimate (its error raised), or a sequence's list."""
+    one = isinstance(data, (TrialDataset, FitResult))
+    if one and isinstance(out[0], Exception):
         raise out[0]
-    return out[0] if isinstance(data, TrialDataset) else out
+    return out[0] if one else out
 
 
 def _resampled(datas: list, pieces, B: int, what: str, method: str, **params):
@@ -603,12 +612,7 @@ def shifted_value(v: VarianceEstimate, n: int, shift: float) -> float:
     return n * float(np.var(v.params["tau"] + shift * v.params["kappa"], ddof=1)) / 4.0
 
 
-def adjusted_test(
-    fit: FitResult,
-    v: VarianceEstimate,
-    mode: str = "gram",
-    alpha: float = 0.05,
-) -> TestResult:
+def adjusted_test(fit: FitResult, v: VarianceEstimate, mode="gram", alpha=0.05) -> TestResult:
     """Wald test with the residual variance replaced by a consistent estimate.
 
     ``gram`` mode keeps the design-based contrast variance and swaps in the

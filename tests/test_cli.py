@@ -180,14 +180,25 @@ class TestRunCommands:
         assert all(0 < int(r["replicates"]) < 3000 for r in imb1)
         assert "note: cell ('phi-CAR-BC', 'imb1'):" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["imbalance", "power"])
-    def test_failing_feature_matrix_fails_its_procedure_only(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize(
+        "kind, other",
+        [
+            pytest.param("imbalance", "SR", id="imbalance"),
+            pytest.param("power", "SR", id="power"),
+            pytest.param("imbalance", "CR", id="imbalance-CR"),
+            pytest.param("power", "CR", id="power-CR"),
+        ],
+    )
+    def test_failing_feature_matrix_fails_its_procedure_only(
+        self, tmp_path, capsys, kind, other
+    ):
         # x1 is binary on S4, so x1^-1 is infinite wherever x1 = 0: every
         # replicate's phi-CAR-BC features fail, and only that procedure's
-        # cells lose them.
+        # cells lose them.  Beside CR the engine call then has no
+        # state-carrying trial at all.
         text = (
             "setting = S4\nn = 30\nreplicates = 8\nseed = 2\n"
-            "procedures = SR, phi-CAR-BC(feature=1+x1^-1)\n"
+            f"procedures = {other}, phi-CAR-BC(feature=1+x1^-1)\n"
         )
         if kind == "power":
             text += "model = setting1\ndelta = 0, 5\nworking_models = W1\ntests = t_ls, t_reg\n"
@@ -198,7 +209,7 @@ class TestRunCommands:
             assert main([kind, "--config", cfg, "--out", str(out)]) == 3
         with open(out / f"{kind}.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert rows and {r["procedure"] for r in rows} == {"SR"}
+        assert rows and {r["procedure"] for r in rows} == {other}
         assert all(r["replicates"] == "8" for r in rows)
         err = capsys.readouterr().err
         assert "error: cell ('phi-CAR-BC'," in err

@@ -501,6 +501,23 @@ class TestSeveralProcedures:
             alone = simulate_assignments(x, policy, T, uniforms=u, weights=w)
             np.testing.assert_array_equal(out, alone, err_msg=repr(policy))
 
+    def test_an_empty_batch_gives_no_assignments(self):
+        """A call whose only state-carrying batch has no trials (every
+        replicate's features failed) returns empty assignments, alone and
+        beside a complete-randomization batch."""
+        rng = np.random.default_rng(60)
+        n, policy = 20, EfronBiasedCoin(0.9)
+        empty, u0 = np.zeros((0, n, 3)), np.zeros((0, n))
+        assert simulate_assignments(empty, policy, 2, uniforms=u0).shape == (0, n)
+        u = rng.random((4, n))
+        cr, out = simulate_assignments(
+            Inputs([np.zeros((4, n, 0)), empty]), (CompleteRandomization(), policy), 2,
+            uniforms=[u, u0],
+        )
+        np.testing.assert_array_equal(cr, simulate_assignments(
+            np.zeros((4, n, 0)), CompleteRandomization(), 2, uniforms=u))
+        assert out.shape == (0, n)
+
     def test_batches_must_match(self):
         phi, u = np.zeros((1, 5, 1)), np.full((1, 5), 0.5)
         policy = EfronBiasedCoin(0.9)

@@ -389,6 +389,19 @@ class TestRunners:
         assert sizes == ([] if workers is None else [workers])
         assert [r for rs in done for r in rs] == list(range(9))  # 5 chunks, each once
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("kind", ["imbalance", "power"])
+    def test_threads_below_one_are_rejected(self, kind, threads):
+        spec = _tiny_power_spec(replicates=2)
+        if kind == "imbalance":
+            spec = ExperimentSpec(
+                kind="imbalance", n=20, setting=CovariateSetting("S1"),
+                procedures=(procedure_preset("CR"),), replicates=2,
+            )
+        run = run_imbalance_experiment if kind == "imbalance" else run_power_experiment
+        with pytest.raises(ConfigError, match=f"^threads must be >= 1, got {threads}$"):
+            run(spec, threads=threads)
+
     def test_seed_shift_stays_within_four_se(self):
         t1 = run_power_experiment(_tiny_power_spec(seed=101, replicates=150))
         t2 = run_power_experiment(_tiny_power_spec(seed=202, replicates=150))
@@ -738,16 +751,17 @@ class TestSharedFit:
         # Failures that do not depend on delta, so that both paths must agree
         # on them: a working-model fit fails when the first four units are
         # treated, and the residual regression when the treated count is a
-        # multiple of 4.
+        # multiple of 4.  The residual regression takes a replicate's fits,
+        # which share their treated count.
         def lse_fit(data):
             if data.t[:4].sum() == 4:
                 raise FitError("injected")
             return inference.lse_fit(data)
 
-        def sigma_tau_reg(fit, phi):
-            if fit.n1 % 4 == 0:
+        def sigma_tau_reg(fits, phi):
+            if fits[0].n1 % 4 == 0:
                 raise EstimatorError("injected")
-            return inference.sigma_tau_reg(fit, phi)
+            return inference.sigma_tau_reg(fits, phi)
 
         monkeypatch.setattr(harness, "lse_fit", lse_fit)
         monkeypatch.setattr(harness, "sigma_tau_reg", sigma_tau_reg)
@@ -837,6 +851,41 @@ class TestFitCount:
             for ti in (1, 2):
                 first = cells[:, :, :1, ti]
                 np.testing.assert_array_equal(cells[:, :, 1:, ti], first.repeat(2, axis=2))
+
+
+class TestEstimatorCallCount:
+    def test_one_residual_estimator_call_per_replicate_and_procedure(self, monkeypatch):
+        """t_reg and t_mb each make one estimator call over a replicate's fits,
+        whatever the delta grid and working models, and the power path builds
+        no test result."""
+        spec = ExperimentSpec(
+            kind="power",
+            n=40,
+            setting=CovariateSetting("S1"),
+            procedures=tuple(procedure_preset(p) for p in ("CR", "SR", "phi-CAR-BC")),
+            replicates=5,
+            base_seed=8,
+            model="setting1",
+            deltas=(0.0, 4.0, 9.0),
+            working_models=("W1", "W2", "W3"),
+            tests=("t_ls", "t_reg", "t_mb"),
+        )
+        calls = []
+
+        def count(name):
+            func = getattr(harness, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+
+        for name in ("sigma_tau_reg", "sigma_tau_mb", "t_ls", "adjusted_test"):
+            count(name)
+        assert not run_power_experiment(spec).failures
+        runs = spec.replicates * 2  # CR runs t_ls only
+        assert sorted(calls) == ["sigma_tau_mb"] * runs + ["sigma_tau_reg"] * runs
 
 
 class TestResamplingDrawCount:

@@ -209,6 +209,78 @@ class TestSigmaTauMb:
             sigma_tau_mb(fit, 4)
 
 
+def _nested_fits(seed, n=40):
+    """W1, W2 and W3 fits of one replicate's responses, which share t."""
+    rng = np.random.default_rng(seed)
+    t = (rng.random(n) < 0.5).astype(float)
+    x = rng.normal(size=(n, 3))
+    y = 1.5 * t + x.sum(axis=1) + rng.normal(size=n)
+    return [lse_fit(_dataset(y, t, x[:, :p])) for p in (0, 1, 3)]
+
+
+class TestResidualEstimatorSequences:
+    """sigma_tau_reg and sigma_tau_mb over a sequence of fits equal their
+    one-fit calls, with each failure in its fit's place."""
+
+    @staticmethod
+    def _each(estimator, fits, arg):
+        out = []
+        for fit in fits:
+            try:
+                out.append(estimator(fit, arg))
+            except CarlabError as exc:
+                out.append(exc)
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reg_matches_its_one_fit_calls(self, seed):
+        fits = _nested_fits(seed)
+        rng = np.random.default_rng(100 + seed)
+        phi = np.column_stack([np.ones(40), rng.normal(size=(40, 3))])
+        for v, one in zip(sigma_tau_reg(fits, phi), self._each(sigma_tau_reg, fits, phi)):
+            assert (v.method, v.params) == (one.method, one.params)
+            assert v.value == pytest.approx(one.value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("l", [1, 3, 9])
+    def test_mb_matches_its_one_fit_calls(self, l):
+        fits = _nested_fits(l, n=12)  # W3 leaves no divisor at l = 9
+        out, each = sigma_tau_mb(fits, l), self._each(sigma_tau_mb, fits, l)
+        assert [type(v) for v in out] == [type(v) for v in each]
+        for v, one in zip(out, each):
+            if isinstance(one, Exception):
+                assert str(v) == str(one)
+            else:
+                assert v.value == pytest.approx(one.value, rel=1e-12, abs=0)
+        assert any(isinstance(v, DomainError) for v in out) == (l == 9)
+
+    def test_a_fit_without_degrees_of_freedom_fails_alone(self):
+        t = np.array([1.0, 0, 1, 0, 1, 0])
+        x = np.random.default_rng(7).normal(size=(6, 4))
+        y = np.arange(6.0) ** 1.5
+        fits = [lse_fit(_dataset(y, t, x[:, :p])) for p in (0, 4)]  # dof 4 and 0
+        phi = np.column_stack([np.ones(6), np.arange(6.0)])
+        first, second = sigma_tau_reg(fits, phi)
+        assert first.value == pytest.approx(sigma_tau_reg(fits[0], phi).value, rel=1e-12)
+        with pytest.raises(EstimatorError) as one:
+            sigma_tau_reg(fits[1], phi)
+        assert isinstance(second, EstimatorError) and str(second) == str(one.value)
+
+    def test_a_collinear_phi_fails_every_fit_with_the_one_fit_error(self):
+        fits = _nested_fits(3)
+        phi = np.column_stack([np.ones(40), np.ones(40)])
+        with pytest.raises(EstimatorError) as one:
+            sigma_tau_reg(fits[0], phi)
+        with pytest.raises(EstimatorError) as seq:
+            sigma_tau_reg(fits, phi)
+        assert str(seq.value) == str(one.value) == "singular feature regression"
+
+    @pytest.mark.parametrize("estimator, arg", [(sigma_tau_reg, np.ones((40, 1))), (sigma_tau_mb, 3)])
+    def test_fits_must_share_t(self, estimator, arg):
+        fits = [_nested_fits(4)[0], _nested_fits(5)[0]]
+        with pytest.raises(DomainError, match="^fits must share t"):
+            estimator(fits, arg)
+
+
 class TestSigmaTauMbj:
     def test_identical_leave_out_estimates_give_zero(self):
         y = np.tile([4.0, 1.0], 6)
