@@ -9,11 +9,10 @@ linear models (setting1, setting2) delta shifts only the treated arm's mean,
 so each working model is fitted once per replicate and every delta's
 statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
 model is fitted per delta, and its logistic tests run once per delta.  Each
-other test makes one estimator call per replicate and procedure, over every
-fit (the bootstraps on one draw of resamples), and a fit's deltas are one
-array of statistics; only ``carlab analyze`` builds test results
-(``run_test``).  The ``t_boot`` resamples of a chunk's replicates are
-rerandomized together.
+adjusted test makes one estimator call per replicate and procedure, over
+every fit (the bootstraps on one draw of resamples), and a fit's deltas are
+one ``wald_statistics`` call; only ``carlab analyze`` builds test results
+(``run_test``).  A chunk's ``t_boot`` resamples are rerandomized together.
 
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
@@ -96,6 +95,7 @@ from .inference import (
     sigma_tau_reg,
     statistic_scale,
     t_ls,
+    wald_statistics,
 )
 
 __all__ = [
@@ -637,7 +637,7 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     Under setting1 and setting2 each working model is fitted once per
     replicate, and each delta's statistic is formed in closed form from that
     fit and its variances.  The logistic model is not linear in delta, so it
-    is fitted per delta (``_fit_classes``).  Each other test's estimator runs
+    is fitted per delta (``_fit_classes``).  Each adjusted test's estimator runs
     once per replicate and procedure (``_power_statistics``), ``t_boot`` on
     resamples rerandomized for the chunk first (``_boot_resamples``).
     """
@@ -699,12 +699,11 @@ def _boot_resamples(spec, proc, rs, inputs, roots, assigns):
 
 
 def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assign, boot):
-    """One replicate's (deltas, working models, ``tests``) statistics: one fit
-    per class and working model, a logistic test per class, one ``_estimates``
-    call over every fit per other test (``phi``: the dense features, for
-    ``t_reg``; ``boot``: ``t_boot``'s resamples).  A fit's deltas are
-    a * (tau_hat + shifts) / b by ``statistic_scale``; where b = 0, 0 if the
-    shifted tau_hat is 0.  NaN where a fit or estimator fails."""
+    """One replicate's (deltas, working models, ``tests``) statistics, NaN
+    where a fit or estimator fails: one fit per class and working model, a
+    logistic test per class, one ``_estimates`` call over every fit per
+    adjusted test (``phi``: the dense features, for ``t_reg``; ``boot``:
+    ``t_boot``'s resamples), and one ``wald_statistics`` call per fit."""
     treat = (assign == 0).astype(float)
     phi_red = regression_features(phi)
     stats = np.full((len(spec.deltas), len(spec.working_models), len(tests)), np.nan)
@@ -735,30 +734,25 @@ def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assi
         rng = _stream(spec.base_seed, r, _name_tag(proc.name, test)) if test == "t_mbb" else None
         args = ([fit for *_, fit in fits], [data for *_, data, _ in fits], lblock,
                 spec.bootstrap_size, rng, proc.policy, phi_red, boot)
-        vs = attempt(_estimates, test, *args) if fits else None
+        # t_ls reads each fit's own residual variance, and no fit needs no call
+        vs = attempt(_estimates, test, *args) if fits and test != "t_ls" else [None] * len(fits)
         mode = "direct" if test in DIRECT_TESTS else "gram"
         for (dis, shifts, wi, _, fit), v in zip(fits, vs or ()):
             if isinstance(v, Exception):
                 continue
-            taus = fit.tau_hat + shifts
             if test == "t_boot":
-                scales = [statistic_scale(fit, shifted_value(v, spec.n, s), mode) for s in shifts]
-                a, b = np.array(scales).T
+                scale = [statistic_scale(fit, shifted_value(v, spec.n, s), mode) for s in shifts]
             else:  # t_mbb: kappa* = 1, so its variance does not depend on the shift
-                a, b = statistic_scale(fit, fit.sigma_e2 if v is None else v.value, mode)
-            zero = np.where(taus == 0.0, 0.0, np.nan)
-            stats[dis, wi, ti] = np.divide(a * taus, b, out=zero, where=b != 0.0)
+                scale = statistic_scale(fit, fit.sigma_e2 if v is None else v.value, mode)
+            stats[dis, wi, ti] = wald_statistics(fit.tau_hat + shifts, scale)
     return stats
 
 
-def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None) -> list:
-    """A non-logistic test's variance estimates of ``fits`` (on ``datas``), in
-    one estimator call: a list with each fit's failure in its place (one all
-    share raises), None throughout for ``t_ls``.  ``l``, ``B`` and ``rng`` as
-    the table says, ``policy`` re-run by ``t_boot`` unless ``drawn``, and
-    ``phi`` from ``regression_features`` for ``t_reg``."""
-    if test == "t_ls":
-        return [None] * len(fits)
+def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None):
+    """An adjusted test's variance estimate of one fit (its failure raised) or
+    a list for a sequence of fits on ``datas``, each failure in its place, in
+    one estimator call; ``l``, ``B``, ``rng`` as the table says, ``policy``
+    re-run by ``t_boot`` unless ``drawn``, ``phi`` for ``t_reg``."""
     if test == "t_reg":
         if phi is None:
             raise EstimatorError("no usable feature matrix for the residual regression")
@@ -775,13 +769,11 @@ def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None) -> list:
 
 
 def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
-    """One non-logistic test on one working-model fit, by ``_estimates``: the
-    test result and the variance estimate (None for ``t_ls``)."""
-    (v,) = _estimates(test, [fit], [data], l, B, rng, policy, phi)
-    if isinstance(v, Exception):
-        raise v
-    if v is None:
+    """One non-logistic test on one working-model fit: the test result and
+    the variance estimate (``_estimates``; None for ``t_ls``)."""
+    if test == "t_ls":
         return t_ls(fit, alpha), None
+    v = _estimates(test, fit, data, l, B, rng, policy, phi)
     return adjusted_test(fit, v, "direct" if test in DIRECT_TESTS else "gram", alpha), v
 
 

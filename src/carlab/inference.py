@@ -76,6 +76,7 @@ __all__ = [
     "adjusted_test",
     "statistic_scale",
     "wald_statistic",
+    "wald_statistics",
     "logistic_fit",
     "logistic_wald_test",
 ]
@@ -185,8 +186,8 @@ def _design(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _solve(G: np.ndarray, b: np.ndarray, err_cls, what: str):
     """x = G^-1 b, b (q,) or (q, r), and G^-1 by one LU solve of G [x | G^-1] =
-    [b | I].  An exactly singular G, or a 1-norm reciprocal condition
-    1 / (|G| |G^-1|) below 1e-12 (a zero or non-finite product counts), raises ``err_cls``."""
+    [b | I].  An exactly singular G, or a 1-norm reciprocal condition 1 / (|G|
+    |G^-1|) below 1e-12 (a zero or non-finite product counts), raises ``err_cls``."""
     q = G.shape[0]
     try:
         sol = np.linalg.solve(G, np.column_stack([b, np.eye(q)]))
@@ -243,29 +244,39 @@ def lse_fit(data: TrialDataset) -> FitResult:
     )
 
 
+def _contrast_gram(gram_inv: np.ndarray) -> float:
+    # L (X'X)^-1 L' with L = (1, -1, 0, ..., 0)
+    return float(gram_inv[0, 0] + gram_inv[1, 1] - 2.0 * gram_inv[0, 1])
+
+
 def statistic_scale(fit: FitResult, value: float, mode: str = "gram") -> tuple:
     """The scale (a, b) of a Wald statistic a * tau / b on this fit's design,
     for a variance estimate ``value``: ``gram`` mode keeps the design-based
     contrast variance, (1, sqrt(value * L (X'X)^-1 L')); ``direct`` mode is
     (sqrt(n), 2 sqrt(value)).  It does not depend on the responses, so one
     scale serves every effect estimate tau of the same design."""
-    if mode == "gram":  # L (X'X)^-1 L' with L = (1, -1, 0, ..., 0)
-        g = fit.gram_inv
-        return 1.0, math.sqrt(value) * math.sqrt(float(g[0, 0] + g[1, 1] - 2.0 * g[0, 1]))
+    if mode == "gram":
+        return 1.0, math.sqrt(value) * math.sqrt(_contrast_gram(fit.gram_inv))
     if mode == "direct":
         return math.sqrt(fit.n), 2.0 * math.sqrt(value)
     raise DomainError(f"unknown mode {mode!r}")
 
 
+def wald_statistics(taus, scale) -> np.ndarray:
+    """a * taus / b elementwise, for ``scale`` (a, b) from :func:`statistic_scale`
+    or one scale per tau; where b = 0, 0 for a zero tau and NaN otherwise."""
+    a, b = np.asarray(scale, dtype=float).T
+    taus = np.asarray(taus, dtype=float)
+    return np.divide(a * taus, b, out=np.where(taus == 0.0, 0.0, np.nan), where=b != 0.0)
+
+
 def wald_statistic(tau: float, scale: tuple) -> float:
-    """a * tau / b for ``scale`` (a, b) from :func:`statistic_scale`; 0 when
-    both b and tau are 0."""
-    a, b = scale
-    if b == 0.0:
-        if tau != 0.0:
-            raise EstimatorError("zero variance scale with a non-zero effect estimate")
-        return 0.0
-    return a * tau / b
+    """One tau's :func:`wald_statistics`, raising ``EstimatorError`` where that
+    reads NaN: b = 0 with tau != 0 (taus and scales are finite)."""
+    stat = float(wald_statistics(tau, scale))
+    if math.isnan(stat):
+        raise EstimatorError("zero variance scale with a non-zero effect estimate")
+    return stat
 
 
 def t_ls(fit: FitResult, alpha: float = 0.05) -> TestResult:
@@ -297,7 +308,7 @@ def sigma_tau_reg(fit, phi: np.ndarray):
     model's covariate count.  Over a sequence of fits a singular phi fails
     them all, a fit without degrees of freedom only itself.
     """
-    fits = _fits(fit)
+    fits = _shared(fit, FitResult, "fits", "treat")
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != fits[0].n:
         raise DomainError("phi must be an (n, q) matrix matching the fit")
@@ -326,7 +337,7 @@ def sigma_tau_mb(fit, l: int):
     a degrees-of-freedom correction in the divisor.  At l = 1 it equals the
     usual residual variance.
     """
-    fits = _fits(fit)
+    fits = _shared(fit, FitResult, "fits", "treat")
     n = fits[0].n
     _check_block(n, l)
     r = (2.0 * fits[0].treat - 1.0) * np.stack([f.residuals for f in fits])
@@ -351,7 +362,7 @@ def sigma_tau_mbj(data, l: int):
     models share one sweep of the widest one's leave-window-out normal
     equations (``_sweep_chains``).
     """
-    datas = _datasets(data)
+    datas = _shared(data, TrialDataset, "refitted datasets", "t", "phi")
     n, t = datas[0].n, datas[0].t
     _check_block(n, l)
     m = n - l + 1
@@ -434,21 +445,13 @@ def _sweep(A: np.ndarray, what: str):
             yield A[0, k:] - A[1, k:]
 
 
-def _datasets(data) -> list:
-    """A refit estimator's one dataset, or sequence sharing t and phi, as a list."""
-    datas = [data] if isinstance(data, TrialDataset) else list(data)
-    t0, phi0 = datas[0].t, datas[0].phi
-    if any(not (np.array_equal(d.t, t0) and np.array_equal(d.phi, phi0)) for d in datas[1:]):
-        raise DomainError("refitted datasets must share t and phi")
-    return datas
-
-
-def _fits(fit) -> list:
-    """A residual estimator's one fit, or sequence of fits sharing t, as a list."""
-    fits = [fit] if isinstance(fit, FitResult) else list(fit)
-    if any(not np.array_equal(f.treat, fits[0].treat) for f in fits[1:]):
-        raise DomainError("fits must share t")
-    return fits
+def _shared(one, cls, label: str, *fields) -> list:
+    """An estimator's one ``cls`` or sequence (``label``) equal in ``fields``, as a list."""
+    items = [one] if isinstance(one, cls) else list(one)
+    if any(not np.array_equal(getattr(i, f), getattr(items[0], f))
+           for i in items[1:] for f in fields):
+        raise DomainError(f"{label} must share {' and '.join(fields)}")
+    return items
 
 
 def _one_or_all(data, out: list):
@@ -520,7 +523,7 @@ def sigma_tau_mbb(data, l: int, B: int, rng):
     Reported on the common scale as n times the bootstrap variance of the
     effect estimate over 4.  ``data`` may be a sequence of datasets.
     """
-    datas = _datasets(data)
+    datas = _shared(data, TrialDataset, "refitted datasets", "t", "phi")
     t0, n = datas[0].t, datas[0].n
     _check_block(n, l)
     rows = chain([B], repeat(1))
@@ -546,7 +549,7 @@ def sigma_tau_bootstrap(data, policy, B: int, rng, drawn=None):
     in ``params["v_B"]``; the adjusted statistic in direct mode is then
     exactly tau / sqrt(v_B).  ``data`` may be a sequence of datasets.
     """
-    datas = _datasets(data)
+    datas = _shared(data, TrialDataset, "refitted datasets", "t", "phi")
     if drawn is None:
         if datas[0].phi is None:
             raise DomainError("the rerandomizing bootstrap needs the feature matrix")
@@ -612,7 +615,12 @@ def shifted_value(v: VarianceEstimate, n: int, shift: float) -> float:
     return n * float(np.var(v.params["tau"] + shift * v.params["kappa"], ddof=1)) / 4.0
 
 
-def adjusted_test(fit: FitResult, v: VarianceEstimate, mode="gram", alpha=0.05) -> TestResult:
+def adjusted_test(
+    fit: FitResult,
+    v: VarianceEstimate,
+    mode: str = "gram",
+    alpha: float = 0.05,
+) -> TestResult:
     """Wald test with the residual variance replaced by a consistent estimate.
 
     ``gram`` mode keeps the design-based contrast variance and swaps in the

@@ -751,15 +751,15 @@ class TestSharedFit:
         # Failures that do not depend on delta, so that both paths must agree
         # on them: a working-model fit fails when the first four units are
         # treated, and the residual regression when the treated count is a
-        # multiple of 4.  The residual regression takes a replicate's fits,
-        # which share their treated count.
+        # multiple of 4.  The residual regression takes one fit or a
+        # replicate's fits, which share their treated count.
         def lse_fit(data):
             if data.t[:4].sum() == 4:
                 raise FitError("injected")
             return inference.lse_fit(data)
 
         def sigma_tau_reg(fits, phi):
-            if fits[0].n1 % 4 == 0:
+            if (fits if isinstance(fits, inference.FitResult) else fits[0]).n1 % 4 == 0:
                 raise EstimatorError("injected")
             return inference.sigma_tau_reg(fits, phi)
 

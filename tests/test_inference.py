@@ -39,6 +39,7 @@ from carlab.inference import (
     statistic_scale,
     t_ls,
     wald_statistic,
+    wald_statistics,
 )
 
 
@@ -817,6 +818,20 @@ class TestStatisticScale:
         assert wald_statistic(0.0, (1.0, 0.0)) == 0.0
         with pytest.raises(EstimatorError, match="zero variance scale"):
             wald_statistic(0.5, (2.0, 0.0))
+
+    @pytest.mark.parametrize("mode", ["gram", "direct"])
+    def test_an_array_of_taus_is_each_tau_alone(self, mode):
+        # The power path's form: each entry is wald_statistic's value, bit for
+        # bit, and NaN where wald_statistic raises; one scale or one per tau.
+        fit = self._fit()
+        scale = statistic_scale(fit, sigma_tau_mb(fit, 7).value, mode)
+        taus = fit.tau_hat + np.array([0.0, 0.3, -1.7])
+        want = [wald_statistic(tau, scale) for tau in taus]
+        np.testing.assert_array_equal(wald_statistics(taus, scale), want)
+        np.testing.assert_array_equal(wald_statistics(taus, [scale] * 3), want)
+        zero = [(1.0, 0.0), scale, (2.0, 0.0), (2.0, 0.0)]
+        got = wald_statistics([0.0, taus[1], 0.5, -0.0], zero)
+        np.testing.assert_array_equal(got, [0.0, want[1], np.nan, 0.0])
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
