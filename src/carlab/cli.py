@@ -7,10 +7,10 @@ Subcommands:
 * ``carlab analyze   --data CSV --tests LIST --out CSV [options]``
 * ``carlab validate-config F``
 
-Exit codes: 0 success, 2 configuration/validation error, 3 runtime cell
-failure (a Monte Carlo cell lost more than 1% of its replicates).  The
-``CARLAB_THREADS`` environment variable supplies the worker count when
-``--threads`` is not given.
+Exit codes: 0 success, 2 configuration/validation error (an unreadable input
+or unwritable ``--out`` too, before any work runs), 3 runtime cell failure
+(a Monte Carlo cell lost more than 1% of its replicates).  ``CARLAB_THREADS``
+supplies the worker count when ``--threads`` is not given.
 """
 
 import argparse
@@ -33,7 +33,6 @@ from .harness import (
     RNG_TESTS,
     check_test_params,
     check_unique,
-    regression_features,
     run_imbalance_experiment,
     run_power_experiment,
     run_test,
@@ -86,10 +85,21 @@ def _cmd_run(args, kind: str) -> int:
     spec = _load_spec(args)
     if spec.kind != kind:
         raise ConfigError(f"config has kind={spec.kind!r}, expected {kind!r}")
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out!r}: {exc}") from exc
+    _check_out_file(os.path.join(args.out, f"{kind}.csv"))
     runner = run_imbalance_experiment if kind == "imbalance" else run_power_experiment
     table = runner(spec, threads=threads)
     return _report(table, os.path.join(args.out, f"{kind}.csv"))
+
+
+def _check_out_file(path):
+    """Reject, before any work runs, an output file that is a directory or
+    whose directory does not exist."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
 
 
 def _cmd_validate(args) -> int:
@@ -183,13 +193,13 @@ def _cmd_analyze(args) -> int:
         l = block_length(data.n, args.block_rule)
     if not 1 <= l < data.n:
         raise ConfigError(f"--block-length must satisfy 1 <= l < n={data.n}, got {l}")
-    phi = regression_features(data.phi) if "t_reg" in tests else None
+    _check_out_file(args.out)
     fit = lse_fit(data)
     # each test draws from a generator of its own, so no test's draws depend
     # on which tests run before it
     results = [
         (test, *run_test(test, fit, data, args.alpha, l, args.bootstrap_size,
-                         np.random.default_rng(args.seed), policy, phi))
+                         np.random.default_rng(args.seed), policy, data.phi))
         for test in tests
     ]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

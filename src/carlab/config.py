@@ -135,10 +135,10 @@ def parse_procedure(entry, treatments: int):
         name = entry.get("name")
         if not name:
             raise ConfigError("procedures: object entries need a 'name'")
-        overrides = {k: v for k, v in entry.items() if k != "name"}
+        overrides = [(k, v) for k, v in entry.items() if k != "name"]
     else:
         entry = str(entry).strip()
-        overrides = {}
+        overrides = []
         name = entry
         if "(" in entry:
             if not entry.endswith(")"):
@@ -151,11 +151,17 @@ def parse_procedure(entry, treatments: int):
                         f"procedures: {name}: expected key=value, got {item!r}"
                     )
                 k, v = item.split("=", 1)
-                overrides[k.strip()] = v.strip()
+                overrides.append((k.strip(), v.strip()))
     kwargs = {}
     hh = {}
-    for k, v in overrides.items():
+    given = {}  # parameter -> the name it was first given under
+    for k, v in overrides:
         key = f"procedures: {name}: {k}"
+        param = "cap" if k in ("D", "K0") else k  # aliases of one parameter
+        if param in given:
+            aliases = "" if given[param] == k else f" (as {given[param]!r} and {k!r})"
+            raise ConfigError(f"procedures: {name}: parameter {param!r} given twice{aliases}")
+        given[param] = k
         if k == "rho":
             kwargs["rho"] = _number(key, v, float)
         elif k in ("D", "K0", "cap"):

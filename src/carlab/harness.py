@@ -116,7 +116,6 @@ __all__ = [
     "write_table",
     "validate_spec",
     "check_test_params",
-    "regression_features",
     "run_test",
 ]
 
@@ -451,15 +450,6 @@ def reduce_columns(M: np.ndarray) -> np.ndarray:
     return M[:, keep]
 
 
-def regression_features(phi):
-    """What ``t_reg`` regresses on: ``reduce_columns`` of the balancing
-    features, or None when there are none or all are zero (``t_reg`` fails)."""
-    try:
-        return None if phi is None else reduce_columns(phi)
-    except EstimatorError:
-        return None
-
-
 def _study(spec: ExperimentSpec, kind: str, threads: int, cells, work) -> ResultTable:
     """Validate ``spec`` as a ``kind`` study, run it and fold its slots.
 
@@ -515,15 +505,13 @@ def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTa
         def chunk(rs: range):
             Xs = [_covariates(spec, r) for r in rs]
             runs = _assign_chunk(spec, spec.procedures, rs, Xs)
-            for proc, (*_, assigns) in zip(spec.procedures, runs):
-                for r, X, assign in zip(rs, Xs, assigns):
-                    if assign is None:
-                        continue  # its features failed: the slots stay NaN
+            for proc, (kept, *_, assigns) in zip(spec.procedures, runs):
+                for k, assign in zip(kept, assigns):
                     try:
-                        vals = imbalance_metrics(assign, X, spec.treatments, metrics)
+                        vals = imbalance_metrics(assign, Xs[k], spec.treatments, metrics)
                     except DomainError:
                         continue  # the slot stays NaN: a failed replicate
-                    slots[proc.name][r] = [vals[j] for j in metrics]
+                    slots[proc.name][rs[k]] = [vals[j] for j in metrics]
 
         return chunk
 
@@ -554,14 +542,13 @@ def _run_chunks(work, spec: ExperimentSpec, threads: int):
 
 
 def _assign_chunk(spec: ExperimentSpec, procs, rs: range, Xs: list) -> list:
-    """Per procedure of ``procs``, the engine inputs (``_chunk_inputs``), the
-    sqrt-weights of level columns and the assignments of a range of
-    replicates, every procedure's batch randomized in one engine call;
-    procedures with the same feature map share its batch.  Each replicate
-    draws its uniforms from its own procedure stream.  A replicate whose
-    features raise ``DomainError`` is left out of its procedure's batch,
-    with None inputs and assignments: it fails in that procedure's cells
-    only."""
+    """Per procedure of ``procs``, its engine batch for a range of replicates
+    and the batch's assignments, every procedure's batch randomized in one
+    engine call: (kept, inputs, roots, assigns), the first three as
+    ``_chunk_inputs`` gives them and ``assigns`` (kept, n).  Procedures with
+    the same feature map share its batch, and each replicate draws its
+    uniforms from its own procedure stream.  A replicate whose features raise
+    ``DomainError`` is not kept, so it fails in that procedure's cells only."""
     fspecs = [feature_spec(proc, spec.setting) for proc in procs]
     maps = {}  # feature map -> (kept replicates, batch, roots)
     for proc, fspec in zip(procs, fspecs):
@@ -580,20 +567,14 @@ def _assign_chunk(spec: ExperimentSpec, procs, rs: range, Xs: list) -> list:
         uniforms=uniforms,
         weights=[roots for *_, roots in built],
     )
-    result = []
-    for fspec, (kept, batch, roots), out in zip(fspecs, built, outs):
-        inputs, assigns = [None] * len(rs), [None] * len(rs)
-        for j, k in enumerate(kept):
-            inputs[k], assigns[k] = (None if fspec is None else batch[j]), out[j]
-        result.append((inputs, roots, assigns))
-    return result
+    return [(kept, batch, roots, out) for (kept, batch, roots), out in zip(built, outs)]
 
 
 def _chunk_inputs(spec: ExperimentSpec, proc: ProcedureSpec, fspec, Xs: list) -> tuple:
-    """A feature map's engine batch for a chunk's covariates: the replicates
-    kept (those whose features do not raise ``DomainError``), their stacked
+    """A feature map's engine batch for a chunk's covariates: the kept indices
+    into ``Xs`` (features that do not raise ``DomainError``), their stacked
     inputs, and the sqrt-weights of an indicator map, which enters as level
-    columns (None otherwise).  Complete randomization's inputs are empty."""
+    columns (None otherwise).  Complete randomization's inputs have no columns."""
     levels = isinstance(fspec, (Stratified, Marginal, HuHu))
     width = 0 if fspec is None else input_width(fspec)
     batch = np.zeros((len(Xs), spec.n, width), dtype=np.int32 if levels else float)
@@ -665,36 +646,32 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
             Xs = [_covariates(spec, r) for r in rs]
             streams = [_stream(spec.base_seed, r, _TAG_NOISE) for r in rs]
             noises = [draw_noise(model0, spec.n, rng) for rng in streams]
-            for proc, (inputs, roots, assigns) in zip(procs, _assign_chunk(spec, procs, rs, Xs)):
+            runs = _assign_chunk(spec, procs, rs, Xs)
+            for proc, (kept, inputs, roots, assigns) in zip(procs, runs):
                 proc_tests, fspec = tests[proc.name], feature_spec(proc, spec.setting)
-                boots = _boot_resamples(spec, proc, rs, inputs, roots, assigns)
-                for r, X, noise, x, assign in zip(rs, Xs, noises, inputs, assigns):
-                    if assign is None:
-                        continue  # its features failed: the slots stay NaN
+                boots = _boot_resamples(spec, proc, [rs[k] for k in kept], inputs, roots)
+                for k, x, assign in zip(kept, inputs, assigns):
                     phi = None  # the dense features, which only t_reg reads
                     if "t_reg" in proc_tests:
                         phi = x if roots is None else level_matrix(fspec, x)
-                    args = (r, X, noise, phi, assign, next(boots))
+                    args = (rs[k], Xs[k], noises[k], phi, assign, next(boots))
                     stats = _power_statistics(spec, classes, lblock, proc, proc_tests, *args)
                     stats = stats.ravel()  # 1.0 or 0.0 as each test rejects, NaN if it failed
-                    slots[proc.name][r] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
+                    slots[proc.name][rs[k]] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
 
         return chunk
 
     return _study(spec, "power", threads, cells, work)
 
 
-def _boot_resamples(spec, proc, rs, inputs, roots, assigns):
-    """Per replicate of the chunk with assignments, in order: the resamples
+def _boot_resamples(spec, proc, rs, inputs, roots):
+    """Per kept replicate ``rs`` of a chunk, in order: the resamples
     ``rerandomized_resamples`` draws from its ``t_boot`` stream as they are
-    read, on its engine input (sqrt-weights ``roots``), the chunk's first B
-    resamples rerandomized together (None without ``t_boot``)."""
+    read, on its row of the batch ``inputs`` (sqrt-weights ``roots``), the
+    chunk's first B resamples rerandomized together (None without ``t_boot``)."""
     if "t_boot" not in _power_tests(spec, proc):
         return itertools.repeat(None)
-    kept = [k for k, assign in enumerate(assigns) if assign is not None]
-    tag = _name_tag(proc.name, "t_boot")
-    rngs = [_stream(spec.base_seed, rs[k], tag) for k in kept]
-    inputs = [inputs[k] for k in kept]
+    rngs = [_stream(spec.base_seed, r, _name_tag(proc.name, "t_boot")) for r in rs]
     return rerandomized_resamples(inputs, proc.policy, spec.bootstrap_size, rngs, roots)
 
 
@@ -702,10 +679,9 @@ def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assi
     """One replicate's (deltas, working models, ``tests``) statistics, NaN
     where a fit or estimator fails: one fit per class and working model, a
     logistic test per class, one ``_estimates`` call over every fit per
-    adjusted test (``phi``: the dense features, for ``t_reg``; ``boot``:
+    adjusted test (``phi``: ``t_reg``'s dense features, unreduced; ``boot``:
     ``t_boot``'s resamples), and one ``wald_statistics`` call per fit."""
     treat = (assign == 0).astype(float)
-    phi_red = regression_features(phi)
     stats = np.full((len(spec.deltas), len(spec.working_models), len(tests)), np.nan)
 
     def attempt(f, *args):
@@ -733,7 +709,7 @@ def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assi
             continue
         rng = _stream(spec.base_seed, r, _name_tag(proc.name, test)) if test == "t_mbb" else None
         args = ([fit for *_, fit in fits], [data for *_, data, _ in fits], lblock,
-                spec.bootstrap_size, rng, proc.policy, phi_red, boot)
+                spec.bootstrap_size, rng, proc.policy, phi, boot)
         # t_ls reads each fit's own residual variance, and no fit needs no call
         vs = attempt(_estimates, test, *args) if fits and test != "t_ls" else [None] * len(fits)
         mode = "direct" if test in DIRECT_TESTS else "gram"
@@ -752,11 +728,9 @@ def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None):
     """An adjusted test's variance estimate of one fit (its failure raised) or
     a list for a sequence of fits on ``datas``, each failure in its place, in
     one estimator call; ``l``, ``B``, ``rng`` as the table says, ``policy``
-    re-run by ``t_boot`` unless ``drawn``, ``phi`` for ``t_reg``."""
+    re-run by ``t_boot`` unless ``drawn``, ``t_reg`` on ``reduce_columns(phi)``."""
     if test == "t_reg":
-        if phi is None:
-            raise EstimatorError("no usable feature matrix for the residual regression")
-        return sigma_tau_reg(fits, phi)
+        return sigma_tau_reg(fits, reduce_columns(phi))
     if test == "t_mb":
         return sigma_tau_mb(fits, l)
     if test == "t_mbj":
@@ -770,7 +744,8 @@ def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None):
 
 def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
     """One non-logistic test on one working-model fit: the test result and
-    the variance estimate (``_estimates``; None for ``t_ls``)."""
+    the variance estimate (``_estimates``; None for ``t_ls``).  ``phi`` may be
+    rank-deficient: ``t_reg`` keeps a full-rank subset of its columns."""
     if test == "t_ls":
         return t_ls(fit, alpha), None
     v = _estimates(test, fit, data, l, B, rng, policy, phi)

@@ -395,7 +395,7 @@ def _chains(datas: list) -> list:
     chains = []
     for j in sorted(range(len(datas)), key=lambda j: -datas[j].p):
         y, x = datas[j].y, datas[j].x_obs
-        nests = (c for c in chains if np.array_equal(y, datas[c[0]].y)
+        nests = (c for c in chains if _same(y, datas[c[0]].y)
                  and np.array_equal(x, datas[c[0]].x_obs[:, : x.shape[1]]))
         chain = next(nests, None)
         if chain is None:
@@ -448,10 +448,15 @@ def _sweep(A: np.ndarray, what: str):
 def _shared(one, cls, label: str, *fields) -> list:
     """An estimator's one ``cls`` or sequence (``label``) equal in ``fields``, as a list."""
     items = [one] if isinstance(one, cls) else list(one)
-    if any(not np.array_equal(getattr(i, f), getattr(items[0], f))
+    if any(not _same(getattr(i, f), getattr(items[0], f))
            for i in items[1:] for f in fields):
         raise DomainError(f"{label} must share {' and '.join(fields)}")
     return items
+
+
+def _same(a, b) -> bool:
+    """Equal arrays, compared only when they are not one object."""
+    return a is b or np.array_equal(a, b)
 
 
 def _one_or_all(data, out: list):

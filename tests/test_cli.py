@@ -251,6 +251,28 @@ class TestRunCommands:
         assert f"{name} must be >= 1" in capsys.readouterr().err
         assert not out.exists()  # rejected before anything runs
 
+    @pytest.mark.parametrize("case", ["analyze-missing-dir", "analyze-dir", "run-under-file"])
+    def test_unwritable_out(self, tmp_path, monkeypatch, capsys, case):
+        """An output that cannot be written exits 2 before any work runs."""
+
+        def not_run(*args, **kwargs):
+            raise AssertionError("ran before the output was checked")
+
+        monkeypatch.setattr("carlab.cli.run_test", not_run)
+        monkeypatch.setattr("carlab.cli.run_imbalance_experiment", not_run)
+        (tmp_path / "file").write_text("")
+        data = tmp_path / "d.csv"
+        _make_analysis_csv(data, n=40)
+        analyze = ["analyze", "--data", str(data), "--tests", "t_ls,t_mb"]
+        out, argv = {
+            "analyze-missing-dir": (tmp_path / "missing" / "o.csv", analyze),
+            "analyze-dir": (tmp_path, analyze),
+            "run-under-file": (tmp_path / "file" / "dir",
+                               ["imbalance", "--config", _write(tmp_path, "c.cfg", IMBALANCE_CFG)]),
+        }[case]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"config error: cannot write {str(out)!r}" in capsys.readouterr().err
+
     def test_cell_failure_exit_code(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -326,17 +348,17 @@ class TestAnalyze:
         "tests, reductions", [("t_ls,t_mb,t_mbj,t_mbb,t_boot", 0), ("t_ls,t_reg,t_mbj", 1)]
     )
     def test_features_are_reduced_only_for_t_reg(self, tmp_path, monkeypatch, tests, reductions):
-        from carlab import cli
+        from carlab import harness
 
         data_path = tmp_path / "trial.csv"
         _make_analysis_csv(data_path, n=60)
-        reduce, calls = cli.regression_features, []
+        reduce, calls = harness.reduce_columns, []
 
         def counted(phi):
             calls.append(phi)
             return reduce(phi)
 
-        monkeypatch.setattr(cli, "regression_features", counted)
+        monkeypatch.setattr(harness, "reduce_columns", counted)
         out = str(tmp_path / "o.csv")
         argv = ["analyze", "--data", str(data_path), "--tests", tests, "--out", out]
         assert main(argv + ["--bootstrap-size", "10"]) == 0
@@ -426,6 +448,14 @@ class TestAnalyze:
         ) == 0
         assert _read_rows(out)["t_reg"]["variance_method"] == "reg"
 
+    def test_reg_on_zero_features_names_them(self, tmp_path, capsys):
+        data = _make_analysis_csv(tmp_path / "trial.csv", n=40)
+        path = tmp_path / "d.csv"
+        _write_analysis_csv(path, data.y, data.t, data.x_obs, np.zeros_like(data.phi))
+        out = tmp_path / "o.csv"
+        assert main(["analyze", "--data", str(path), "--tests", "t_reg", "--out", str(out)]) == 3
+        assert "error: feature matrix is identically zero" in capsys.readouterr().err
+
     def test_block_length_flag_is_used_as_given(self, tmp_path):
         path, out = tmp_path / "d.csv", tmp_path / "o.csv"
         _make_analysis_csv(path)
@@ -483,6 +513,32 @@ class TestProcedureParameters:
         text = IMBALANCE_CFG.replace("procedures = CR, phi-CAR-BC", f"procedures = CR, {entry}")
         assert main(["validate-config", _write(tmp_path, "c.cfg", text)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("phi-CAR-BC(rho=0.9, rho=0.6)", "phi-CAR-BC: parameter 'rho' given twice"),
+            ("phi-CAR-Con(cap=3, D=1, K0=2)",
+             "phi-CAR-Con: parameter 'cap' given twice (as 'cap' and 'D')"),
+            ("HH(w0=1, ws=2, w0=1)", "HH: parameter 'w0' given twice"),
+            ({"name": "phi-CAR-Con", "cap": 3, "D": 1},
+             "phi-CAR-Con: parameter 'cap' given twice (as 'cap' and 'D')"),
+            ({"name": "phi-CAR-Con", "K0": 3, "D": 3},
+             "phi-CAR-Con: parameter 'cap' given twice (as 'K0' and 'D')"),
+        ],
+        ids=["text-rho", "text-cap-aliases", "text-hh-weight", "json-cap-aliases",
+             "json-aliases-alike"],
+    )
+    def test_parameter_given_twice(self, tmp_path, capsys, entry, message):
+        """A repeated parameter, or two names of one, would run with the last value."""
+        if isinstance(entry, dict):
+            cfg = {"kind": "imbalance", "setting": "S1", "n": 80, "procedures": ["CR", entry]}
+            path = _write(tmp_path, "c.json", json.dumps(cfg))
+        else:
+            text = IMBALANCE_CFG.replace("procedures = CR, phi-CAR-BC", f"procedures = CR, {entry}")
+            path = _write(tmp_path, "c.cfg", text)
+        assert main(["validate-config", path]) == 2
+        assert f"procedures: {message}" in capsys.readouterr().err
 
     def test_json_parameter_of_wrong_type(self, tmp_path, capsys):
         text = (

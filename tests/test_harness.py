@@ -148,6 +148,22 @@ class TestReduceColumns:
         with pytest.raises(EstimatorError):
             reduce_columns(np.zeros((10, 2)))
 
+    def test_run_test_reduces_the_features_of_t_reg(self):
+        """``run_test`` takes the balancing features as read: ``t_reg``
+        regresses on their full-rank subset, as the power path does."""
+        setting, proc = CovariateSetting("S1"), procedure_preset("PS")
+        rng = np.random.default_rng(3)
+        X = gen_covariate_matrix(setting, 300, rng)
+        phi = build_phi(proc, setting, X)
+        assert np.linalg.matrix_rank(phi) < phi.shape[1]
+        t = (engine.simulate_assignments(phi, proc.policy, 2, rng) == 0).astype(float)
+        data = inference.TrialDataset(y=rng.normal(size=300) + t, t=t, x_obs=X, phi=phi)
+        fit = inference.lse_fit(data)
+        res, v = harness.run_test("t_reg", fit, data, 0.05, 17, 10, None, proc.policy, phi)
+        expect = inference.sigma_tau_reg(fit, reduce_columns(phi))
+        assert v.value == expect.value and v.method == expect.method == "reg"
+        assert res == inference.adjusted_test(fit, expect, "gram", 0.05)
+
 
 MINIMAL_IMBALANCE = """
 # imbalance study
@@ -481,7 +497,7 @@ class TestRunners:
         )
         procs, rs = spec.procedures, range(6)
         Xs = [harness._covariates(spec, r) for r in rs]
-        ((inputs, _, assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
+        ((_, inputs, _, assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
         real = harness.build_phi
 
         def build_phi(proc, setting, X):
@@ -490,11 +506,11 @@ class TestRunners:
             return real(proc, setting, X)
 
         monkeypatch.setattr(harness, "build_phi", build_phi)
-        ((kept_inputs, _, kept_assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
-        assert kept_inputs[2] is None and kept_assigns[2] is None
-        for k in (0, 1, 3, 4, 5):
-            np.testing.assert_array_equal(kept_inputs[k], inputs[k])
-            np.testing.assert_array_equal(kept_assigns[k], assigns[k])
+        ((kept, kept_inputs, _, kept_assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
+        assert kept == [0, 1, 3, 4, 5]  # replicate 2 is left out
+        for j, k in enumerate(kept):
+            np.testing.assert_array_equal(kept_inputs[j], inputs[k])
+            np.testing.assert_array_equal(kept_assigns[j], assigns[k])
 
     def test_a_spec_without_cells_is_rejected(self):
         """No chunk runs without a randomized procedure: such a spec has no cell."""
@@ -663,7 +679,6 @@ def _per_delta_reference(spec, proc, r, X, noise, phi, assign):
     model0 = _MODELS[spec.model](mu0=spec.mu0, mu1=spec.mu0)
     treat = (assign == 0).astype(float)
     tests = [t for t in spec.tests if proc.feature != "none" or t in harness.UNADJUSTED_TESTS]
-    phi_red = harness.regression_features(phi) if "t_reg" in tests else None
     lblock = inference.block_length(n, spec.block_rule)
     stats, row = [], []
     for di, d in enumerate(spec.deltas):
@@ -690,7 +705,7 @@ def _per_delta_reference(spec, proc, r, X, noise, phi, assign):
                             rng = harness._stream(spec.base_seed, r, tag)
                         res, _ = harness.run_test(
                             test, fit, data, spec.alpha, lblock, spec.bootstrap_size, rng,
-                            proc.policy, phi_red,
+                            proc.policy, phi,
                         )
                 except (FitError, EstimatorError, DomainError):
                     stats.append(math.nan)
@@ -777,11 +792,11 @@ class TestSharedFit:
         rs = range(spec.replicates)
         runs = harness._assign_chunk(spec, spec.procedures, rs, Xs)
         lblock = inference.block_length(spec.n, spec.block_rule)
-        for proc, (inputs, roots, assigns) in zip(spec.procedures, runs):
+        for proc, (kept, inputs, roots, assigns) in zip(spec.procedures, runs):
             tests = harness._power_tests(spec, proc)
-            boots = harness._boot_resamples(spec, proc, rs, inputs, roots, assigns)
-            for r in rs:
-                args = (r, Xs[r], noises[r], build_phi(proc, spec.setting, Xs[r]), assigns[r])
+            boots = harness._boot_resamples(spec, proc, [rs[k] for k in kept], inputs, roots)
+            for r, assign in zip(kept, assigns):  # every replicate is kept, and rs starts at 0
+                args = (r, Xs[r], noises[r], build_phi(proc, spec.setting, Xs[r]), assign)
                 ref_stats, ref_row = _per_delta_reference(spec, proc, *args)
                 stats = harness._power_statistics(
                     spec, classes, lblock, proc, tests, *args, next(boots)
@@ -1098,15 +1113,16 @@ class TestSharedLoop:
                 m.setattr(engine, rule, counted(rule, getattr(engine, rule)))
             runs = harness._assign_chunk(spec, procs, rs, Xs)
         assert calls == {rule: spec.n for rule in RULES[T]}  # n steps, not n per procedure
-        for proc, (inputs, roots, assigns) in zip(procs, runs):
+        for proc, (kept, inputs, roots, assigns) in zip(procs, runs):
             for r in rs:
                 if r == 2 and proc.feature == failing:
-                    assert assigns[r] is None and inputs[r] is None
+                    assert r not in kept
                     continue
+                j = kept.index(r)  # rs starts at 0
                 u = harness._stream(spec.base_seed, r, harness._name_tag(proc.name)).random(spec.n)
-                x = np.zeros((spec.n, 0)) if inputs[r] is None else inputs[r]
+                x = inputs[j]  # (n, 0) under complete randomization
                 alone = engine.simulate_assignments(x, proc.policy, T, uniforms=u, weights=roots)
-                np.testing.assert_array_equal(assigns[r], alone, err_msg=f"{proc.name} {r}")
+                np.testing.assert_array_equal(assigns[j], alone, err_msg=f"{proc.name} {r}")
 
 
 def test_every_traced_layer_exists():
