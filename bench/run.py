@@ -9,9 +9,10 @@ it ran on, and the lines of its ``src/`` (``src_lines``, and
 imbalance config also records ``engine_step_us``, the engine-step layer: the
 median time of one ``harness._assign_chunk`` call on a 64-replicate chunk,
 per unit-trial, in a fresh process of its own; each power config records
-``power_statistics_us``, the statistics layer: the median time of one
-``harness._power_statistics`` call (one replicate and procedure) over the
-config's first 64 replicates, one chunk, also in a fresh process.
+``power_statistics_us``, the statistics layer: the time of a power run over
+the config's first 64 replicates, one chunk, less its ``harness._assign_chunk``
+calls, per (replicate, procedure), the median of 3 runs, also in a fresh
+process.
 ``power_setting1.cfg`` also
 runs once more with ``--threads 2`` (``threads2``: its wall time, peak
 resident memory, exit code and whether its CSV SHA-256 equals the serial
@@ -112,23 +113,30 @@ print(1e6 * statistics.median(times[1:]) / (len(rs) * spec.n * len(spec.procedur
 """
 
 
-# One statistics probe: every ``harness._power_statistics`` call of a power
-# run over the config's first 64 replicates timed, their median in
-# microseconds.
+# One statistics probe: a power run over the config's first 64 replicates
+# (one chunk) timed less its ``harness._assign_chunk`` calls, in microseconds
+# per (replicate, procedure), the median of 3 runs after an untimed one.
 _POWER_STATISTICS = """
 import dataclasses, statistics, sys, time
 from carlab import config, harness
 with open(sys.argv[1], encoding="utf-8") as fh:
     spec = config.load_config(fh.read())
-real, times = harness._power_statistics, []
+spec = dataclasses.replace(spec, replicates=min(64, spec.replicates))
+real, assign = harness._assign_chunk, []
 def timed(*args):
     t0 = time.perf_counter()
     out = real(*args)
-    times.append(time.perf_counter() - t0)
+    assign.append(time.perf_counter() - t0)
     return out
-harness._power_statistics = timed
-harness.run_power_experiment(dataclasses.replace(spec, replicates=min(64, spec.replicates)))
-print(1e6 * statistics.median(times))
+harness._assign_chunk = timed
+runs = spec.replicates * sum(1 for p in spec.procedures if harness._power_tests(spec, p))
+times = []
+for _ in range(4):
+    assign.clear()
+    t0 = time.perf_counter()
+    harness.run_power_experiment(spec)
+    times.append(time.perf_counter() - t0 - sum(assign))
+print(1e6 * statistics.median(times[1:]) / runs)
 """
 
 

@@ -206,12 +206,22 @@ def _parse_setting(value) -> CovariateSetting:
         raise ConfigError(f"setting: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; a key given twice is rejected, not overwritten."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ConfigError(f"duplicate key {key!r}")
+        members[key] = value
+    return members
+
+
 def load_config(text: str) -> ExperimentSpec:
     """Parse and fully validate an experiment configuration."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            cfg = json.loads(text)
+            cfg = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
         if not isinstance(cfg, dict):

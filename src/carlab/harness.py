@@ -8,11 +8,21 @@ models, runs the requested tests, and reports rejection rates.  Under the
 linear models (setting1, setting2) delta shifts only the treated arm's mean,
 so each working model is fitted once per replicate and every delta's
 statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
-model is fitted per delta, and its logistic tests run once per delta.  Each
-adjusted test makes one estimator call per replicate and procedure, over
-every fit (the bootstraps on one draw of resamples), and a fit's deltas are
-one ``wald_statistics`` call; only ``carlab analyze`` builds test results
-(``run_test``).  A chunk's ``t_boot`` resamples are rerandomized together.
+model is fitted per delta, and its logistic tests run once per delta.
+
+A chunk's kept replicates are analysed as arrays, per procedure, in blocks
+of a bounded size: their working models are fitted in one ``lse_fit`` call
+on the stacked datasets (one Gram per chain of nested models), and
+``t_reg``, ``t_mb`` and ``t_mbj`` each make one estimator call on the
+stacked fits (``t_reg`` demeans within strata under SR, solves stacked
+features under composite maps, and reduces one replicate's dense features
+at a time under PS and HH, or where the stacked solve fails its guard).
+The bootstraps make one call per replicate and procedure, over its fits, on
+one draw of resamples; a chunk's ``t_boot`` resamples are rerandomized
+together.  Each test's statistics, replicates by deltas by working models,
+are one ``wald_statistics`` call, a failed fit or estimate reading NaN in
+its own cells.  Only ``carlab analyze`` builds test results (``run_test``),
+through the same estimators on one dataset.
 
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
@@ -135,6 +145,7 @@ LOGISTIC_TESTS = ("t_logi", "t_oracle")
 _WORKING_MODELS = {"W1": (), "W2": (0,), "W3": (0, 1, 2)}
 _THRESHOLDS = (0.0, 2.0)  # cut points of continuous covariates for SR, PS and HH
 _RANK_TOL = 1e-9  # relative size of the smallest pivot ``reduce_columns`` keeps
+_STACK_BYTES = 1 << 20  # cap on the stacked working-model designs of one block of replicates
 PRESET_NAMES = ("CR", "SR", "PS", "HH", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con")
 
 
@@ -618,9 +629,12 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     Under setting1 and setting2 each working model is fitted once per
     replicate, and each delta's statistic is formed in closed form from that
     fit and its variances.  The logistic model is not linear in delta, so it
-    is fitted per delta (``_fit_classes``).  Each adjusted test's estimator runs
-    once per replicate and procedure (``_power_statistics``), ``t_boot`` on
-    resamples rerandomized for the chunk first (``_boot_resamples``).
+    is fitted per delta (``_fit_classes``).  A chunk's kept replicates are
+    analysed together per procedure (``_power_statistics``), in blocks whose
+    stacked designs stay within ``_STACK_BYTES``: one stacked fit, and one
+    estimator call per linear test, ``t_mbb`` and ``t_boot`` one per
+    replicate, ``t_boot`` on resamples rerandomized for the chunk first
+    (``_boot_resamples``).
     """
 
     def cells(proc):
@@ -641,6 +655,14 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
         lblock = block_length(spec.n, spec.block_rule)
         tests = {proc.name: _power_tests(spec, proc) for proc in spec.procedures}
         procs = [proc for proc in spec.procedures if tests[proc.name]]
+        widest = max(len(_WORKING_MODELS[wm]) for wm in spec.working_models)
+        width = len(classes) * (widest + 3)  # each class's design and y
+        step = max(1, _STACK_BYTES // (8 * spec.n * width))  # replicates analysed together
+
+        def analyse(proc, rows, *args):  # one block of a procedure's kept replicates
+            stats = _power_statistics(spec, classes, lblock, proc, tests[proc.name], rows, *args)
+            stats = stats.reshape(len(rows), -1)  # 1.0 or 0.0 as each test rejects, NaN: failed
+            slots[proc.name][rows] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
 
         def chunk(rs: range):
             Xs = [_covariates(spec, r) for r in rs]
@@ -648,16 +670,11 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
             noises = [draw_noise(model0, spec.n, rng) for rng in streams]
             runs = _assign_chunk(spec, procs, rs, Xs)
             for proc, (kept, inputs, roots, assigns) in zip(procs, runs):
-                proc_tests, fspec = tests[proc.name], feature_spec(proc, spec.setting)
                 boots = _boot_resamples(spec, proc, [rs[k] for k in kept], inputs, roots)
-                for k, x, assign in zip(kept, inputs, assigns):
-                    phi = None  # the dense features, which only t_reg reads
-                    if "t_reg" in proc_tests:
-                        phi = x if roots is None else level_matrix(fspec, x)
-                    args = (rs[k], Xs[k], noises[k], phi, assign, next(boots))
-                    stats = _power_statistics(spec, classes, lblock, proc, proc_tests, *args)
-                    stats = stats.ravel()  # 1.0 or 0.0 as each test rejects, NaN if it failed
-                    slots[proc.name][rs[k]] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
+                for b in range(0, len(kept), step):  # the kept replicates, block by block
+                    ks, cut = kept[b : b + step], slice(b, b + step)
+                    analyse(proc, [rs[k] for k in ks], [Xs[k] for k in ks],
+                            [noises[k] for k in ks], inputs[cut], roots, assigns[cut], boots)
 
         return chunk
 
@@ -675,53 +692,113 @@ def _boot_resamples(spec, proc, rs, inputs, roots):
     return rerandomized_resamples(inputs, proc.policy, spec.bootstrap_size, rngs, roots)
 
 
-def _power_statistics(spec, classes, lblock, proc, tests, r, X, noise, phi, assign, boot):
-    """One replicate's (deltas, working models, ``tests``) statistics, NaN
-    where a fit or estimator fails: one fit per class and working model, a
-    logistic test per class, one ``_estimates`` call over every fit per
-    adjusted test (``phi``: ``t_reg``'s dense features, unreduced; ``boot``:
-    ``t_boot``'s resamples), and one ``wald_statistics`` call per fit."""
-    treat = (assign == 0).astype(float)
-    stats = np.full((len(spec.deltas), len(spec.working_models), len(tests)), np.nan)
-
-    def attempt(f, *args):
-        try:
-            return f(*args)
-        except (FitError, EstimatorError, DomainError):
-            return None
-
-    runs = []  # (slice of deltas, shifts, working model index, data, fit) per class and model
+def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs, roots, assigns,
+                      boots):
+    """The (replicates, deltas, working models, ``tests``) statistics of a
+    block of a chunk's kept replicates ``rs`` under one procedure (their
+    rows ``inputs`` of its engine batch, sqrt-weights ``roots``), NaN where a
+    fit or estimator fails.  Every class's working models are fitted in one
+    ``lse_fit`` call on the replicates' stacked datasets.  ``t_mb`` and
+    ``t_mbj`` make one estimator call over those fits (``_estimates``),
+    ``t_reg`` one or more (``_regression``); ``t_mbb`` and ``t_boot`` make
+    one per replicate, on its fits that did not fail (``t_boot`` on the next
+    of ``boots``, the chunk's iterator of resamples, ``_boot_resamples``),
+    and the logistic tests one per replicate and class.  Each test's
+    statistics are one ``wald_statistics`` call on the block's effect
+    estimates and scales."""
+    shape = (len(rs), len(spec.deltas), len(spec.working_models))
+    treat = (assigns == 0).astype(float)
+    widest = max((_WORKING_MODELS[wm] for wm in spec.working_models), key=len)
+    x = np.stack([X[:, list(widest)] for X in Xs])  # each working model's covariates a prefix
+    ys, datas, runs = [], [], []  # runs: (slice of deltas, shifts, working model index) per fit
     for model, dis, shifts in classes:
-        y = responses_given_noise(model, X, treat, noise)
+        ys.append(np.stack([responses_given_noise(model, *a) for a in zip(Xs, treat, noises)]))
         for wi, wm in enumerate(spec.working_models):
-            data = TrialDataset(y=y, t=treat, x_obs=X[:, list(_WORKING_MODELS[wm])])
-            runs.append((dis, shifts, wi, data, attempt(lse_fit, data)))
-    fits = [run for run in runs if run[-1] is not None]
+            datas.append(TrialDataset(y=ys[-1], t=treat, x_obs=x[..., : len(_WORKING_MODELS[wm])]))
+            runs.append((dis, shifts, wi))
+    fits = lse_fit(datas)
+    taus, stats = np.empty(shape), np.full(shape + (len(tests),), np.nan)
+    for (dis, shifts, wi), fit in zip(runs, fits):
+        taus[:, dis, wi] = fit.tau_hat[:, None] + shifts
     for ti, test in enumerate(tests):
         if test in LOGISTIC_TESTS:  # the design ignores the working model: one fit per class
-            observed = np.flatnonzero(spec.setting.observed_mask)
-            covariates = (X[:, observed],) if test == "t_oracle" else ()
-            design = np.column_stack([np.ones(spec.n), treat - 0.5, *covariates])
-            for dis, _, _, data, _ in runs[:: len(spec.working_models)]:
-                res = attempt(logistic_wald_test, data.y, design, 1, spec.alpha, test)
-                if res is not None:
-                    stats[dis, :, ti] = res.statistic
+            for j, (X, t) in enumerate(zip(Xs, treat)):
+                covariates = (X[:, spec.setting.observed_mask],) if test == "t_oracle" else ()
+                design = np.column_stack([np.ones(spec.n), t - 0.5, *covariates])
+                for y, (_, dis, _) in zip(ys, classes):
+                    res = _attempt(logistic_wald_test, y[j], design, 1, spec.alpha, test)
+                    stats[j, dis, :, ti] = getattr(res, "statistic", np.nan)
             continue
-        rng = _stream(spec.base_seed, r, _name_tag(proc.name, test)) if test == "t_mbb" else None
-        args = ([fit for *_, fit in fits], [data for *_, data, _ in fits], lblock,
-                spec.bootstrap_size, rng, proc.policy, phi, boot)
-        # t_ls reads each fit's own residual variance, and no fit needs no call
-        vs = attempt(_estimates, test, *args) if fits and test != "t_ls" else [None] * len(fits)
+        if test in RNG_TESTS:  # the variance estimates per fit, replicate and shift
+            vs = np.full((len(fits), len(rs), len(classes[0][2])), np.nan)
+            for j, r in enumerate(rs):
+                ok = [i for i, fit in enumerate(fits) if not np.isnan(fit.tau_hat[j])]
+                boot = test == "t_boot"
+                rng = None if boot else _stream(spec.base_seed, r, _name_tag(proc.name, test))
+                drawn = next(boots) if boot else None
+                args = (lblock, spec.bootstrap_size, rng, proc.policy, None, drawn)
+                datas_j = [_system(datas[i], j) for i in ok]
+                got = _attempt(_estimates, test, None, datas_j, *args) if ok else None
+                for i, v in zip(ok, got or ()):
+                    if isinstance(v, Exception):
+                        continue
+                    shifts = runs[i][1]  # t_mbb: kappa* = 1, so no shift moves its variance
+                    vs[i, j] = [shifted_value(v, spec.n, s) for s in shifts] if boot else v.value
+        elif test == "t_ls":  # each fit's own residual variance
+            vs = [fit.sigma_e2 for fit in fits]
+        elif test == "t_reg":
+            vs = _regression(feature_spec(proc, spec.setting), fits, inputs, roots)
+        else:
+            vs = _attempt(_estimates, test, fits, datas, lblock, *[None] * 4)
+            vs = _values(vs, len(fits), len(rs))
         mode = "direct" if test in DIRECT_TESTS else "gram"
-        for (dis, shifts, wi, _, fit), v in zip(fits, vs or ()):
-            if isinstance(v, Exception):
-                continue
-            if test == "t_boot":
-                scale = [statistic_scale(fit, shifted_value(v, spec.n, s), mode) for s in shifts]
-            else:  # t_mbb: kappa* = 1, so its variance does not depend on the shift
-                scale = statistic_scale(fit, fit.sigma_e2 if v is None else v.value, mode)
-            stats[dis, wi, ti] = wald_statistics(fit.tau_hat + shifts, scale)
+        scale = np.empty(shape + (2,))
+        for (dis, _, wi), fit, v in zip(runs, fits, vs):  # v: (replicates,) or with shifts
+            scale[:, dis, wi] = statistic_scale(fit, np.reshape(v, (len(rs), -1)), mode)
+        stats[..., ti] = wald_statistics(taus, scale)
     return stats
+
+
+def _attempt(f, *args):
+    """``f(*args)``, or None where it fails as a fit or estimator fails."""
+    try:
+        return f(*args)
+    except (FitError, EstimatorError, DomainError):
+        return None
+
+
+def _system(stack, j: int):
+    """Trial ``j`` of a stacked dataset or fit."""
+    return replace(stack, **{k: v[j] for k, v in vars(stack).items() if isinstance(v, np.ndarray)})
+
+
+def _values(estimates, *shape) -> np.ndarray:
+    """The values of a sequence of estimates as a ``shape`` array, NaN for a
+    failed one (an exception), or for all where their call failed (None)."""
+    out = np.full(shape, np.nan)
+    for i, v in enumerate(estimates or ()):
+        out[i] = getattr(v, "value", np.nan)
+    return out
+
+
+def _regression(fspec, fits, inputs, roots) -> np.ndarray:
+    """``t_reg``'s estimates of a chunk's stacked fits on its engine batch
+    ``inputs``, (fits, replicates), NaN where one fails: one
+    ``sigma_tau_reg`` call on the stratum labels of a ``Stratified`` map or
+    the features of a ``Composite`` one.  A replicate whose estimates fail
+    there (its features fail the solve's guard), and each replicate under
+    the other indicator maps, makes one call of its own on the full-rank
+    columns (``reduce_columns``) of its dense features."""
+    ok = ~np.isnan([fit.tau_hat for fit in fits])
+    phi = inputs[..., 0] if isinstance(fspec, Stratified) else inputs  # stratum labels
+    stacked = isinstance(fspec, (Stratified, Composite))
+    values = _values(_attempt(sigma_tau_reg, fits, phi) if stacked else None, *ok.shape)
+    for j in np.flatnonzero((np.isnan(values) & ok).any(axis=0)):
+        idx = np.flatnonzero(ok[:, j])
+        phi = inputs[j] if roots is None else level_matrix(fspec, inputs[j])
+        vs = _attempt(_estimates, "t_reg", [_system(fits[i], j) for i in idx], *[None] * 5, phi)
+        values[idx, j] = _values(vs, len(idx))
+    return values
 
 
 def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None):

@@ -28,6 +28,17 @@ Each estimator also takes a replicate's working models in one call: ``reg``
 and ``mb`` a sequence of fits sharing t (``reg`` in one solve on one feature
 Gram), the refit three a sequence of datasets sharing t and phi, sweeping
 each chain of nested models once per window or resample (``_sweep_chains``).
+``lse_fit`` takes such a sequence too, fitting each chain from one Gram of
+its widest design.
+
+A dataset may also be a stack of trials of one size (y and t of shape
+(m, n)), and so may the fits of ``lse_fit``, ``reg``, ``mb`` and ``mbj``:
+one call then serves many replicates, each array with a leading trial axis.
+The one-dataset call is the same code on one trial.  A stack fails trial by
+trial: where one dataset would raise, its trial reads NaN and the others
+stand.  ``reg`` also takes integer stratum labels for a one-hot feature map,
+demeaning within strata without a solve; ``mbj`` sweeps a stack in blocks of
+trials, each block's equations within ``_STACK_BYTES``.
 The bootstraps refit all on one draw of resamples, keeping tau* (of y[I])
 and kappa* (of t[I]) for responses y + s t (``shifted_value``), read from
 one iterator of pieces, by count (``_resampled``): the block bootstrap's
@@ -39,14 +50,15 @@ refills too; a single call and ``carlab analyze`` use a group of one.
 Single systems (the working-model fit, the residual regression and each
 logistic iteration) go through one guarded LU solve, ``_solve``, which also
 returns the inverse for a reciprocal-condition guard at 1e-12: a failing
-design raises instead of silently switching to a pseudo-inverse.  The refit
-stacks of the jackknife and the bootstraps (all windows or resamples at
-once) go through one guarded Gauss-Jordan sweep, ``_sweep``, so a
-rank-deficient window or resample fails its dataset instead of returning
-rounding noise.
+design raises instead of silently switching to a pseudo-inverse, and in a
+stack of systems reads NaN.  The refit stacks of the jackknife and the
+bootstraps (all windows or resamples at once) go through one guarded
+Gauss-Jordan sweep, ``_sweep``, so a rank-deficient window or resample fails
+its dataset (its trial, in a stack) instead of returning rounding noise.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
@@ -82,12 +94,16 @@ __all__ = [
 ]
 
 _RCOND_LIMIT = 1e-12
+# Cap on the leave-window-out equations ``sigma_tau_mbj`` sweeps per block of trials (bytes).
+_STACK_BYTES = 1 << 19
 
 
 @dataclass
 class TrialDataset:
     """Observed two-arm data: responses, assignments, analysis covariates,
-    and (optionally) the balancing feature rows used at randomization."""
+    and (optionally) the balancing feature rows used at randomization.  A
+    stack of trials of one size holds y and t as (m, n), x_obs as (m, n, p)
+    and phi as (m, n, q)."""
 
     y: np.ndarray
     t: np.ndarray
@@ -97,35 +113,35 @@ class TrialDataset:
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
         self.t = np.asarray(self.t, dtype=float)
-        n = self.y.shape[0]
-        if self.y.ndim != 1 or self.t.shape != (n,):
-            raise DomainError("y and t must be 1-d arrays of equal length")
+        if self.y.ndim not in (1, 2) or self.t.shape != self.y.shape:
+            raise DomainError("y and t must be 1-d arrays of equal length (or stacked)")
         if not np.all((self.t == 0.0) | (self.t == 1.0)):
             raise DomainError("t must be 0/1")
-        if self.x_obs is None:
-            self.x_obs = np.empty((n, 0))
-        else:
-            self.x_obs = np.asarray(self.x_obs, dtype=float)
-            if self.x_obs.ndim != 2 or self.x_obs.shape[0] != n:
-                raise DomainError("x_obs must be an (n, p) matrix")
+        x = np.empty(self.y.shape + (0,)) if self.x_obs is None else self.x_obs
+        self.x_obs = np.asarray(x, dtype=float)
+        if self.x_obs.shape[:-1] != self.y.shape:
+            raise DomainError("x_obs must be an (n, p) matrix")
         if self.phi is not None:
             self.phi = np.asarray(self.phi, dtype=float)
-            if self.phi.ndim != 2 or self.phi.shape[0] != n:
+            if self.phi.shape[:-1] != self.y.shape:
                 raise DomainError("phi must be an (n, q) matrix")
             _check_finite(phi=self.phi)
         _check_finite(y=self.y, x_obs=self.x_obs)
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.x_obs.shape[1]
+        return self.x_obs.shape[-1]
 
 
 @dataclass
 class FitResult:
+    """A working-model fit, or a stack of them: then each field but n and p
+    has a leading trial axis, and a trial whose fit failed reads NaN."""
+
     theta: np.ndarray
     tau_hat: float
     residuals: np.ndarray
@@ -140,14 +156,16 @@ class FitResult:
 
 @dataclass
 class VarianceEstimate:
-    """Estimated variance of sqrt(n) * tau_hat / 2, with method tag and parameters."""
+    """Estimated variance of sqrt(n) * tau_hat / 2, with method tag and
+    parameters; one value per trial for a stack of fits."""
 
     value: float
     method: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.value >= 0.0):
+        value = np.asarray(self.value)  # NaN only for a stack's failed trials
+        if (value < 0.0).any() or (value.ndim == 0 and not value >= 0.0):
             raise DomainError(f"variance estimate must be >= 0, got {self.value!r}")
 
 
@@ -178,27 +196,37 @@ def block_length(n: int, rule: str = "sqrt") -> int:
     raise DomainError(f"unknown block rule {rule!r}")
 
 
-def _design(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _design(t: np.ndarray, *x: np.ndarray) -> np.ndarray:
     """Working-model design (treat, 1 - treat, covariates) of one trial, t of
-    shape (n,), or of a stack of trials, t of shape (m, n)."""
-    return np.concatenate([t[..., None], (1 - t)[..., None], x], axis=-1)
+    shape (n,), or of a stack of trials, t of shape (m, n), with any further
+    columns ``x`` appended."""
+    return np.concatenate([t[..., None], (1 - t)[..., None], *x], axis=-1)
 
 
 def _solve(G: np.ndarray, b: np.ndarray, err_cls, what: str):
-    """x = G^-1 b, b (q,) or (q, r), and G^-1 by one LU solve of G [x | G^-1] =
-    [b | I].  An exactly singular G, or a 1-norm reciprocal condition 1 / (|G|
-    |G^-1|) below 1e-12 (a zero or non-finite product counts), raises ``err_cls``."""
-    q = G.shape[0]
+    """x = G^-1 b and G^-1 by LU solves of G [x | G^-1] = [b | I], of one
+    system, G (q, q) and b (q,) or (q, r), or of a stack, G (m, q, q).  A
+    system that is exactly singular, or whose 1-norm reciprocal condition
+    1 / (|G| |G^-1|) lies below 1e-12 (a zero or non-finite product counts),
+    fails: one system raises ``err_cls``; a stack's failing systems read NaN."""
+    q, vec = G.shape[-1], np.ndim(b) < G.ndim
+    rhs = np.concatenate([b[..., None] if vec else b, np.broadcast_to(np.eye(q), G.shape)], -1)
     try:
-        sol = np.linalg.solve(G, np.column_stack([b, np.eye(q)]))
+        sol = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:
-        raise err_cls(f"singular {what}") from exc
-    inv = sol[:, -q:]
-    prod = np.abs(G).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-    rcond = 1.0 / prod if 0.0 < prod < math.inf else 0.0
-    if rcond < _RCOND_LIMIT:
+        if G.ndim == 2:
+            raise err_cls(f"singular {what}") from exc
+        sol = np.full(rhs.shape, np.nan)  # system by system, the singular ones left NaN
+        for i in range(len(G)):
+            with suppress(np.linalg.LinAlgError):
+                sol[i] = np.linalg.solve(G[i], rhs[i])
+    inv = sol[..., -q:]
+    prod = np.abs(G).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    rcond = np.divide(1.0, prod, out=np.zeros_like(prod), where=(0.0 < prod) & (prod < math.inf))
+    if G.ndim == 2 and rcond < _RCOND_LIMIT:
         raise err_cls(f"ill-conditioned {what} (rcond ~ {rcond:.2e})")
-    return sol[:, :-q].reshape(np.shape(b)), inv
+    sol[rcond < _RCOND_LIMIT] = np.nan
+    return (sol[..., 0] if vec else sol[..., :-q]), inv
 
 
 def _check_finite(**arrays):
@@ -207,65 +235,74 @@ def _check_finite(**arrays):
             raise DomainError(f"{name} must be finite")
 
 
-def lse_fit(data: TrialDataset) -> FitResult:
+def lse_fit(data):
     """Least-squares fit of the working model.
 
     With no covariates this reproduces the closed-form two-sample analysis:
     arm means, and the pooled within-arm sum of squares over n - 2.
+
+    ``data`` may be a stack of trials, and a sequence of datasets sharing t,
+    fitted as a list: each chain of nested working models (``_chains``) from
+    one Gram of its widest member's (design, y), each member solving its
+    leading block.  A dataset that cannot be fitted (an arm without
+    observations, a design failing ``_solve``'s guard, no residual degrees
+    of freedom) raises ``FitError``; a stack's such trials read NaN.
     """
-    y, t, x = data.y, data.t, data.x_obs
-    n, p = data.n, data.p
-    n1 = int(t.sum())
-    n0 = n - n1
-    if n1 == 0 or n0 == 0:
-        raise FitError("cannot fit: an arm has no observations")
-    X = _design(t, x)
-    theta, gram_inv = _solve(X.T @ X, X.T @ y, FitError, "working-model design")
-    resid = y - X @ theta
-    sse = float(resid @ resid)
-    dof = n - p - 2
-    if dof > 0:
-        sigma_e2 = sse / dof
-    elif sse <= 1e-10 * max(1.0, float(y @ y)):
-        sigma_e2 = 0.0
-    else:
-        raise FitError("no residual degrees of freedom")
-    return FitResult(
-        theta=theta,
-        tau_hat=float(theta[0] - theta[1]),
-        residuals=resid,
-        sigma_e2=sigma_e2,
-        gram_inv=gram_inv,
-        n=n,
-        p=p,
-        n1=n1,
-        n0=n0,
-        treat=t,
-    )
+    datas = _shared(data, TrialDataset, "fitted datasets", "t")
+    t, n = datas[0].t, datas[0].n
+    n1 = t.sum(axis=-1)
+    empty = (n1 == 0) | (n1 == n)
+    out = [None] * len(datas)
+    for chain in _chains(datas):
+        Z = _design(t, datas[chain[0]].x_obs, datas[chain[0]].y[..., None])
+        G = Z.swapaxes(-1, -2) @ Z
+        G[empty] = np.eye(G.shape[-1])  # singular with an empty arm, whose fit fails anyway
+        for j in chain:
+            y, k = datas[j].y, datas[j].p + 2
+            theta, inv = _solve(G[..., :k, :k], G[..., :k, -1], FitError, "working-model design")
+            resid = y - (Z[..., :k] @ theta[..., None])[..., 0]
+            sse = np.einsum("...i,...i->...", resid, resid)
+            exact = sse <= 1e-10 * np.maximum(1.0, np.einsum("...i,...i->...", y, y))
+            sigma_e2 = sse / (n - k) if n > k else np.where(exact, 0.0, np.nan)  # NaN: no dof
+            failed = empty | np.isnan(sigma_e2)  # a failed solve's NaN reaches sigma_e2
+            if t.ndim == 1 and failed:
+                raise FitError("cannot fit: an arm has no observations" if empty
+                               else "no residual degrees of freedom")
+            for a in (theta, resid, inv):
+                a[failed] = np.nan
+            sigma_e2 = np.where(failed, np.nan, sigma_e2) if t.ndim > 1 else float(sigma_e2)
+            tau_hat = theta[..., 0] - theta[..., 1]
+            out[j] = FitResult(theta, tau_hat, resid, sigma_e2, inv, n, k - 2, n1, n - n1, t)
+    return _one_or_all(data, out)
 
 
-def _contrast_gram(gram_inv: np.ndarray) -> float:
+def _contrast_gram(gram_inv: np.ndarray):
     # L (X'X)^-1 L' with L = (1, -1, 0, ..., 0)
-    return float(gram_inv[0, 0] + gram_inv[1, 1] - 2.0 * gram_inv[0, 1])
+    return gram_inv[..., 0, 0] + gram_inv[..., 1, 1] - 2.0 * gram_inv[..., 0, 1]
 
 
-def statistic_scale(fit: FitResult, value: float, mode: str = "gram") -> tuple:
+def statistic_scale(fit: FitResult, value, mode: str = "gram") -> np.ndarray:
     """The scale (a, b) of a Wald statistic a * tau / b on this fit's design,
     for a variance estimate ``value``: ``gram`` mode keeps the design-based
     contrast variance, (1, sqrt(value * L (X'X)^-1 L')); ``direct`` mode is
     (sqrt(n), 2 sqrt(value)).  It does not depend on the responses, so one
-    scale serves every effect estimate tau of the same design."""
+    scale serves every effect estimate tau of the same design.  An array
+    whose last axis is (a, b); for a stacked fit, ``value`` has its trials
+    on the first axis."""
     if mode == "gram":
-        return 1.0, math.sqrt(value) * math.sqrt(_contrast_gram(fit.gram_inv))
-    if mode == "direct":
-        return math.sqrt(fit.n), 2.0 * math.sqrt(value)
-    raise DomainError(f"unknown mode {mode!r}")
+        a, b = 1.0, (np.sqrt(np.transpose(value)) * np.sqrt(_contrast_gram(fit.gram_inv))).T
+    elif mode == "direct":
+        a, b = math.sqrt(fit.n), 2.0 * np.sqrt(value)
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    return np.stack(np.broadcast_arrays(a, b), axis=-1)
 
 
 def wald_statistics(taus, scale) -> np.ndarray:
-    """a * taus / b elementwise, for ``scale`` (a, b) from :func:`statistic_scale`
-    or one scale per tau; where b = 0, 0 for a zero tau and NaN otherwise."""
-    a, b = np.asarray(scale, dtype=float).T
+    """a * taus / b elementwise, for ``scale`` from :func:`statistic_scale` or
+    one scale per tau, its last axis (a, b); where b = 0, 0 for a zero tau and
+    NaN otherwise, and NaN where tau or b is (a failed fit or estimate)."""
+    a, b = np.moveaxis(np.asarray(scale, dtype=float), -1, 0)
     taus = np.asarray(taus, dtype=float)
     return np.divide(a * taus, b, out=np.where(taus == 0.0, 0.0, np.nan), where=b != 0.0)
 
@@ -306,21 +343,45 @@ def sigma_tau_reg(fit, phi: np.ndarray):
     constant column when the map carries one).  The estimate is the residual
     sum of squares of that regression over n - p - 2, p being the working
     model's covariate count.  Over a sequence of fits a singular phi fails
-    them all, a fit without degrees of freedom only itself.
+    them all, a fit without degrees of freedom only itself.  Stacked fits
+    take stacked features, (m, n, q), and a trial whose features fail the
+    guard reads NaN.  Integer ``phi`` holds stratum labels, (n,) or (m, n),
+    standing for their one-hot features: the regression is then the
+    within-stratum demeaning, which needs no solve.
     """
     fits = _shared(fit, FitResult, "fits", "treat")
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != fits[0].n:
+    phi = np.asarray(phi)
+    e = np.stack([f.residuals for f in fits], axis=-1)
+    labels = phi.ndim == e.ndim - 1 and np.issubdtype(phi.dtype, np.integer)
+    if phi.ndim != e.ndim - labels or phi.shape[: e.ndim - 1] != e.shape[:-1]:
         raise DomainError("phi must be an (n, q) matrix matching the fit")
-    _check_finite(phi=phi)
-    e = np.column_stack([f.residuals for f in fits])
-    alpha_hat, _ = _solve(phi.T @ phi, phi.T @ e, EstimatorError, "feature regression")
-    zeta = e - phi @ alpha_hat
+    if labels:
+        zeta, q = _demeaned(e, phi)
+    else:
+        phi = phi.astype(float, copy=False)
+        _check_finite(phi=phi)
+        phi_t = phi.swapaxes(-1, -2)
+        alpha_hat, _ = _solve(phi_t @ phi, phi_t @ e, EstimatorError, "feature regression")
+        zeta, q = np.subtract(e, phi @ alpha_hat, out=e), phi.shape[-1]
+    ss = np.einsum("...ij,...ij->...j", zeta, zeta)
     return _one_or_all(fit, [
-        VarianceEstimate(float(ss) / dof, "reg", {"q": phi.shape[1]}) if dof > 0
+        VarianceEstimate(ss[..., j] / dof, "reg", {"q": q}) if dof > 0
         else EstimatorError("no degrees of freedom for the residual regression")
-        for ss, dof in zip(np.einsum("ij,ij->j", zeta, zeta), (f.n - f.p - 2 for f in fits))
+        for j, dof in enumerate(f.n - f.p - 2 for f in fits)
     ])
+
+
+def _demeaned(e: np.ndarray, labels: np.ndarray) -> tuple:
+    """Residual columns e, (..., n, r), less their within-stratum means, in
+    place, the strata given by integer labels (..., n); and each trial's
+    count of non-empty strata."""
+    n, strata = e.shape[-2], int(labels.max()) + 1
+    cell = (labels.reshape(-1, n) + strata * np.arange(labels.size // n)[:, None]).ravel()
+    counts = np.bincount(cell, minlength=labels.size // n * strata)
+    for col in np.moveaxis(e, -1, 0):  # a view of each column, demeaned in place
+        means = np.bincount(cell, col.ravel(), counts.size) / np.maximum(counts, 1)
+        col -= means[cell].reshape(col.shape)
+    return e, np.count_nonzero(counts.reshape(-1, strata), axis=-1).reshape(labels.shape[:-1])
 
 
 def _check_block(n: int, l: int):
@@ -340,15 +401,15 @@ def sigma_tau_mb(fit, l: int):
     fits = _shared(fit, FitResult, "fits", "treat")
     n = fits[0].n
     _check_block(n, l)
-    r = (2.0 * fits[0].treat - 1.0) * np.stack([f.residuals for f in fits])
-    c = np.zeros((len(fits), n + 1))
-    np.cumsum(r, axis=1, out=c[:, 1:])
-    block_sums = c[:, l:] - c[:, : n - l + 1]
-    divisors = [n - l + 1 - (f.p + 2) for f in fits]
+    r = (2.0 * fits[0].treat[..., None, :] - 1.0) * np.stack([f.residuals for f in fits], -2)
+    c = np.zeros(r.shape[:-1] + (n + 1,))
+    np.cumsum(r, axis=-1, out=c[..., 1:])
+    block_sums = c[..., l:] - c[..., : n - l + 1]
+    ss = np.einsum("...i,...i->...", block_sums, block_sums)
     return _one_or_all(fit, [
-        VarianceEstimate(float(ss) / l / d, "mb", {"l": int(l)}) if d > 0
+        VarianceEstimate(ss[..., j] / l / d, "mb", {"l": int(l)}) if d > 0
         else DomainError(f"block length {l} leaves no degrees of freedom (n={n}, p={f.p})")
-        for f, d, ss in zip(fits, divisors, np.einsum("ij,ij->i", block_sums, block_sums))
+        for j, (f, d) in enumerate((f, n - l + 1 - (f.p + 2)) for f in fits)
     ])
 
 
@@ -360,31 +421,37 @@ def sigma_tau_mbj(data, l: int):
     common scale as n times that quantity over 4.  ``data`` may be a sequence
     of datasets; a window that empties an arm fails them all.  Nested working
     models share one sweep of the widest one's leave-window-out normal
-    equations (``_sweep_chains``).
+    equations (``_sweep_chains``).  Stacked datasets are swept in blocks of
+    trials, each block's equations within ``_STACK_BYTES``; a trial whose
+    window empties an arm fails its sweep's guard, and reads NaN.
     """
     datas = _shared(data, TrialDataset, "refitted datasets", "t", "phi")
     n, t = datas[0].n, datas[0].t
     _check_block(n, l)
     m = n - l + 1
-    ct = np.concatenate([[0.0], np.cumsum(t)])
-    n1_win = t.sum() - (ct[l:] - ct[:m])
-    bad = np.flatnonzero((n1_win == 0) | (n1_win == n - l))
-    if bad.size:
-        raise EstimatorError(f"leave-block-out window {int(bad[0])} empties an arm")
+    if t.ndim == 1:
+        n1_win = t.sum() - np.convolve(t, np.ones(l), "valid")  # treated left, window by window
+        bad = np.flatnonzero((n1_win == 0) | (n1_win == n - l))
+        if bad.size:
+            raise EstimatorError(f"leave-block-out window {int(bad[0])} empties an arm")
 
     def equations(d):
-        x = np.ascontiguousarray(d.x_obs.T)  # column means independent of the width
-        z = np.vstack([t, 1 - t, x - x.mean(axis=1, keepdims=True), d.y])
-        c = np.cumsum(z[:-1, None] * z, axis=-1)  # (k, k + 1, n) sums over units
-        A = c[..., -1:] - c[..., l - 1 :]  # total minus window, window by window
-        A[..., 1:] += c[..., : m - 1]
-        return A
+        size = max(1, _STACK_BYTES // (8 * (d.p + 2) * (d.p + 3) * n))
+        for rows in [...] if t.ndim == 1 else (slice(i, i + size) for i in range(0, len(t), size)):
+            x = np.ascontiguousarray(d.x_obs[rows].swapaxes(-1, -2))  # means independent of width
+            tr, yr = t[rows][..., None, :], d.y[rows][..., None, :]
+            z = np.concatenate([tr, 1 - tr, x - x.mean(axis=-1, keepdims=True), yr], axis=-2)
+            c = np.cumsum(z[..., :-1, None, :] * z[..., None, :, :], axis=-1)  # (k, k + 1, n) sums
+            A = c[..., -1:] - c[..., l - 1 :]  # total minus window, window by window
+            A[..., 1:] += c[..., : m - 1]
+            yield np.ascontiguousarray(np.moveaxis(A, (-3, -2), (0, 1)))  # (k, k + 1, ..., m)
 
     out = _sweep_chains(datas, equations, "a leave-block-out window")
     for j, tau in enumerate(out):
         if not isinstance(tau, EstimatorError):
-            dev = tau[0] - tau[0].mean()
-            sigma2_jack = float(dev @ dev) / l  # ((n-l)/l) * (1/(n-l)) * sum of squares
+            dev = tau[0] - tau[0].mean(axis=-1, keepdims=True)
+            # ((n-l)/l) * (1/(n-l)) * sum of squares
+            sigma2_jack = np.einsum("...i,...i->...", dev, dev) / l
             out[j] = VarianceEstimate(n * sigma2_jack / 4.0, "mbj", {"l": int(l)})
     return _one_or_all(data, out)
 
@@ -396,7 +463,7 @@ def _chains(datas: list) -> list:
     for j in sorted(range(len(datas)), key=lambda j: -datas[j].p):
         y, x = datas[j].y, datas[j].x_obs
         nests = (c for c in chains if _same(y, datas[c[0]].y)
-                 and np.array_equal(x, datas[c[0]].x_obs[:, : x.shape[1]]))
+                 and np.array_equal(x, datas[c[0]].x_obs[..., : x.shape[-1]]))
         chain = next(nests, None)
         if chain is None:
             chains.append([j])
@@ -406,22 +473,24 @@ def _chains(datas: list) -> list:
 
 
 def _sweep_chains(datas: list, equations, what: str) -> list:
-    """Each dataset's contrasts theta_0 - theta_1, of shape (r, m), or the
-    ``EstimatorError`` of its refit, from one ``_sweep`` per chain of nested
-    working models (``_chains``): of the widest member's stack
-    ``equations(d)``, each member read after its own p + 2 pivots.  A pivot
-    that fails the guard fails the members not yet read."""
-    out = [None] * len(datas)
+    """Each dataset's contrasts theta_0 - theta_1, of shape (r, m), or (r,
+    trials, m) for a stack, or the ``EstimatorError`` of its refit, from
+    ``_sweep``s of each chain of nested working models (``_chains``): of the
+    widest member's stacks ``equations(d)``, one per block of its trials,
+    each member read after its own p + 2 pivots.  A pivot that fails the
+    guard fails the members not yet read: of a stack, that trial's only."""
+    out = [[] for _ in datas]
     for chain in _chains(datas):
         try:
-            for pivots, tau in enumerate(_sweep(equations(datas[chain[0]]), what), start=2):
-                for j in chain:
-                    if datas[j].p + 2 == pivots:
-                        out[j] = tau
+            for A in equations(datas[chain[0]]):
+                for pivots, tau in enumerate(_sweep(A, what), start=2):
+                    for j in chain:
+                        if datas[j].p + 2 == pivots:
+                            out[j].append(tau)
         except EstimatorError as exc:
             for j in chain:
-                out[j] = exc if out[j] is None else out[j]
-    return out
+                out[j] = out[j] or exc
+    return [o if isinstance(o, EstimatorError) else np.concatenate(o, axis=-2) for o in out]
 
 
 def _sweep(A: np.ndarray, what: str):
@@ -431,12 +500,16 @@ def _sweep(A: np.ndarray, what: str):
     (r, m), of the leading s x s systems; after all k, A[:, k:] holds theta.
     A pivot at or below 1e-12 times its column's original diagonal entry (a
     column within rounding of the span of those before it) in any system
-    raises ``EstimatorError``."""
+    raises ``EstimatorError``.  A (k, k + r, g, m) stack holds g such stacks
+    side by side: one whose pivot fails reads NaN from there on, alone."""
     k = A.shape[0]
-    floor = _RCOND_LIMIT * np.diagonal(A).T
+    floor = _RCOND_LIMIT * np.diagonal(A)  # each system's original diagonal, on the last axis
     for j in range(k):
-        if not (A[j, j] > floor[j]).all():
+        bad = ~(A[j, j] > floor[..., j]).all(axis=-1)
+        if bad.ndim == 0 and bad:
             raise EstimatorError(f"singular design in {what}")
+        if bad.any():
+            A[:, :, bad] = np.nan
         row = A[j, j + 1 :]
         row /= A[j, j]
         A[j, j] = 0.0  # so row j is not swept by itself; column j is not read again
@@ -496,7 +569,7 @@ def _resampled(datas: list, pieces, B: int, what: str, method: str, **params):
             if run == 100:
                 raise EstimatorError(f"{what} kept emptying an arm")
         idx, t = idx[ok], t[ok]
-        refits = _sweep_chains(datas, lambda d: _resampled_equations(d, t0, idx, t), what)
+        refits = _sweep_chains(datas, lambda d: [_resampled_equations(d, t0, idx, t)], what)
         for j, taus in enumerate(refits):
             if isinstance(out[j], list):
                 out[j] = taus if isinstance(taus, EstimatorError) else out[j] + [taus]

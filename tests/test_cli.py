@@ -540,6 +540,20 @@ class TestProcedureParameters:
         assert main(["validate-config", path]) == 2
         assert f"procedures: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"kind": "imbalance", "setting": "S1", "n": 5, "n": 80, "procedures": ["CR"]}', "n"),
+            ('{"kind": "imbalance", "setting": "S1", "n": 80, "procedures":'
+             ' [{"name": "phi-CAR-BC", "rho": 0.2, "rho": 0.9}]}', "rho"),
+        ],
+        ids=["top-level", "procedure"],
+    )
+    def test_json_repeated_key(self, tmp_path, capsys, text, key):
+        """``json`` would keep the last of a repeated key, as the text form does not."""
+        assert main(["validate-config", _write(tmp_path, "c.json", text)]) == 2
+        assert f"duplicate key '{key}'" in capsys.readouterr().err
+
     def test_json_parameter_of_wrong_type(self, tmp_path, capsys):
         text = (
             '{"kind": "imbalance", "setting": "S1", "n": 80,'

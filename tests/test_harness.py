@@ -25,7 +25,7 @@ from carlab.datagen import (
     with_effect,
 )
 from carlab.errors import ConfigError, DomainError, EstimatorError, FitError
-from carlab.features import feature_dim
+from carlab.features import Composite, Stratified, feature_dim, level_matrix
 from carlab.harness import (
     AsymptoticParams,
     ExperimentSpec,
@@ -448,7 +448,8 @@ class TestRunners:
     def test_cell_keeps_its_row_after_one_failed_replicate(self, monkeypatch):
         # One of 400 working-model fits fails: replicate 100's W1 fit.  Its two
         # W1 cells lose that replicate (1 of 200, within the 1% rule) and keep
-        # their rows; the W3 cells are untouched.
+        # their rows; the W3 cells are untouched.  The 200 replicates are one
+        # chunk, fitted in one call, so trial 100 of the W1 stack is replicate 100.
         spec = ExperimentSpec(
             kind="power",
             n=40,
@@ -461,16 +462,11 @@ class TestRunners:
             working_models=("W1", "W3"),
             tests=("t_ls", "t_mb"),
         )
-        calls = []
-
-        def lse_fit(data):
-            calls.append(data)
-            if len(calls) == 201:
-                raise FitError("injected")
-            return inference.lse_fit(data)
-
-        monkeypatch.setattr(harness, "lse_fit", lse_fit)
+        calls = _inject_fit_failures(
+            monkeypatch, lambda data: (data.p == 0) & (np.arange(len(data.y)) == 100)
+        )
         table = run_power_experiment(spec)
+        assert calls == [2 * 200]  # one call: the 200 trials of W1 and of W3
         affected = [("phi-CAR-BC", 0.0, "W1", "t_ls"), ("phi-CAR-BC", 0.0, "W1", "t_mb")]
         assert table.failures == {cell: 1 for cell in affected}
         assert table.aborted == []
@@ -524,12 +520,13 @@ class TestRunners:
 
     @pytest.mark.parametrize(
         "tests, scattered",
-        [(("t_ls", "t_mbb", "t_boot"), 0), (("t_ls", "t_reg"), 2 * 5)],
+        [(("t_ls", "t_mbb", "t_boot"), 0), (("t_ls", "t_reg"), 5)],
         ids=["bootstraps", "t_reg"],
     )
     def test_only_t_reg_scatters_dense_features(self, tests, scattered, monkeypatch):
         """Indicator maps run on level columns, the bootstrap's included; a
-        dense feature matrix is built per replicate only for ``t_reg``."""
+        dense feature matrix is built per replicate only for ``t_reg`` under
+        HH: SR's ``t_reg`` demeans the residuals within its strata."""
         spec = ExperimentSpec(
             kind="power", n=40, setting=CovariateSetting("S1"), model="setting1",
             procedures=(procedure_preset("SR"), procedure_preset("HH", hh_weights=(0.5, 2, 0.3))),
@@ -731,6 +728,29 @@ def _slot_rows(spec, monkeypatch):
     return captured
 
 
+def _inject_fit_failures(monkeypatch, failing):
+    """Patch ``harness.lse_fit`` so that the stacked trials where
+    ``failing(data)`` holds fail as a stacked fit's trials fail, every field
+    NaN; one dataset (the per-delta loop's) raises instead.  Returns the
+    systems fitted per stacked call."""
+    calls = []
+
+    def lse_fit(data):
+        if isinstance(data, inference.TrialDataset):
+            if failing(data):
+                raise FitError("injected")
+            return inference.lse_fit(data)
+        calls.append(sum(len(d.y) for d in data))
+        fits = inference.lse_fit(data)
+        for d, fit in zip(data, fits):
+            for field in (fit.theta, fit.tau_hat, fit.residuals, fit.sigma_e2, fit.gram_inv):
+                field[failing(d)] = np.nan
+        return fits
+
+    monkeypatch.setattr(harness, "lse_fit", lse_fit)
+    return calls
+
+
 ORACLE_SPECS = {
     "setting1": dict(
         model="setting1", setting=CovariateSetting("S1"), n=40, deltas=(0.0, 5.0, 12.0),
@@ -766,19 +786,22 @@ class TestSharedFit:
         # Failures that do not depend on delta, so that both paths must agree
         # on them: a working-model fit fails when the first four units are
         # treated, and the residual regression when the treated count is a
-        # multiple of 4.  The residual regression takes one fit or a
-        # replicate's fits, which share their treated count.
-        def lse_fit(data):
-            if data.t[:4].sum() == 4:
-                raise FitError("injected")
-            return inference.lse_fit(data)
+        # multiple of 4.  The power path fits a chunk's stacked trials, and
+        # its residual regression takes their stacked fits (or, falling back,
+        # one replicate's); the per-delta loop takes one fit at a time.
+        _inject_fit_failures(monkeypatch, lambda data: data.t[..., :4].sum(axis=-1) == 4)
 
         def sigma_tau_reg(fits, phi):
-            if (fits if isinstance(fits, inference.FitResult) else fits[0]).n1 % 4 == 0:
+            out = inference.sigma_tau_reg(fits, phi)
+            one = fits if isinstance(fits, inference.FitResult) else fits[0]
+            bad = np.asarray(one.n1) % 4 == 0
+            if bad.ndim == 0 and bad:
                 raise EstimatorError("injected")
-            return inference.sigma_tau_reg(fits, phi)
+            for v in [out] if isinstance(out, inference.VarianceEstimate) else out:
+                if bad.ndim and isinstance(v, inference.VarianceEstimate):
+                    v.value[bad] = np.nan
+            return out
 
-        monkeypatch.setattr(harness, "lse_fit", lse_fit)
         monkeypatch.setattr(harness, "sigma_tau_reg", sigma_tau_reg)
         slots = _slot_rows(spec, monkeypatch)
         classes = harness._fit_classes(spec)
@@ -793,19 +816,80 @@ class TestSharedFit:
         runs = harness._assign_chunk(spec, spec.procedures, rs, Xs)
         lblock = inference.block_length(spec.n, spec.block_rule)
         for proc, (kept, inputs, roots, assigns) in zip(spec.procedures, runs):
+            assert kept == list(rs)  # every replicate is kept, and rs starts at 0
             tests = harness._power_tests(spec, proc)
-            boots = harness._boot_resamples(spec, proc, [rs[k] for k in kept], inputs, roots)
-            for r, assign in zip(kept, assigns):  # every replicate is kept, and rs starts at 0
-                args = (r, Xs[r], noises[r], build_phi(proc, spec.setting, Xs[r]), assign)
+            boots = harness._boot_resamples(spec, proc, list(rs), inputs, roots)
+            args = (list(rs), Xs, noises, inputs, roots, assigns, boots)
+            stats = harness._power_statistics(spec, classes, lblock, proc, tests, *args)
+            for r in rs:
+                args = (r, Xs[r], noises[r], build_phi(proc, spec.setting, Xs[r]), assigns[r])
                 ref_stats, ref_row = _per_delta_reference(spec, proc, *args)
-                stats = harness._power_statistics(
-                    spec, classes, lblock, proc, tests, *args, next(boots)
-                ).ravel()
                 np.testing.assert_array_equal(slots[proc.name][r], ref_row)
-                np.testing.assert_array_equal(np.isnan(stats), np.isnan(ref_stats))
-                np.testing.assert_allclose(stats, ref_stats, rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(np.isnan(stats[r].ravel()), np.isnan(ref_stats))
+                np.testing.assert_allclose(stats[r].ravel(), ref_stats, rtol=1e-12, atol=0)
                 failed += int(np.isnan(ref_row).sum())
         assert failed > 0  # the NaN positions are exercised
+
+
+class TestStackedRegression:
+    """``t_reg`` on a chunk's stacked fits equals the one-replicate path,
+    ``sigma_tau_reg`` on ``reduce_columns`` of the dense features."""
+
+    @staticmethod
+    def _chunk(name, n, m=6, seed=40):
+        spec = ExperimentSpec(
+            kind="power", n=n, setting=CovariateSetting("S1"), model="setting1",
+            procedures=(procedure_preset(name),), replicates=m, base_seed=seed,
+            working_models=("W1", "W2", "W3"), tests=("t_reg",),
+        )
+        rs = range(m)
+        Xs = [harness._covariates(spec, r) for r in rs]
+        ((kept, inputs, roots, assigns),) = harness._assign_chunk(spec, spec.procedures, rs, Xs)
+        assert kept == list(rs)
+        treat = (assigns == 0).astype(float)
+        rng = np.random.default_rng(seed)
+        y = np.stack(Xs)[..., :3].sum(axis=-1) + treat + rng.normal(size=(m, n))
+        x = np.stack(Xs)[..., :3]
+        fits = inference.lse_fit([inference.TrialDataset(y, treat, x[..., :p]) for p in (0, 1, 3)])
+        return harness.feature_spec(spec.procedures[0], spec.setting), fits, inputs, roots
+
+    @staticmethod
+    def _one_replicate(fspec, fits, x, roots, j):
+        phi = x if roots is None else level_matrix(fspec, x)
+        one = [harness._system(fit, j) for fit in fits]
+        return [v.value for v in inference.sigma_tau_reg(one, reduce_columns(phi))]
+
+    def test_stratified_demeaning_with_empty_strata(self, monkeypatch):
+        """At n = 20 most of SR's 27 strata are empty in every replicate."""
+        fspec, fits, inputs, roots = self._chunk("SR", n=20)
+        assert isinstance(fspec, Stratified)
+        counts = [np.unique(x[:, 0]).size for x in inputs]
+        assert max(counts) < 27
+        calls = []
+        monkeypatch.setattr(harness, "reduce_columns", lambda M: calls.append(1) or M)
+        values = harness._regression(fspec, fits, inputs, roots)
+        assert not calls  # no replicate takes the dense path
+        monkeypatch.undo()
+        for j, x in enumerate(inputs):
+            want = self._one_replicate(fspec, fits, x, roots, j)
+            np.testing.assert_allclose([v[j] for v in values], want, rtol=1e-12, atol=0)
+
+    def test_a_rank_deficient_composite_replicate_falls_back(self, monkeypatch):
+        """Replicate 3's features repeat a column, so its Gram fails the
+        guard in the stacked solve: it alone is reduced and refitted."""
+        fspec, fits, inputs, roots = self._chunk("phi-CAR-BC", n=40)
+        assert isinstance(fspec, Composite) and roots is None
+        inputs = inputs.copy()
+        inputs[3, :, 3] = inputs[3, :, 2]
+        calls = []
+        real = harness.reduce_columns
+        monkeypatch.setattr(harness, "reduce_columns", lambda M: calls.append(M) or real(M))
+        values = harness._regression(fspec, fits, inputs, roots)
+        assert len(calls) == 1 and np.array_equal(calls[0], inputs[3])
+        assert real(inputs[3]).shape[1] == 3
+        for j, x in enumerate(inputs):
+            want = self._one_replicate(fspec, fits, x, roots, j)
+            np.testing.assert_allclose([v[j] for v in values], want, rtol=1e-12, atol=0)
 
 
 class TestFitCount:
@@ -824,16 +908,11 @@ class TestFitCount:
             working_models=("W1", "W3"),
             tests=("t_ls", "t_mb"),
         )
-        calls = []
-
-        def counting(data):
-            calls.append(data)
-            return inference.lse_fit(data)
-
-        monkeypatch.setattr(harness, "lse_fit", counting)
+        calls = _inject_fit_failures(monkeypatch, lambda data: np.zeros(len(data.y), bool))
         run_power_experiment(spec)
         per_delta = len(deltas) if model == "logistic" else 1
-        assert len(calls) == 5 * 2 * 2 * per_delta
+        assert len(calls) == 2  # one call per (chunk, procedure), over its stacked trials
+        assert sum(calls) == 5 * 2 * 2 * per_delta  # fitted systems
 
     def test_one_logistic_fit_per_delta(self, monkeypatch):
         """The logistic tests' design ignores the working model, so each runs
@@ -870,9 +949,10 @@ class TestFitCount:
 
 class TestEstimatorCallCount:
     def test_one_residual_estimator_call_per_replicate_and_procedure(self, monkeypatch):
-        """t_reg and t_mb each make one estimator call over a replicate's fits,
-        whatever the delta grid and working models, and the power path builds
-        no test result."""
+        """t_reg and t_mb each make one estimator call over a chunk's stacked
+        fits, so at most one per replicate and procedure, whatever the delta
+        grid and working models, and the power path builds no test result.
+        The 5 replicates are one chunk."""
         spec = ExperimentSpec(
             kind="power",
             n=40,
@@ -899,15 +979,16 @@ class TestEstimatorCallCount:
         for name in ("sigma_tau_reg", "sigma_tau_mb", "t_ls", "adjusted_test"):
             count(name)
         assert not run_power_experiment(spec).failures
-        runs = spec.replicates * 2  # CR runs t_ls only
+        runs = 2  # one chunk of SR and of phi-CAR-BC; CR runs t_ls only
         assert sorted(calls) == ["sigma_tau_mb"] * runs + ["sigma_tau_reg"] * runs
 
 
 class TestResamplingDrawCount:
-    """Each refit test runs once per (replicate, procedure), whatever the
-    delta grid and working models: one estimator call over every fit.  The
-    bootstrap's resamples of a chunk's replicates are rerandomized together,
-    in ceil(R * B / batch) engine calls per procedure."""
+    """Each bootstrap test runs once per (replicate, procedure), whatever the
+    delta grid and working models: one estimator call over every fit; the
+    jackknife once per (chunk, procedure), over the chunk's stacked trials.
+    The bootstrap's resamples of a chunk's replicates are rerandomized
+    together, in ceil(R * B / batch) engine calls per procedure."""
 
     @pytest.mark.parametrize("model", ["setting1", "logistic"])
     @pytest.mark.parametrize("deltas", [(0.0,), (0.0, 4.0, 9.0)])
@@ -952,7 +1033,7 @@ class TestResamplingDrawCount:
         assert calls == {
             "sigma_tau_bootstrap": runs,
             "sigma_tau_mbb": runs,
-            "sigma_tau_mbj": runs,
+            "sigma_tau_mbj": len(spec.procedures),  # the 4 replicates are one chunk
             "simulate_assignments": len(spec.procedures)
             * math.ceil(spec.replicates * spec.bootstrap_size / 4),
         }

@@ -43,6 +43,13 @@ from carlab.inference import (
 )
 
 
+def _system(stack, j):
+    """Trial j of a stacked fit."""
+    return dataclasses.replace(
+        stack, **{k: v[j] for k, v in vars(stack).items() if isinstance(v, np.ndarray)}
+    )
+
+
 def _dataset(y, t, x=None, phi=None):
     return TrialDataset(y=np.asarray(y, float), t=np.asarray(t, float), x_obs=x, phi=phi)
 
@@ -701,6 +708,86 @@ class TestPooledResamples:
         short = rerandomized_resamples([cols], self.policy, B, [np.random.default_rng(81)], roots)
         with pytest.raises(CarlabError, match="drawn"):
             sigma_tau_bootstrap(data, self.policy, B, None, [next(next(short))])
+
+
+class TestStackedFailures:
+    """A stack of trials fails trial by trial: where the one-dataset call
+    raises, the stacked call's trial reads NaN, and every other trial equals
+    its one-dataset value."""
+
+    @staticmethod
+    def _one(call, *args):
+        try:
+            return call(*args)
+        except CarlabError as exc:
+            return exc
+
+    def _agree(self, stacked, singles, field="value"):
+        for j, one in enumerate(singles):
+            if isinstance(one, Exception):
+                assert np.isnan(stacked[j]), j
+            else:
+                assert stacked[j] == pytest.approx(getattr(one, field), rel=1e-12, abs=0), j
+
+    def test_fits_and_residual_estimators(self):
+        """Seeds 126 and 0 draw a nearly collinear W3 design at n = 5: the
+        first leaves a residual beyond the exact-fit rule without degrees
+        of freedom, the second fails the solve's guard."""
+        trials = [2, 126, 0, 5, 7]
+        rng = [np.random.default_rng(seed) for seed in trials]
+        x = np.stack([g.normal(size=(5, 3)) for g in rng])
+        x[:, :, 2] = x[:, :, 1] + 1e-4 * np.stack([g.normal(size=5) for g in rng])
+        y = np.stack([g.normal(size=5) for g in rng])
+        t = np.tile([1.0, 0, 1, 0, 1], (5, 1))
+        t[3] = 1.0  # an empty arm
+        x[4, :, 2] = x[4, :, 1]  # exactly singular
+        stacked = lse_fit(TrialDataset(y, t, x))
+        singles = [self._one(lse_fit, _dataset(y[j], t[j], x[j])) for j in range(5)]
+        assert [str(f) for f in singles[1:]] == [
+            "no residual degrees of freedom",
+            "ill-conditioned working-model design (rcond ~ 1.63e-14)",
+            "cannot fit: an arm has no observations",
+            "singular working-model design",
+        ]
+        self._agree(stacked.tau_hat, singles, "tau_hat")
+        self._agree(stacked.sigma_e2, singles, "sigma_e2")
+        assert np.isnan(stacked.residuals[1:]).all() and np.isnan(stacked.gram_inv[1:]).all()
+        # n = 5 leaves W1 its degrees of freedom: the stack's residual estimators
+        # on W1 fits equal their one-fit calls, and a singular phi fails its trial
+        w1 = lse_fit(TrialDataset(y, t[[0, 1, 2, 4, 0]]))
+        phi = np.concatenate([np.ones((5, 5, 1)), x[..., :1]], axis=-1)
+        phi[2, :, 1] = 1.0
+        each = [_system(w1, j) for j in range(5)]
+        reg = [self._one(sigma_tau_reg, f, p) for f, p in zip(each, phi)]
+        assert isinstance(reg[2], EstimatorError)
+        self._agree(sigma_tau_reg(w1, phi).value, reg)
+        self._agree(sigma_tau_mb(w1, 2).value, [sigma_tau_mb(f, 2) for f in each])
+
+    def test_mbj_fails_a_trial_alone_within_its_block(self):
+        """Trial 1's treated units lie inside one window, and trial 2's
+        covariate is non-zero only on units 8-11, so leaving out the window
+        at unit 8 leaves it in the span of t and 1 - t.  The four trials are
+        one block of the sweep."""
+        rng = np.random.default_rng(31)
+        m, n, l = 4, 24, 4
+        t = np.tile([1.0, 0.0], (m, n // 2))
+        t[1] = 0.0
+        t[1, 10:13] = 1.0
+        x = rng.normal(size=(m, n, 1))
+        x[2] = 0.0
+        x[2, 8:12, 0] = rng.normal(size=4)
+        y = x[..., 0] + t + rng.normal(size=(m, n))
+        assert 8 * 3 * 4 * n * m <= inference._STACK_BYTES
+        wide, narrow = TrialDataset(y, t, x), TrialDataset(y, t)
+        singles = [
+            [self._one(sigma_tau_mbj, _dataset(y[j], t[j], x[j][:, :p]), l) for j in range(m)]
+            for p in (1, 0)
+        ]
+        assert "window 9 empties an arm" in str(singles[0][1])
+        assert "singular design" in str(singles[0][2])
+        assert isinstance(singles[1][2], VarianceEstimate)  # the narrow model stands
+        for got, one in zip(sigma_tau_mbj([wide, narrow], l), singles):
+            self._agree(got.value, one)
 
 
 class TestSweep:
