@@ -326,9 +326,10 @@ def level_columns(spec: FeatureMapSpec, X: np.ndarray) -> tuple:
 
 
 def level_matrix(spec: FeatureMapSpec, cols: np.ndarray) -> np.ndarray:
-    """An indicator map's dense (n, q) feature matrix from its level columns."""
-    out = np.zeros((cols.shape[0], feature_dim(spec)))
-    out[np.arange(cols.shape[0])[:, None], cols] = _roots(spec)
+    """An indicator map's dense (n, q) feature matrix from its level columns,
+    or a stack of them, (m, n, q) from (m, n, blocks)."""
+    out = np.zeros(cols.shape[:-1] + (feature_dim(spec),))
+    np.put_along_axis(out, cols, _roots(spec), axis=-1)
     return out
 
 

@@ -14,15 +14,15 @@ A chunk's kept replicates are analysed as arrays, per procedure, in blocks
 of a bounded size: their working models are fitted in one ``lse_fit`` call
 on the stacked datasets (one Gram per chain of nested models), and
 ``t_reg``, ``t_mb`` and ``t_mbj`` each make one estimator call on the
-stacked fits (``t_reg`` demeans within strata under SR, solves stacked
-features under composite maps, and reduces one replicate's dense features
-at a time under PS and HH, or where the stacked solve fails its guard).
-The bootstraps make one call per replicate and procedure, over its fits, on
-one draw of resamples; a chunk's ``t_boot`` resamples are rerandomized
-together.  Each test's statistics, replicates by deltas by working models,
-are one ``wald_statistics`` call, a failed fit or estimate reading NaN in
-its own cells.  Only ``carlab analyze`` builds test results (``run_test``),
-through the same estimators on one dataset.
+stacked fits (``t_reg`` demeans within strata under SR, and under every
+other map solves on the stacked features, each replicate's dependent
+columns zeroed by ``reduce_columns``).  The bootstraps make one call per
+replicate and procedure, over its fits, on one draw of resamples; a
+chunk's ``t_boot`` resamples are rerandomized together.  Each test's
+statistics, replicates by deltas by working models, are one
+``wald_statistics`` call, a failed fit or estimate reading NaN in its own
+cells.  Only ``carlab analyze`` builds test results (``run_test``), through
+the same estimators on one dataset.
 
 Determinism: every replicate draws from generators seeded by mixing
 (base seed, replicate index, stream tag) through ``numpy.random.SeedSequence``
@@ -52,7 +52,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg as sla
 
 from ._normal import normal_cdf, normal_quantile
 from .allocation import (
@@ -144,7 +143,6 @@ DIRECT_TESTS = ("t_mbj", "t_mbb", "t_boot")  # statistic sqrt(n) tau / (2 sigma)
 LOGISTIC_TESTS = ("t_logi", "t_oracle")
 _WORKING_MODELS = {"W1": (), "W2": (0,), "W3": (0, 1, 2)}
 _THRESHOLDS = (0.0, 2.0)  # cut points of continuous covariates for SR, PS and HH
-_RANK_TOL = 1e-9  # relative size of the smallest pivot ``reduce_columns`` keeps
 _STACK_BYTES = 1 << 20  # cap on the stacked working-model designs of one block of replicates
 PRESET_NAMES = ("CR", "SR", "PS", "HH", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con")
 
@@ -443,22 +441,35 @@ def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
 
 
 def reduce_columns(M: np.ndarray) -> np.ndarray:
-    """Keep a full-rank subset of columns (pivoted QR), in original order.
+    """A (q,) mask of the columns of M, (n, q), that span its columns, or a
+    (m, q) mask of each trial's of a stack (m, n, q); the caller zeroes the
+    others, which ``sigma_tau_reg`` skips.
 
     Indicator feature blocks are rank-deficient by construction (level
     indicators of one covariate sum to the constant) and strata can be empty
     in a finite sample; the residual regression only needs the column span.
+    A Gauss-Jordan sweep of M'M in column order keeps a column whose pivot
+    exceeds 1e-9 times its diagonal entry (its residual on the columns kept
+    before it exceeds about 3e-5 of its norm) and skips the others
+    (Goodnight 1979).  ``inference._sweep``'s 1e-12 is too tight here: the
+    rounding of a dependent indicator column's pivot reaches 1e-11 of its
+    diagonal entry under weighted HH at n = 2000, while an independent
+    one's stays above 1e-3.  An identically zero matrix raises; in a stack,
+    such a trial keeps no column.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[1] == 0:
-        raise DomainError("need a non-empty 2-d matrix")
-    _, R, piv = sla.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
+    if M.ndim not in (2, 3) or M.shape[-1] == 0:
+        raise DomainError("need a non-empty 2-d matrix or a stack of them")
+    G = M.swapaxes(-1, -2) @ M
+    floor = 1e-9 * np.diagonal(G, axis1=-2, axis2=-1)
+    keep = np.zeros(floor.shape, dtype=bool)
+    for j in range(M.shape[-1]):
+        keep[..., j] = G[..., j, j] > floor[..., j]
+        row = G[..., j, :] / np.where(keep[..., j], G[..., j, j], np.inf)[..., None]
+        G -= G[..., :, j, None] * row[..., None, :]  # a skipped column's row is zero
+    if M.ndim == 2 and not keep.any():
         raise EstimatorError("feature matrix is identically zero")
-    rank = int(np.sum(diag > _RANK_TOL * diag[0]))
-    keep = np.sort(piv[:rank])
-    return M[:, keep]
+    return keep
 
 
 def _study(spec: ExperimentSpec, kind: str, threads: int, cells, work) -> ResultTable:
@@ -632,9 +643,9 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     is fitted per delta (``_fit_classes``).  A chunk's kept replicates are
     analysed together per procedure (``_power_statistics``), in blocks whose
     stacked designs stay within ``_STACK_BYTES``: one stacked fit, and one
-    estimator call per linear test, ``t_mbb`` and ``t_boot`` one per
-    replicate, ``t_boot`` on resamples rerandomized for the chunk first
-    (``_boot_resamples``).
+    estimator call per linear test (``t_reg`` under every feature map),
+    ``t_mbb`` and ``t_boot`` one per replicate, ``t_boot`` on resamples
+    rerandomized for the chunk first (``_boot_resamples``).
     """
 
     def cells(proc):
@@ -699,8 +710,8 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs
     rows ``inputs`` of its engine batch, sqrt-weights ``roots``), NaN where a
     fit or estimator fails.  Every class's working models are fitted in one
     ``lse_fit`` call on the replicates' stacked datasets.  ``t_mb`` and
-    ``t_mbj`` make one estimator call over those fits (``_estimates``),
-    ``t_reg`` one or more (``_regression``); ``t_mbb`` and ``t_boot`` make
+    ``t_mbj`` make one estimator call over those fits (``_estimates``), and
+    so does ``t_reg`` (``_regression``); ``t_mbb`` and ``t_boot`` make
     one per replicate, on its fits that did not fail (``t_boot`` on the next
     of ``boots``, the chunk's iterator of resamples, ``_boot_resamples``),
     and the logistic tests one per replicate and class.  Each test's
@@ -782,32 +793,26 @@ def _values(estimates, *shape) -> np.ndarray:
 
 
 def _regression(fspec, fits, inputs, roots) -> np.ndarray:
-    """``t_reg``'s estimates of a chunk's stacked fits on its engine batch
-    ``inputs``, (fits, replicates), NaN where one fails: one
-    ``sigma_tau_reg`` call on the stratum labels of a ``Stratified`` map or
-    the features of a ``Composite`` one.  A replicate whose estimates fail
-    there (its features fail the solve's guard), and each replicate under
-    the other indicator maps, makes one call of its own on the full-rank
-    columns (``reduce_columns``) of its dense features."""
-    ok = ~np.isnan([fit.tau_hat for fit in fits])
-    phi = inputs[..., 0] if isinstance(fspec, Stratified) else inputs  # stratum labels
-    stacked = isinstance(fspec, (Stratified, Composite))
-    values = _values(_attempt(sigma_tau_reg, fits, phi) if stacked else None, *ok.shape)
-    for j in np.flatnonzero((np.isnan(values) & ok).any(axis=0)):
-        idx = np.flatnonzero(ok[:, j])
-        phi = inputs[j] if roots is None else level_matrix(fspec, inputs[j])
-        vs = _attempt(_estimates, "t_reg", [_system(fits[i], j) for i in idx], *[None] * 5, phi)
-        values[idx, j] = _values(vs, len(idx))
-    return values
+    """``t_reg``'s estimates of a block's stacked fits on its rows ``inputs``
+    of the engine batch, (fits, replicates), NaN where one fails: one
+    ``sigma_tau_reg`` call, on the stratum labels of a ``Stratified`` map,
+    and on a copy of the dense features of any other, their dependent
+    columns zeroed (``reduce_columns``)."""
+    phi = inputs[..., 0]  # stratum labels
+    if not isinstance(fspec, Stratified):  # a copy: the batch also feeds t_boot's resamples
+        phi = np.array(inputs, dtype=float) if roots is None else level_matrix(fspec, inputs)
+        phi *= reduce_columns(phi)[..., None, :]
+    return _values(_attempt(sigma_tau_reg, fits, phi), len(fits), len(inputs))
 
 
 def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None):
     """An adjusted test's variance estimate of one fit (its failure raised) or
     a list for a sequence of fits on ``datas``, each failure in its place, in
     one estimator call; ``l``, ``B``, ``rng`` as the table says, ``policy``
-    re-run by ``t_boot`` unless ``drawn``, ``t_reg`` on ``reduce_columns(phi)``."""
+    re-run by ``t_boot`` unless ``drawn``, ``t_reg`` on ``phi`` (n, q) with its
+    dependent columns zeroed (``reduce_columns``)."""
     if test == "t_reg":
-        return sigma_tau_reg(fits, reduce_columns(phi))
+        return sigma_tau_reg(fits, phi * reduce_columns(phi))
     if test == "t_mb":
         return sigma_tau_mb(fits, l)
     if test == "t_mbj":
@@ -822,7 +827,7 @@ def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None):
 def run_test(test, fit, data, alpha, l, B, rng, policy, phi):
     """One non-logistic test on one working-model fit: the test result and
     the variance estimate (``_estimates``; None for ``t_ls``).  ``phi`` may be
-    rank-deficient: ``t_reg`` keeps a full-rank subset of its columns."""
+    rank-deficient: ``t_reg`` regresses on the columns that span it."""
     if test == "t_ls":
         return t_ls(fit, alpha), None
     v = _estimates(test, fit, data, l, B, rng, policy, phi)

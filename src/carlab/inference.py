@@ -340,14 +340,18 @@ def sigma_tau_reg(fit, phi: np.ndarray):
     """Regress working-model residuals on the balancing features.
 
     The feature matrix is used as given (no intercept is added; include a
-    constant column when the map carries one).  The estimate is the residual
-    sum of squares of that regression over n - p - 2, p being the working
-    model's covariate count.  Over a sequence of fits a singular phi fails
-    them all, a fit without degrees of freedom only itself.  Stacked fits
-    take stacked features, (m, n, q), and a trial whose features fail the
-    guard reads NaN.  Integer ``phi`` holds stratum labels, (n,) or (m, n),
-    standing for their one-hot features: the regression is then the
-    within-stratum demeaning, which needs no solve.
+    constant column when the map carries one), except that an all-zero
+    column is no feature: it gets a unit diagonal entry in phi'phi and
+    coefficient 0, and ``q`` counts only the other columns, so
+    ``harness.reduce_columns`` can zero the columns it drops; all-zero
+    features stay singular.  The estimate is the residual sum of squares of
+    that regression over n - p - 2, p being the working model's covariate
+    count.  Over a sequence of fits a singular phi fails them all, a fit
+    without degrees of freedom only itself.  Stacked fits take stacked
+    features, (m, n, q), and a trial whose features fail reads NaN.  Integer
+    ``phi`` holds stratum labels, (n,) or (m, n), standing for their one-hot
+    features: the regression is then the within-stratum demeaning, which
+    needs no solve.
     """
     fits = _shared(fit, FitResult, "fits", "treat")
     phi = np.asarray(phi)
@@ -360,9 +364,11 @@ def sigma_tau_reg(fit, phi: np.ndarray):
     else:
         phi = phi.astype(float, copy=False)
         _check_finite(phi=phi)
-        phi_t = phi.swapaxes(-1, -2)
-        alpha_hat, _ = _solve(phi_t @ phi, phi_t @ e, EstimatorError, "feature regression")
-        zeta, q = np.subtract(e, phi @ alpha_hat, out=e), phi.shape[-1]
+        phi_t, zero = phi.swapaxes(-1, -2), ~phi.any(axis=-2)  # zero: (..., q) all-zero columns
+        q = phi.shape[-1] - zero.sum(axis=-1)  # with none left, phi'phi = 0 stays singular
+        G = phi_t @ phi + (zero & (q > 0)[..., None])[..., None] * np.eye(phi.shape[-1])
+        alpha_hat, _ = _solve(G, phi_t @ e, EstimatorError, "feature regression")
+        zeta = np.subtract(e, phi @ alpha_hat, out=e)
     ss = np.einsum("...ij,...ij->...j", zeta, zeta)
     return _one_or_all(fit, [
         VarianceEstimate(ss[..., j] / dof, "reg", {"q": q}) if dof > 0

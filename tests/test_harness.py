@@ -133,8 +133,10 @@ class TestReduceColumns:
     def test_marginal_block_collinearity_removed(self):
         X = gen_covariate_matrix(CovariateSetting("S1"), 300, np.random.default_rng(3))
         phi = build_phi(procedure_preset("PS"), CovariateSetting("S1"), X)
-        red = reduce_columns(phi)
-        assert np.linalg.matrix_rank(phi) == red.shape[1] < phi.shape[1]
+        keep = reduce_columns(phi)
+        assert keep.shape == phi.shape[1:] and keep.dtype == bool
+        red = phi[:, keep]
+        assert np.linalg.matrix_rank(phi) == keep.sum() < phi.shape[1]
         # the span is preserved: projections of a test vector agree
         rng = np.random.default_rng(4)
         v = rng.normal(size=300)
@@ -142,11 +144,45 @@ class TestReduceColumns:
         proj_red = red @ np.linalg.lstsq(red, v, rcond=None)[0]
         np.testing.assert_allclose(proj_full, proj_red, atol=1e-8)
 
+    def test_a_stack_keeps_each_trials_rank(self):
+        """Weighted HH at n = 2000 (q = 37): the sweep's rounding puts a
+        dependent stratum column's pivot near 1e-11 of its diagonal entry,
+        and an independent one's stays above 1e-3, so each trial keeps as
+        many columns as its rank, in one call on the stack."""
+        setting, proc = CovariateSetting("S1"), procedure_preset("HH", hh_weights=(0.5, 2, 0.3))
+        rng = np.random.default_rng(12)
+        M = np.stack([build_phi(proc, setting, gen_covariate_matrix(setting, 2000, rng))
+                      for _ in range(4)])
+        keep = reduce_columns(M)
+        assert keep.shape == (4, 37)
+        for j in range(4):
+            assert keep[j].sum() == np.linalg.matrix_rank(M[j]) < 37
+            np.testing.assert_array_equal(keep[j], reduce_columns(M[j]))
+
     def test_zero_matrix_rejected(self):
         from carlab.errors import EstimatorError
 
         with pytest.raises(EstimatorError):
             reduce_columns(np.zeros((10, 2)))
+
+    def test_a_nearly_dependent_column_is_dropped(self):
+        """The sweep drops a column whose residual on the columns before it
+        is at most about 3e-5 of its norm (a pivot at most 1e-9 of its
+        diagonal entry).  Pivoted QR's 1e-9 |R_00| rule kept the column at
+        1e-7, and its regression then failed the rcond guard; now it reads
+        as the regression without it."""
+        u, v, noise = np.random.default_rng(8).normal(size=(3, 40))
+        near = np.column_stack([np.ones(40), u, u + 1e-7 * v])
+        far = np.column_stack([np.ones(40), u, u + 1e-3 * v])
+        assert reduce_columns(near).tolist() == [True, True, False]
+        assert reduce_columns(far).tolist() == [True, True, True]
+        t = np.tile([1.0, 0.0], 20)
+        fit = inference.lse_fit(inference.TrialDataset(u + t + noise, t))
+        with pytest.raises(EstimatorError, match="^ill-conditioned"):
+            inference.sigma_tau_reg(fit, near)
+        got = harness.run_test("t_reg", fit, None, 0.05, 6, 10, None, None, near)[1]
+        assert got.value == pytest.approx(inference.sigma_tau_reg(fit, near[:, :2]).value, rel=1e-12)
+        assert got.params["q"] == 2
 
     def test_run_test_reduces_the_features_of_t_reg(self):
         """``run_test`` takes the balancing features as read: ``t_reg``
@@ -160,7 +196,7 @@ class TestReduceColumns:
         data = inference.TrialDataset(y=rng.normal(size=300) + t, t=t, x_obs=X, phi=phi)
         fit = inference.lse_fit(data)
         res, v = harness.run_test("t_reg", fit, data, 0.05, 17, 10, None, proc.policy, phi)
-        expect = inference.sigma_tau_reg(fit, reduce_columns(phi))
+        expect = inference.sigma_tau_reg(fit, phi * reduce_columns(phi))
         assert v.value == expect.value and v.method == expect.method == "reg"
         assert res == inference.adjusted_test(fit, expect, "gram", 0.05)
 
@@ -520,13 +556,14 @@ class TestRunners:
 
     @pytest.mark.parametrize(
         "tests, scattered",
-        [(("t_ls", "t_mbb", "t_boot"), 0), (("t_ls", "t_reg"), 5)],
+        [(("t_ls", "t_mbb", "t_boot"), 0), (("t_ls", "t_reg"), 1)],
         ids=["bootstraps", "t_reg"],
     )
     def test_only_t_reg_scatters_dense_features(self, tests, scattered, monkeypatch):
         """Indicator maps run on level columns, the bootstrap's included; a
-        dense feature matrix is built per replicate only for ``t_reg`` under
-        HH: SR's ``t_reg`` demeans the residuals within its strata."""
+        dense feature matrix is built only for ``t_reg`` under HH, once for
+        the block of all 5 replicates: SR's ``t_reg`` demeans the residuals
+        within its strata."""
         spec = ExperimentSpec(
             kind="power", n=40, setting=CovariateSetting("S1"), model="setting1",
             procedures=(procedure_preset("SR"), procedure_preset("HH", hh_weights=(0.5, 2, 0.3))),
@@ -832,14 +869,15 @@ class TestSharedFit:
 
 
 class TestStackedRegression:
-    """``t_reg`` on a chunk's stacked fits equals the one-replicate path,
-    ``sigma_tau_reg`` on ``reduce_columns`` of the dense features."""
+    """``t_reg`` on a block's stacked fits, one ``sigma_tau_reg`` call, equals
+    each replicate's least-squares residual sum of squares on its dense
+    features over n - p - 2, from ``np.linalg.lstsq``."""
 
     @staticmethod
-    def _chunk(name, n, m=6, seed=40):
+    def _chunk(proc, n, m=6, seed=40):
         spec = ExperimentSpec(
             kind="power", n=n, setting=CovariateSetting("S1"), model="setting1",
-            procedures=(procedure_preset(name),), replicates=m, base_seed=seed,
+            procedures=(proc,), replicates=m, base_seed=seed,
             working_models=("W1", "W2", "W3"), tests=("t_reg",),
         )
         rs = range(m)
@@ -851,17 +889,43 @@ class TestStackedRegression:
         y = np.stack(Xs)[..., :3].sum(axis=-1) + treat + rng.normal(size=(m, n))
         x = np.stack(Xs)[..., :3]
         fits = inference.lse_fit([inference.TrialDataset(y, treat, x[..., :p]) for p in (0, 1, 3)])
-        return harness.feature_spec(spec.procedures[0], spec.setting), fits, inputs, roots
+        return harness.feature_spec(proc, spec.setting), fits, inputs, roots
 
     @staticmethod
-    def _one_replicate(fspec, fits, x, roots, j):
+    def _lstsq(fspec, fits, x, roots, j):
+        """Replicate j's estimate per fit, independently of ``reduce_columns``."""
         phi = x if roots is None else level_matrix(fspec, x)
-        one = [harness._system(fit, j) for fit in fits]
-        return [v.value for v in inference.sigma_tau_reg(one, reduce_columns(phi))]
+        out = []
+        for fit in fits:
+            e = fit.residuals[j]
+            zeta = e - phi @ np.linalg.lstsq(phi, e, rcond=None)[0]
+            out.append(zeta @ zeta / (fit.n - fit.p - 2))
+        return out
+
+    def _agree(self, fspec, fits, inputs, roots, values, skip=()):
+        for j, x in enumerate(inputs):
+            if j not in skip:
+                want = self._lstsq(fspec, fits, x, roots, j)
+                np.testing.assert_allclose(values[:, j], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "name, n, weights",
+        [("SR", 20, None), ("PS", 10, None), ("HH", 20, (0.5, 2, 0.3)), ("HH", 40, (0.5, 2, 0.3))],
+        ids=["SR-20", "PS-10", "HH-20", "HH-40"],
+    )
+    def test_one_call_per_block_equals_lstsq(self, name, n, weights, monkeypatch):
+        """HH at n = 20 has q = 37 > n columns."""
+        fspec, fits, inputs, roots = self._chunk(procedure_preset(name, hh_weights=weights), n)
+        calls = []
+        real = inference.sigma_tau_reg
+        monkeypatch.setattr(harness, "sigma_tau_reg", lambda *a: calls.append(1) or real(*a))
+        values = harness._regression(fspec, fits, inputs, roots)
+        assert len(calls) == 1 and not np.isnan(values).any()
+        self._agree(fspec, fits, inputs, roots, values)
 
     def test_stratified_demeaning_with_empty_strata(self, monkeypatch):
         """At n = 20 most of SR's 27 strata are empty in every replicate."""
-        fspec, fits, inputs, roots = self._chunk("SR", n=20)
+        fspec, fits, inputs, roots = self._chunk(procedure_preset("SR"), n=20)
         assert isinstance(fspec, Stratified)
         counts = [np.unique(x[:, 0]).size for x in inputs]
         assert max(counts) < 27
@@ -869,27 +933,33 @@ class TestStackedRegression:
         monkeypatch.setattr(harness, "reduce_columns", lambda M: calls.append(1) or M)
         values = harness._regression(fspec, fits, inputs, roots)
         assert not calls  # no replicate takes the dense path
-        monkeypatch.undo()
-        for j, x in enumerate(inputs):
-            want = self._one_replicate(fspec, fits, x, roots, j)
-            np.testing.assert_allclose([v[j] for v in values], want, rtol=1e-12, atol=0)
+        self._agree(fspec, fits, inputs, roots, values)
 
-    def test_a_rank_deficient_composite_replicate_falls_back(self, monkeypatch):
-        """Replicate 3's features repeat a column, so its Gram fails the
-        guard in the stacked solve: it alone is reduced and refitted."""
-        fspec, fits, inputs, roots = self._chunk("phi-CAR-BC", n=40)
+    def test_a_rank_deficient_composite_replicate_is_reduced_in_the_stack(self, monkeypatch):
+        """Replicate 3's features repeat a column: one ``reduce_columns``
+        call on the whole stack drops it, and the stacked solve passes."""
+        fspec, fits, inputs, roots = self._chunk(procedure_preset("phi-CAR-BC"), n=40)
         assert isinstance(fspec, Composite) and roots is None
         inputs = inputs.copy()
         inputs[3, :, 3] = inputs[3, :, 2]
         calls = []
         real = harness.reduce_columns
-        monkeypatch.setattr(harness, "reduce_columns", lambda M: calls.append(M) or real(M))
+        monkeypatch.setattr(harness, "reduce_columns", lambda M: calls.append(M.copy()) or real(M))
         values = harness._regression(fspec, fits, inputs, roots)
-        assert len(calls) == 1 and np.array_equal(calls[0], inputs[3])
-        assert real(inputs[3]).shape[1] == 3
-        for j, x in enumerate(inputs):
-            want = self._one_replicate(fspec, fits, x, roots, j)
-            np.testing.assert_allclose([v[j] for v in values], want, rtol=1e-12, atol=0)
+        assert len(calls) == 1 and np.array_equal(calls[0], inputs)
+        assert real(inputs[3]).sum() == 3
+        self._agree(fspec, fits, inputs, roots, values)
+
+    def test_a_replicate_with_all_zero_features_fails_alone(self):
+        """A composite term 0, or an ``Identity`` of a discrete covariate
+        that drew only 0s, can zero a replicate's features: it reads NaN,
+        and the block's other replicates stand."""
+        fspec, fits, inputs, roots = self._chunk(procedure_preset("phi-CAR-BC"), n=40)
+        inputs = inputs.copy()
+        inputs[2] = 0.0
+        values = harness._regression(fspec, fits, inputs, roots)
+        assert np.isnan(values[:, 2]).all()
+        self._agree(fspec, fits, inputs, roots, values, skip=(2,))
 
 
 class TestFitCount:
@@ -1229,3 +1299,19 @@ def test_every_traced_layer_exists():
         if not hasattr(importlib.import_module(f"carlab.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """``import carlab`` needs no ``scipy.linalg``: loading it costs about
+    6 MB of resident memory in every run."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, carlab; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "False"
