@@ -32,7 +32,7 @@ from .harness import (
     PHI_TESTS,
     RNG_TESTS,
     check_test_params,
-    check_unique,
+    check_grids,
     run_imbalance_experiment,
     run_power_experiment,
     run_test,
@@ -177,9 +177,7 @@ def _cmd_analyze(args) -> int:
     for test in tests:
         if test not in analyzable:
             raise ConfigError(f"--tests: unknown test {test!r}; known: {', '.join(analyzable)}")
-    if not tests:
-        raise ConfigError("--tests: no tests requested")
-    check_unique({"--tests": tests})
+    check_grids({"--tests": tests})
     check_test_params(args.alpha, args.bootstrap_size)
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")

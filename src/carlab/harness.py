@@ -31,8 +31,9 @@ count and of which other procedures or tests appear in the run; a
 resampling test's stream, one per (replicate, procedure, test), serves every
 delta and working model.  Replicates run in consecutive chunks, and one
 engine call randomizes every procedure's trials of a chunk in one unit loop;
-a trial's assignments do not depend on the rest of the call.  Replicate
-results land in pre-allocated indexed slots and aggregation is a fold in
+a trial's assignments do not depend on the rest of the call.  A chunk is a
+function of (spec, range of replicates) that returns its replicates' rows;
+the study alone writes them into per-replicate slots and folds these in
 slot order, so identical (config, seed) produce identical output bytes.
 
 Procedure presets mirror the standard comparison set: complete randomization
@@ -142,6 +143,7 @@ BLOCK_TESTS = ("t_mb", "t_mbj", "t_mbb")
 DIRECT_TESTS = ("t_mbj", "t_mbb", "t_boot")  # statistic sqrt(n) tau / (2 sigma), not gram mode
 LOGISTIC_TESTS = ("t_logi", "t_oracle")
 _WORKING_MODELS = {"W1": (), "W2": (0,), "W3": (0, 1, 2)}
+_MODELS = {"setting1": LinearModel, "setting2": HeteroscedasticModel, "logistic": LogisticModel}
 _THRESHOLDS = (0.0, 2.0)  # cut points of continuous covariates for SR, PS and HH
 _STACK_BYTES = 1 << 20  # cap on the stacked working-model designs of one block of replicates
 PRESET_NAMES = ("CR", "SR", "PS", "HH", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con")
@@ -296,9 +298,12 @@ def check_test_params(alpha: float, bootstrap_size: int):
         raise ConfigError(f"bootstrap_size must be >= 2, got {bootstrap_size}")
 
 
-def check_unique(grids: dict):
-    """Reject a grid (key: values) that lists a value twice: it would repeat cells."""
+def check_grids(grids: dict):
+    """Reject a grid (key: values) that is empty or lists a value twice: it
+    would give no cells or repeat cells."""
     for key, values in grids.items():
+        if not values:
+            raise ConfigError(f"{key}: at least one value is required")
         for k, v in enumerate(values):
             if v in values[:k]:
                 shown = f"{v:g}" if isinstance(v, float) else v
@@ -331,17 +336,21 @@ def validate_spec(spec: ExperimentSpec):
         for j in spec.metrics:
             if j != 0 and not (1 <= j <= spec.setting.p_total):
                 raise ConfigError(f"metrics: index {j} out of range")
-        check_unique({"metrics": spec.metrics})
+        check_grids({"metrics": spec.metrics})
         return
     # power experiments
     if spec.treatments != 2:
         raise ConfigError("power experiments are two-arm only")
-    if spec.model not in ("setting1", "setting2", "logistic"):
+    if spec.model not in _MODELS:
         raise ConfigError(
             f"model must be setting1, setting2 or logistic, got {spec.model!r}"
         )
-    if not spec.tests:
-        raise ConfigError("at least one test is required")
+    coefficients = len(_MODELS[spec.model]().beta)
+    if spec.setting.p_total != coefficients:
+        raise ConfigError(
+            f"setting: {spec.setting.name} has {spec.setting.p_total} covariates,"
+            f" model {spec.model} has {coefficients} coefficients"
+        )
     observed = int(spec.setting.observed_mask.sum())
     for test in spec.tests:
         if test not in ALL_TESTS:
@@ -368,8 +377,8 @@ def validate_spec(spec: ExperimentSpec):
         if not math.isfinite(d):
             raise ConfigError(f"delta: values must be finite, got {d!r}")
     grids = {"delta": spec.deltas, "working_models": spec.working_models, "tests": spec.tests}
-    check_unique(grids)
-    check_unique({"delta": [f"{d:g}" for d in spec.deltas]})  # as write_table prints them
+    check_grids(grids)
+    check_grids({"delta": [f"{d:g}" for d in spec.deltas]})  # as write_table prints them
     if not any(_power_tests(spec, proc) for proc in spec.procedures):
         raise ConfigError(
             f"tests: none of {', '.join(spec.tests)} applies to procedures"
@@ -472,16 +481,15 @@ def reduce_columns(M: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _study(spec: ExperimentSpec, kind: str, threads: int, cells, work) -> ResultTable:
+def _study(spec: ExperimentSpec, kind: str, threads: int) -> ResultTable:
     """Validate ``spec`` as a ``kind`` study, run it and fold its slots.
 
-    ``cells(proc)`` lists a procedure's cells as (cell key, row fields)
-    pairs.  Each procedure owns one float (R, cells) slot array, column k for
-    its cell k, filled with NaN; ``work(slots)`` returns the function that
-    fills the slots of a range of replicates.  A slot left NaN is a failed
-    replicate: it is excluded from its cell and counted in ``failures``, and
-    a cell that loses more than 1% of its replicates is aborted, not given a
-    row.  Rejection rates get the binomial standard error, other metrics the
+    Each procedure owns one float (R, cells) slot array, column k for its
+    cell k of ``_cells``, filled with NaN; each chunk's rows are written in
+    as ``_run_chunks`` yields them.  A slot left NaN is a failed replicate:
+    it is excluded from its cell and counted in ``failures``, and a cell
+    that loses more than 1% of its replicates is aborted, not given a row.
+    Rejection rates get the binomial standard error, other metrics the
     sample standard deviation over sqrt(m).
     """
     validate_spec(spec)
@@ -490,9 +498,11 @@ def _study(spec: ExperimentSpec, kind: str, threads: int, cells, work) -> Result
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     R = spec.replicates
-    by_proc = {p.name: cells(p) for p in spec.procedures}
+    by_proc = {p.name: _cells(spec, p) for p in spec.procedures}
     slots = {name: np.full((R, len(named)), np.nan) for name, named in by_proc.items()}
-    _run_chunks(work(slots), spec, threads)
+    # chained, so no chunk's rows are held while the next chunk runs
+    for name, rs, values in itertools.chain.from_iterable(_run_chunks(spec, threads)):
+        slots[name][rs] = values
     table = ResultTable()
     for name, named in by_proc.items():
         for col, (cell, fields) in zip(slots[name].T, named):
@@ -514,53 +524,65 @@ def _study(spec: ExperimentSpec, kind: str, threads: int, cells, work) -> Result
     return table
 
 
+def _cells(spec: ExperimentSpec, proc: ProcedureSpec) -> list:
+    """A procedure's cells as (cell key, row fields) pairs, in the column
+    order of its rows' values: per metric of an imbalance study, per (delta,
+    working model, test) of a power study."""
+    if spec.kind == "imbalance":
+        fields = dict(working_model="", test="", delta=math.nan)
+        return [((proc.name, f"imb{j}"), dict(fields, metric=f"imb{j}")) for j in spec.metrics]
+    return [((proc.name, float(d), wm, test),
+             dict(working_model=wm, test=test, delta=float(d), metric="rejection_rate"))
+            for d in spec.deltas for wm in spec.working_models for test in _power_tests(spec, proc)]
+
+
 def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     """Replicated imbalance study; see the module docstring for determinism.
     A replicate whose metrics are undefined fails in its cells only."""
-    metrics = tuple(spec.metrics)
+    return _study(spec, "imbalance", threads)
 
-    def cells(proc):
-        fields = dict(working_model="", test="", delta=math.nan)
-        return [((proc.name, f"imb{j}"), dict(fields, metric=f"imb{j}")) for j in metrics]
 
-    def work(slots):
-        def chunk(rs: range):
-            Xs = [_covariates(spec, r) for r in rs]
-            runs = _assign_chunk(spec, spec.procedures, rs, Xs)
-            for proc, (kept, *_, assigns) in zip(spec.procedures, runs):
-                for k, assign in zip(kept, assigns):
-                    try:
-                        vals = imbalance_metrics(assign, Xs[k], spec.treatments, metrics)
-                    except DomainError:
-                        continue  # the slot stays NaN: a failed replicate
-                    slots[proc.name][rs[k]] = [vals[j] for j in metrics]
-
-        return chunk
-
-    return _study(spec, "imbalance", threads, cells, work)
+def _imbalance_rows(spec: ExperimentSpec, rs: range) -> list:
+    """An imbalance study's rows of a range of replicates: per procedure,
+    (its name, ``rs``, their (replicates, metrics) values), NaN where a
+    replicate failed."""
+    Xs, rows = [_covariates(spec, r) for r in rs], []
+    runs = _assign_chunk(spec, spec.procedures, rs, Xs)
+    for proc, (kept, *_, assigns) in zip(spec.procedures, runs):
+        values = np.full((len(rs), len(spec.metrics)), np.nan)
+        for k, assign in zip(kept, assigns):
+            try:
+                got = imbalance_metrics(assign, Xs[k], spec.treatments, spec.metrics)
+            except DomainError:
+                continue  # the row stays NaN: a failed replicate
+            values[k] = [got[j] for j in spec.metrics]
+        rows.append((proc.name, rs, values))
+    return rows
 
 
 def _covariates(spec: ExperimentSpec, r: int) -> np.ndarray:
     return gen_covariate_matrix(spec.setting, spec.n, _stream(spec.base_seed, r, _TAG_COVARIATES))
 
 
-def _run_chunks(work, spec: ExperimentSpec, threads: int):
-    """Call ``work`` on consecutive ranges of replicates, each as many as one
-    engine batch of the widest engine input of any procedure holds (a chunk's
-    engine call stacks one such batch per procedure), in worker threads when
-    asked (at most one per chunk and per CPU); results land in per-replicate
-    slots, so neither the range boundaries nor the thread count change
-    them."""
+def _run_chunks(spec: ExperimentSpec, threads: int):
+    """Yield the rows of consecutive ranges of replicates (``_imbalance_rows``
+    or ``_power_rows``, by the study's kind) in order, each range as many as
+    one engine batch of the widest engine input of any procedure holds (a
+    chunk's engine call stacks one such batch per procedure), in worker
+    threads when asked (at most one per chunk and per CPU).  A chunk's rows
+    depend on its replicates only, so neither the range boundaries nor the
+    thread count change them."""
+    rows = _imbalance_rows if spec.kind == "imbalance" else _power_rows
     fspecs = [feature_spec(p, spec.setting) for p in spec.procedures]
     size = batch_size(spec.n, max((input_width(f) for f in fspecs if f is not None), default=1))
     chunks = [range(r, min(r + size, spec.replicates)) for r in range(0, spec.replicates, size)]
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, chunks))
+            yield from pool.map(rows, itertools.repeat(spec), chunks)
     else:
         for rs in chunks:
-            work(rs)
+            yield rows(spec, rs)
 
 
 def _assign_chunk(spec: ExperimentSpec, procs, rs: range, Xs: list) -> list:
@@ -624,9 +646,8 @@ def _fit_classes(spec: ExperimentSpec) -> list:
     one class fitted at delta = 0, with shifts delta / sqrt(n), under
     setting1 and setting2; a class per delta, shift 0, under the logistic
     model."""
-    family = {"setting1": LinearModel, "setting2": HeteroscedasticModel}.get(spec.model)
-    model0 = (family or LogisticModel)(mu0=spec.mu0, mu1=spec.mu0)
-    if family is None:
+    model0 = _MODELS[spec.model](mu0=spec.mu0, mu1=spec.mu0)
+    if spec.model == "logistic":
         effect = [with_effect(model0, LocalAlternative(d), spec.n) for d in spec.deltas]
         return [(m, slice(di, di + 1), np.zeros(1)) for di, m in enumerate(effect)]
     return [(model0, slice(None), np.array(spec.deltas) / math.sqrt(spec.n))]
@@ -647,49 +668,35 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     ``t_mbb`` and ``t_boot`` one per replicate, ``t_boot`` on resamples
     rerandomized for the chunk first (``_boot_resamples``).
     """
+    return _study(spec, "power", threads)
 
-    def cells(proc):
-        return [
-            (
-                (proc.name, float(d), wm, test),
-                dict(working_model=wm, test=test, delta=float(d), metric="rejection_rate"),
-            )
-            for d in spec.deltas
-            for wm in spec.working_models
-            for test in _power_tests(spec, proc)
-        ]
 
-    def work(slots):
-        classes = _fit_classes(spec)
-        model0 = classes[0][0]  # the noise depends only on the model family
-        crit = normal_quantile(1.0 - spec.alpha / 2.0)
-        lblock = block_length(spec.n, spec.block_rule)
-        tests = {proc.name: _power_tests(spec, proc) for proc in spec.procedures}
-        procs = [proc for proc in spec.procedures if tests[proc.name]]
-        widest = max(len(_WORKING_MODELS[wm]) for wm in spec.working_models)
-        width = len(classes) * (widest + 3)  # each class's design and y
-        step = max(1, _STACK_BYTES // (8 * spec.n * width))  # replicates analysed together
-
-        def analyse(proc, rows, *args):  # one block of a procedure's kept replicates
-            stats = _power_statistics(spec, classes, lblock, proc, tests[proc.name], rows, *args)
-            stats = stats.reshape(len(rows), -1)  # 1.0 or 0.0 as each test rejects, NaN: failed
-            slots[proc.name][rows] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
-
-        def chunk(rs: range):
-            Xs = [_covariates(spec, r) for r in rs]
-            streams = [_stream(spec.base_seed, r, _TAG_NOISE) for r in rs]
-            noises = [draw_noise(model0, spec.n, rng) for rng in streams]
-            runs = _assign_chunk(spec, procs, rs, Xs)
-            for proc, (kept, inputs, roots, assigns) in zip(procs, runs):
-                boots = _boot_resamples(spec, proc, [rs[k] for k in kept], inputs, roots)
-                for b in range(0, len(kept), step):  # the kept replicates, block by block
-                    ks, cut = kept[b : b + step], slice(b, b + step)
-                    analyse(proc, [rs[k] for k in ks], [Xs[k] for k in ks],
-                            [noises[k] for k in ks], inputs[cut], roots, assigns[cut], boots)
-
-        return chunk
-
-    return _study(spec, "power", threads, cells, work)
+def _power_rows(spec: ExperimentSpec, rs: range) -> list:
+    """A power study's rows of a range of replicates: per procedure with a
+    test, (its name, ``rs``, their (replicates, cells) values), each 1.0 or
+    0.0 as its test rejects, NaN where it failed.  The values are allocated
+    before the chunk's work, so they do not split the heap its blocks reuse."""
+    classes = _fit_classes(spec)
+    model0 = classes[0][0]  # the noise depends only on the model family
+    crit = normal_quantile(1.0 - spec.alpha / 2.0)
+    lblock = block_length(spec.n, spec.block_rule)
+    procs = [proc for proc in spec.procedures if _power_tests(spec, proc)]
+    widest = max(len(_WORKING_MODELS[wm]) for wm in spec.working_models)
+    width = len(classes) * (widest + 3)  # each class's design and y
+    step = max(1, _STACK_BYTES // (8 * spec.n * width))  # replicates analysed together
+    rows = [(proc.name, rs, np.full((len(rs), len(_cells(spec, proc))), np.nan)) for proc in procs]
+    Xs = [_covariates(spec, r) for r in rs]
+    noises = [draw_noise(model0, spec.n, _stream(spec.base_seed, r, _TAG_NOISE)) for r in rs]
+    runs = _assign_chunk(spec, procs, rs, Xs)
+    for proc, (*_, values), (kept, inputs, roots, assigns) in zip(procs, rows, runs):
+        boots = _boot_resamples(spec, proc, [rs[k] for k in kept], inputs, roots)
+        for b in range(0, len(kept), step):  # the kept replicates, block by block
+            ks, cut = kept[b : b + step], slice(b, b + step)
+            args = [rs[k] for k in ks], [Xs[k] for k in ks], [noises[k] for k in ks]
+            stats = _power_statistics(spec, classes, lblock, proc, _power_tests(spec, proc), *args,
+                                      inputs[cut], roots, assigns[cut], boots).reshape(len(ks), -1)
+            values[ks] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
+    return rows
 
 
 def _boot_resamples(spec, proc, rs, inputs, roots):
@@ -712,7 +719,8 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs
     ``lse_fit`` call on the replicates' stacked datasets.  ``t_mb`` and
     ``t_mbj`` make one estimator call over those fits (``_estimates``), and
     so does ``t_reg`` (``_regression``); ``t_mbb`` and ``t_boot`` make
-    one per replicate, on its fits that did not fail (``t_boot`` on the next
+    one per replicate, on the datasets of its fits that did not fail, built
+    once for both on one t and one y per class (``t_boot`` on the next
     of ``boots``, the chunk's iterator of resamples, ``_boot_resamples``),
     and the logistic tests one per replicate and class.  Each test's
     statistics are one ``wald_statistics`` call on the block's effect
@@ -728,6 +736,13 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs
             datas.append(TrialDataset(y=ys[-1], t=treat, x_obs=x[..., : len(_WORKING_MODELS[wm])]))
             runs.append((dis, shifts, wi))
     fits = lse_fit(datas)
+    singles = []  # per replicate: its fits that did not fail, and their datasets
+    if set(tests) & set(RNG_TESTS):  # on one t per replicate and one y per class
+        ps = [len(_WORKING_MODELS[wm]) for wm in spec.working_models]
+        for j, t in enumerate(treat):
+            every = [TrialDataset(yj, t, x[j, :, :p]) for yj in [y[j] for y in ys] for p in ps]
+            ok = [i for i, fit in enumerate(fits) if not np.isnan(fit.tau_hat[j])]
+            singles.append((ok, [every[i] for i in ok]))
     taus, stats = np.empty(shape), np.full(shape + (len(tests),), np.nan)
     for (dis, shifts, wi), fit in zip(runs, fits):
         taus[:, dis, wi] = fit.tau_hat[:, None] + shifts
@@ -742,13 +757,11 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs
             continue
         if test in RNG_TESTS:  # the variance estimates per fit, replicate and shift
             vs = np.full((len(fits), len(rs), len(classes[0][2])), np.nan)
-            for j, r in enumerate(rs):
-                ok = [i for i, fit in enumerate(fits) if not np.isnan(fit.tau_hat[j])]
+            for j, (r, (ok, datas_j)) in enumerate(zip(rs, singles)):
                 boot = test == "t_boot"
                 rng = None if boot else _stream(spec.base_seed, r, _name_tag(proc.name, test))
                 drawn = next(boots) if boot else None
                 args = (lblock, spec.bootstrap_size, rng, proc.policy, None, drawn)
-                datas_j = [_system(datas[i], j) for i in ok]
                 got = _attempt(_estimates, test, None, datas_j, *args) if ok else None
                 for i, v in zip(ok, got or ()):
                     if isinstance(v, Exception):
@@ -776,11 +789,6 @@ def _attempt(f, *args):
         return f(*args)
     except (FitError, EstimatorError, DomainError):
         return None
-
-
-def _system(stack, j: int):
-    """Trial ``j`` of a stacked dataset or fit."""
-    return replace(stack, **{k: v[j] for k, v in vars(stack).items() if isinstance(v, np.ndarray)})
 
 
 def _values(estimates, *shape) -> np.ndarray:

@@ -105,6 +105,38 @@ class TestValidateConfig:
         assert not (out / "power.csv").exists()
 
     @pytest.mark.parametrize(
+        "base, line, key",
+        [(POWER_CFG, "working_models = W3", "working_models"), (POWER_CFG, "delta = 0", "delta"),
+         (POWER_CFG, "tests = t_ls", "tests"), (IMBALANCE_CFG, "metrics = 0, 1", "metrics")],
+        ids=["working-models", "delta", "tests", "metrics"],
+    )
+    def test_empty_grid(self, tmp_path, capsys, base, line, key):
+        """A grid with no values gives no cells: one config error from both
+        commands, not a traceback or a header-only CSV."""
+        cfg = _write(tmp_path, "c.cfg", base.replace(line, f"{key} ="))
+        out = tmp_path / "results"
+        kind = "power" if base is POWER_CFG else "imbalance"
+        message = f"config error: {key}: at least one value is required\n"
+        for argv in (["validate-config", cfg], [kind, "--config", cfg, "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
+        assert not (out / f"{kind}.csv").exists()
+
+    def test_setting_must_match_the_model(self, tmp_path, capsys):
+        """setting1 takes three covariates; two are a config error (exit 2),
+        not a failed run (exit 3)."""
+        text = POWER_CFG.replace("W3", "W1, W2") + "setting = normals(0, 0)\n"
+        cfg = _write(tmp_path, "c.cfg", text)
+        out = tmp_path / "results"
+        message = (
+            "config error: setting: normals has 2 covariates, model setting1 has 3 coefficients\n"
+        )
+        for argv in (["validate-config", cfg], ["power", "--config", cfg, "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
+        assert not (out / "power.csv").exists()
+
+    @pytest.mark.parametrize(
         "key, value, shown",
         [("n", 500.7, "500.7"), ("replicates", True, "True"), ("seed", 1.9, "1.9"),
          ("alpha", True, "True"), ("mu0", False, "False"), ("metrics", [0, 1.7], "1.7"),

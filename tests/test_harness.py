@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -344,6 +345,31 @@ def _tiny_power_spec(seed=5, replicates=60, threads_safe=True):
     )
 
 
+_CHUNK_STUDIES = {  # kind: (spec, runner, chunk function)
+    "imbalance": (
+        ExperimentSpec(
+            kind="imbalance", n=40, setting=CovariateSetting("S4"), treatments=3,
+            procedures=tuple(procedure_preset(p, 3) for p in ("CR", "SR", "HH", "phi-CAR-Con")),
+            replicates=8, base_seed=8,
+        ),
+        run_imbalance_experiment,
+        harness._imbalance_rows,
+    ),
+    "power": (
+        ExperimentSpec(
+            kind="power", n=40, setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("CR"), procedure_preset("PS"),
+                        procedure_preset("phi-CAR-Con")),
+            replicates=8, base_seed=9, model="setting1", deltas=(0.0, 10.0),
+            working_models=("W1", "W3"), tests=("t_ls", "t_reg", "t_mbj", "t_mbb", "t_boot"),
+            bootstrap_size=6,
+        ),
+        run_power_experiment,
+        harness._power_rows,
+    ),
+}
+
+
 class TestRunners:
     def test_imbalance_sanity_cr_near_n(self):
         spec = ExperimentSpec(
@@ -427,19 +453,54 @@ class TestRunners:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *items):
+                return map(fn, *items)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", FakePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(harness, "batch_size", lambda n, q: 2)
+        monkeypatch.setattr(harness, "_imbalance_rows", lambda spec, rs: [("CR", rs, None)])
         spec = ExperimentSpec(
             kind="imbalance", n=20, setting=CovariateSetting("S1"),
             procedures=(procedure_preset("CR"),), replicates=9,
         )
-        harness._run_chunks(done.append, spec, threads)
+        done = [rs for rows in harness._run_chunks(spec, threads) for _, rs, _ in rows]
         assert sizes == ([] if workers is None else [workers])
         assert [r for rs in done for r in rs] == list(range(9))  # 5 chunks, each once
+
+    @pytest.mark.parametrize("kind", ["imbalance", "power"])
+    def test_chunks_folded_in_reverse_write_the_same_bytes(self, kind, tmp_path, monkeypatch):
+        """A chunk's rows depend on its replicates only: ``_study`` folding
+        ``_imbalance_rows`` or ``_power_rows`` over chunks of 3 replicates,
+        the last first, writes the bytes of the runner's one-chunk run."""
+        spec, run, rows = _CHUNK_STUDIES[kind]
+        paths = [tmp_path / f"{k}.csv" for k in range(2)]
+        write_table(run(spec), paths[0])
+        chunks = [range(r, min(r + 3, spec.replicates)) for r in range(0, spec.replicates, 3)]
+        folded = []
+
+        def reversed_chunks(spec, threads):
+            for rs in reversed(chunks):
+                folded.append(rs)
+                yield rows(spec, rs)
+
+        monkeypatch.setattr(harness, "_run_chunks", reversed_chunks)
+        write_table(run(spec), paths[1])
+        assert folded == chunks[::-1] and len(chunks) > 1
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("kind", ["imbalance", "power"])
+    def test_a_chunk_pickles(self, kind):
+        """A chunk is a module-level function of (spec, range): it pickles
+        with its arguments, and the copy returns the original's rows."""
+        spec, _, rows = _CHUNK_STUDIES[kind]
+        job = (rows, spec, range(2, 5))
+        copy = pickle.loads(pickle.dumps(job))
+        assert copy == job and copy[0] is rows
+        got = copy[0](*copy[1:])
+        for (name, rs, values), want in zip(got, rows(spec, range(2, 5)), strict=True):
+            assert (name, rs) == want[:2]
+            np.testing.assert_array_equal(values, want[2])
 
     @pytest.mark.parametrize("threads", [0, -1])
     @pytest.mark.parametrize("kind", ["imbalance", "power"])
@@ -750,19 +811,16 @@ def _per_delta_reference(spec, proc, r, X, noise, phi, assign):
     return np.array(stats), np.array(row)
 
 
-def _slot_rows(spec, monkeypatch):
-    """The slot arrays ``run_power_experiment`` fills, one per procedure."""
-    captured = {}
-
-    def study(spec, kind, threads, cells, work):
-        slots = {p.name: np.full((spec.replicates, len(cells(p))), np.nan) for p in spec.procedures}
-        work(slots)(range(spec.replicates))
-        captured.update(slots)
-
-    with monkeypatch.context() as m:
-        m.setattr(harness, "_study", study)
-        run_power_experiment(spec)
-    return captured
+def _slot_rows(spec):
+    """The slot arrays ``run_power_experiment`` fills, one per procedure, from
+    the rows of all its replicates as one chunk."""
+    slots = {
+        p.name: np.full((spec.replicates, len(harness._cells(spec, p))), np.nan)
+        for p in spec.procedures
+    }
+    for name, rs, values in harness._power_rows(spec, range(spec.replicates)):
+        slots[name][rs] = values
+    return slots
 
 
 def _inject_fit_failures(monkeypatch, failing):
@@ -840,7 +898,7 @@ class TestSharedFit:
             return out
 
         monkeypatch.setattr(harness, "sigma_tau_reg", sigma_tau_reg)
-        slots = _slot_rows(spec, monkeypatch)
+        slots = _slot_rows(spec)
         classes = harness._fit_classes(spec)
         Xs = [harness._covariates(spec, r) for r in range(spec.replicates)]
         family = _MODELS[spec.model]()
@@ -1007,7 +1065,7 @@ class TestFitCount:
             return inference.logistic_wald_test(*args)
 
         monkeypatch.setattr(harness, "logistic_wald_test", counting)
-        slots = _slot_rows(spec, monkeypatch)
+        slots = _slot_rows(spec)
         assert sorted(set(calls)) == ["t_logi", "t_oracle"]
         assert len(calls) == 4 * 2 * 2 * 2
         for rows in slots.values():  # (delta, working model, test) cells
@@ -1136,6 +1194,35 @@ class TestResamplingDrawCount:
         for proc in spec.procedures:
             assert harness._name_tag(proc.name, "t_mbj") not in tags
             assert tags.count(harness._name_tag(proc.name, "t_mbb")) == spec.replicates
+
+    def test_the_bootstraps_share_each_replicates_datasets(self, monkeypatch):
+        """A replicate's datasets are built once for t_mbb and t_boot, on one
+        t and one y per fit class, so neither estimator compares arrays to
+        find the t and y its datasets share."""
+        spec = ExperimentSpec(
+            kind="power", n=40, setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("phi-CAR-BC"),), replicates=3, base_seed=9,
+            model="logistic", deltas=(0.0, 5.0), working_models=("W1", "W3"),
+            tests=("t_mbb", "t_boot"), bootstrap_size=6,
+        )
+
+        def record(name):
+            real, got = getattr(harness, name), []
+
+            def recorded(datas, *args):
+                got.append(datas)
+                return real(datas, *args)
+
+            monkeypatch.setattr(harness, name, recorded)
+            return got
+
+        mbb, boot = record("sigma_tau_mbb"), record("sigma_tau_bootstrap")
+        assert not run_power_experiment(spec).failures
+        assert len(mbb) == len(boot) == spec.replicates
+        for one, other in zip(mbb, boot):
+            assert len(one) == 4 and all(a is b for a, b in zip(one, other, strict=True))
+            assert len({id(d.t) for d in one}) == 1
+            assert len({id(d.y) for d in one}) == 2  # logistic: a fit class per delta
 
 
 class TestPooledBootstrap:
