@@ -333,7 +333,9 @@ def _simulate(groups, T: int, sums=None) -> list:
 def batch_size(n: int, q: int) -> int:
     """Trials per batch that keep a stacked (trials, n, q) input of 8-byte
     entries (feature matrices or level columns) within the engine's memory
-    cap."""
+    cap; n and q at least 1."""
+    if n < 1 or q < 1:
+        raise DomainError(f"need n >= 1 units and q >= 1 input columns, got n={n}, q={q}")
     return max(1, _BATCH_BYTES // (8 * n * q))
 
 
@@ -351,9 +353,12 @@ def imbalance_metrics(assignments, covariates, treatments, indices=(0, 1, 2, 3))
     (1 - 1/T); index j >= 1 is the squared norm of per-arm sums of covariate
     j's deviations divided by (1 - 1/T) times the mean square of covariate j.
     For two arms these equal the classical squared sum of +-1 differences,
-    normalized by the covariate mean square.
+    normalized by the covariate mean square.  Assignments are arm indices:
+    whole numbers, checked unless their dtype is an integer one.
     """
-    a = np.asarray(assignments, dtype=np.int64)
+    a = np.asarray(assignments)
+    if not np.issubdtype(a.dtype, np.integer) and not (np.isfinite(a) & (a == np.round(a))).all():
+        raise DomainError("assignments must be whole arm indices")
     X = np.asarray(covariates, dtype=float)
     if X.ndim != 2 or X.shape[0] != a.shape[0]:
         raise DomainError("covariates must be (n, p) matching the assignments")
@@ -362,10 +367,7 @@ def imbalance_metrics(assignments, covariates, treatments, indices=(0, 1, 2, 3))
         raise DomainError("no assignments given")
     if a.min() < 0 or a.max() >= T:
         raise DomainError("assignment index out of range")
-    n = a.shape[0]
-    dev = np.zeros((n, T))
-    dev[np.arange(n), a] = 1.0
-    dev -= 1.0 / T
+    dev = (a[:, None] == np.arange(T)) - 1.0 / T
     scale = 1.0 - 1.0 / T
     out = {}
     for j in indices:

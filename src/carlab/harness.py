@@ -14,12 +14,12 @@ A chunk's kept replicates are analysed as arrays, per procedure, in blocks
 of a bounded size: their working models are fitted in one ``lse_fit`` call
 on the stacked datasets (one Gram per chain of nested models), and
 ``t_reg``, ``t_mb`` and ``t_mbj`` each make one estimator call on the
-stacked fits (``t_reg`` demeans within strata under SR, and under every
-other map solves on the stacked features, each replicate's dependent
-columns zeroed by ``reduce_columns``).  The bootstraps make one call per
-replicate and procedure, over its fits, on one draw of resamples; a
-chunk's ``t_boot`` resamples are rerandomized together.  Each test's
-statistics, replicates by deltas by working models, are one
+stacked fits (``t_reg`` on the features as the engine took them: it
+demeans within strata under SR, and under every other map regresses on
+the columns that span each replicate's features).  The bootstraps make
+one call per replicate and procedure, over its fits, on one draw of
+resamples; a chunk's ``t_boot`` resamples are rerandomized together.
+Each test's statistics, replicates by deltas by working models, are one
 ``wald_statistics`` call, a failed fit or estimate reading NaN in its own
 cells.  Only ``carlab analyze`` builds test results (``run_test``), through
 the same estimators on one dataset.
@@ -96,6 +96,7 @@ from .inference import (
     block_length,
     logistic_wald_test,
     lse_fit,
+    reduce_columns,
     rerandomized_resamples,
     shifted_value,
     sigma_tau_bootstrap,
@@ -449,38 +450,6 @@ def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
     return None if spec is None else feature_matrix(spec, _observed(spec, setting, X))
 
 
-def reduce_columns(M: np.ndarray) -> np.ndarray:
-    """A (q,) mask of the columns of M, (n, q), that span its columns, or a
-    (m, q) mask of each trial's of a stack (m, n, q); the caller zeroes the
-    others, which ``sigma_tau_reg`` skips.
-
-    Indicator feature blocks are rank-deficient by construction (level
-    indicators of one covariate sum to the constant) and strata can be empty
-    in a finite sample; the residual regression only needs the column span.
-    A Gauss-Jordan sweep of M'M in column order keeps a column whose pivot
-    exceeds 1e-9 times its diagonal entry (its residual on the columns kept
-    before it exceeds about 3e-5 of its norm) and skips the others
-    (Goodnight 1979).  ``inference._sweep``'s 1e-12 is too tight here: the
-    rounding of a dependent indicator column's pivot reaches 1e-11 of its
-    diagonal entry under weighted HH at n = 2000, while an independent
-    one's stays above 1e-3.  An identically zero matrix raises; in a stack,
-    such a trial keeps no column.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim not in (2, 3) or M.shape[-1] == 0:
-        raise DomainError("need a non-empty 2-d matrix or a stack of them")
-    G = M.swapaxes(-1, -2) @ M
-    floor = 1e-9 * np.diagonal(G, axis1=-2, axis2=-1)
-    keep = np.zeros(floor.shape, dtype=bool)
-    for j in range(M.shape[-1]):
-        keep[..., j] = G[..., j, j] > floor[..., j]
-        row = G[..., j, :] / np.where(keep[..., j], G[..., j, j], np.inf)[..., None]
-        G -= G[..., :, j, None] * row[..., None, :]  # a skipped column's row is zero
-    if M.ndim == 2 and not keep.any():
-        raise EstimatorError("feature matrix is identically zero")
-    return keep
-
-
 def _study(spec: ExperimentSpec, kind: str, threads: int) -> ResultTable:
     """Validate ``spec`` as a ``kind`` study, run it and fold its slots.
 
@@ -718,13 +687,14 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs
     fit or estimator fails.  Every class's working models are fitted in one
     ``lse_fit`` call on the replicates' stacked datasets.  ``t_mb`` and
     ``t_mbj`` make one estimator call over those fits (``_estimates``), and
-    so does ``t_reg`` (``_regression``); ``t_mbb`` and ``t_boot`` make
-    one per replicate, on the datasets of its fits that did not fail, built
-    once for both on one t and one y per class (``t_boot`` on the next
-    of ``boots``, the chunk's iterator of resamples, ``_boot_resamples``),
-    and the logistic tests one per replicate and class.  Each test's
-    statistics are one ``wald_statistics`` call on the block's effect
-    estimates and scales."""
+    so does ``t_reg``, on SR's stratum labels, a composite map's ``inputs``
+    themselves, and otherwise the dense features of the level columns;
+    ``t_mbb`` and ``t_boot`` make one per replicate, on the datasets of its
+    fits that did not fail, built once for both on one t and one y per class
+    (``t_boot`` on the next of ``boots``, the chunk's iterator of resamples,
+    ``_boot_resamples``), and the logistic tests one per replicate and
+    class.  Each test's statistics are one ``wald_statistics`` call on the
+    block's effect estimates and scales."""
     shape = (len(rs), len(spec.deltas), len(spec.working_models))
     treat = (assigns == 0).astype(float)
     widest = max((_WORKING_MODELS[wm] for wm in spec.working_models), key=len)
@@ -770,10 +740,13 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs
                     vs[i, j] = [shifted_value(v, spec.n, s) for s in shifts] if boot else v.value
         elif test == "t_ls":  # each fit's own residual variance
             vs = [fit.sigma_e2 for fit in fits]
-        elif test == "t_reg":
-            vs = _regression(feature_spec(proc, spec.setting), fits, inputs, roots)
-        else:
-            vs = _attempt(_estimates, test, fits, datas, lblock, *[None] * 4)
+        else:  # t_mb, t_mbj and t_reg: one estimator call on the block's fits
+            phi = None
+            if test == "t_reg":  # SR's stratum labels, a composite map's own rows, else dense
+                fspec = feature_spec(proc, spec.setting)
+                phi = inputs[..., 0] if isinstance(fspec, Stratified) else (
+                    inputs if roots is None else level_matrix(fspec, inputs))
+            vs = _attempt(_estimates, test, fits, datas, lblock, None, None, None, phi)
             vs = _values(vs, len(fits), len(rs))
         mode = "direct" if test in DIRECT_TESTS else "gram"
         scale = np.empty(shape + (2,))
@@ -800,27 +773,14 @@ def _values(estimates, *shape) -> np.ndarray:
     return out
 
 
-def _regression(fspec, fits, inputs, roots) -> np.ndarray:
-    """``t_reg``'s estimates of a block's stacked fits on its rows ``inputs``
-    of the engine batch, (fits, replicates), NaN where one fails: one
-    ``sigma_tau_reg`` call, on the stratum labels of a ``Stratified`` map,
-    and on a copy of the dense features of any other, their dependent
-    columns zeroed (``reduce_columns``)."""
-    phi = inputs[..., 0]  # stratum labels
-    if not isinstance(fspec, Stratified):  # a copy: the batch also feeds t_boot's resamples
-        phi = np.array(inputs, dtype=float) if roots is None else level_matrix(fspec, inputs)
-        phi *= reduce_columns(phi)[..., None, :]
-    return _values(_attempt(sigma_tau_reg, fits, phi), len(fits), len(inputs))
-
-
 def _estimates(test, fits, datas, l, B, rng, policy, phi, drawn=None):
     """An adjusted test's variance estimate of one fit (its failure raised) or
     a list for a sequence of fits on ``datas``, each failure in its place, in
     one estimator call; ``l``, ``B``, ``rng`` as the table says, ``policy``
-    re-run by ``t_boot`` unless ``drawn``, ``t_reg`` on ``phi`` (n, q) with its
-    dependent columns zeroed (``reduce_columns``)."""
+    re-run by ``t_boot`` unless ``drawn``, ``t_reg`` on ``phi`` as given
+    (``sigma_tau_reg`` regresses on the columns that span it)."""
     if test == "t_reg":
-        return sigma_tau_reg(fits, phi * reduce_columns(phi))
+        return sigma_tau_reg(fits, phi)
     if test == "t_mb":
         return sigma_tau_mb(fits, l)
     if test == "t_mbj":

@@ -25,7 +25,7 @@ for the resampling estimators reduces to tau divided by the estimated
 standard deviation of tau.
 
 Each estimator also takes a replicate's working models in one call: ``reg``
-and ``mb`` a sequence of fits sharing t (``reg`` in one solve on one feature
+and ``mb`` a sequence of fits sharing t (``reg`` in one sweep of one feature
 Gram), the refit three a sequence of datasets sharing t and phi, sweeping
 each chain of nested models once per window or resample (``_sweep_chains``).
 ``lse_fit`` takes such a sequence too, fitting each chain from one Gram of
@@ -47,14 +47,17 @@ drawn from its stream, the rerandomizing bootstrap's from
 together, in shared engine batches, each replicate reading its own stream,
 refills too; a single call and ``carlab analyze`` use a group of one.
 
-Single systems (the working-model fit, the residual regression and each
-logistic iteration) go through one guarded LU solve, ``_solve``, which also
-returns the inverse for a reciprocal-condition guard at 1e-12: a failing
-design raises instead of silently switching to a pseudo-inverse, and in a
-stack of systems reads NaN.  The refit stacks of the jackknife and the
-bootstraps (all windows or resamples at once) go through one guarded
-Gauss-Jordan sweep, ``_sweep``, so a rank-deficient window or resample fails
-its dataset (its trial, in a stack) instead of returning rounding noise.
+Single systems (the working-model fit and each logistic iteration) go
+through one guarded LU solve, ``_solve``, which also returns the inverse for
+a reciprocal-condition guard at 1e-12: a failing design raises instead of
+silently switching to a pseudo-inverse, and in a stack of systems reads NaN.
+The residual regression needs only the span of the features, which
+indicator maps make rank-deficient by construction: one sweep of their Gram
+(``_spanned``) skips each column within rounding of the span of those before
+it.  The refit stacks of the jackknife and the bootstraps (all windows or
+resamples at once) go through one guarded Gauss-Jordan sweep, ``_sweep``, so
+a rank-deficient window or resample fails its dataset (its trial, in a
+stack) instead of returning rounding noise.
 """
 
 import math
@@ -83,6 +86,7 @@ __all__ = [
     "sigma_tau_mbj",
     "sigma_tau_mbb",
     "sigma_tau_bootstrap",
+    "reduce_columns",
     "rerandomized_resamples",
     "shifted_value",
     "adjusted_test",
@@ -205,12 +209,12 @@ def _design(t: np.ndarray, *x: np.ndarray) -> np.ndarray:
 
 def _solve(G: np.ndarray, b: np.ndarray, err_cls, what: str):
     """x = G^-1 b and G^-1 by LU solves of G [x | G^-1] = [b | I], of one
-    system, G (q, q) and b (q,) or (q, r), or of a stack, G (m, q, q).  A
+    system, G (q, q) and b (q,), or of a stack, G (m, q, q) and b (m, q).  A
     system that is exactly singular, or whose 1-norm reciprocal condition
     1 / (|G| |G^-1|) lies below 1e-12 (a zero or non-finite product counts),
     fails: one system raises ``err_cls``; a stack's failing systems read NaN."""
-    q, vec = G.shape[-1], np.ndim(b) < G.ndim
-    rhs = np.concatenate([b[..., None] if vec else b, np.broadcast_to(np.eye(q), G.shape)], -1)
+    q = G.shape[-1]
+    rhs = np.concatenate([b[..., None], np.broadcast_to(np.eye(q), G.shape)], -1)
     try:
         sol = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError as exc:
@@ -226,7 +230,7 @@ def _solve(G: np.ndarray, b: np.ndarray, err_cls, what: str):
     if G.ndim == 2 and rcond < _RCOND_LIMIT:
         raise err_cls(f"ill-conditioned {what} (rcond ~ {rcond:.2e})")
     sol[rcond < _RCOND_LIMIT] = np.nan
-    return (sol[..., 0] if vec else sol[..., :-q]), inv
+    return sol[..., 0], inv
 
 
 def _check_finite(**arrays):
@@ -340,18 +344,17 @@ def sigma_tau_reg(fit, phi: np.ndarray):
     """Regress working-model residuals on the balancing features.
 
     The feature matrix is used as given (no intercept is added; include a
-    constant column when the map carries one), except that an all-zero
-    column is no feature: it gets a unit diagonal entry in phi'phi and
-    coefficient 0, and ``q`` counts only the other columns, so
-    ``harness.reduce_columns`` can zero the columns it drops; all-zero
-    features stay singular.  The estimate is the residual sum of squares of
-    that regression over n - p - 2, p being the working model's covariate
-    count.  Over a sequence of fits a singular phi fails them all, a fit
-    without degrees of freedom only itself.  Stacked fits take stacked
-    features, (m, n, q), and a trial whose features fail reads NaN.  Integer
-    ``phi`` holds stratum labels, (n,) or (m, n), standing for their one-hot
-    features: the regression is then the within-stratum demeaning, which
-    needs no solve.
+    constant column when the map carries one), and only its column span
+    enters: the regression is on the columns that span it (``_spanned``),
+    so a rank-deficient phi, an indicator map's by construction, needs no
+    reduction first, and ``q`` counts the columns kept.  The estimate is the
+    residual sum of squares of that regression over n - p - 2, p being the
+    working model's covariate count.  Over a sequence of fits an identically
+    zero phi fails them all, a fit without degrees of freedom only itself.
+    Stacked fits take stacked features, (m, n, q), and a trial whose
+    features keep no column reads NaN.  Integer ``phi`` holds stratum labels
+    (>= 0), (n,) or (m, n), standing for their one-hot features: the
+    regression is then the within-stratum demeaning, which needs no sweep.
     """
     fits = _shared(fit, FitResult, "fits", "treat")
     phi = np.asarray(phi)
@@ -359,17 +362,8 @@ def sigma_tau_reg(fit, phi: np.ndarray):
     labels = phi.ndim == e.ndim - 1 and np.issubdtype(phi.dtype, np.integer)
     if phi.ndim != e.ndim - labels or phi.shape[: e.ndim - 1] != e.shape[:-1]:
         raise DomainError("phi must be an (n, q) matrix matching the fit")
-    if labels:
-        zeta, q = _demeaned(e, phi)
-    else:
-        phi = phi.astype(float, copy=False)
-        _check_finite(phi=phi)
-        phi_t, zero = phi.swapaxes(-1, -2), ~phi.any(axis=-2)  # zero: (..., q) all-zero columns
-        q = phi.shape[-1] - zero.sum(axis=-1)  # with none left, phi'phi = 0 stays singular
-        G = phi_t @ phi + (zero & (q > 0)[..., None])[..., None] * np.eye(phi.shape[-1])
-        alpha_hat, _ = _solve(G, phi_t @ e, EstimatorError, "feature regression")
-        zeta = np.subtract(e, phi @ alpha_hat, out=e)
-    ss = np.einsum("...ij,...ij->...j", zeta, zeta)
+    zeta, kept = (_demeaned if labels else _spanned)(e, phi)
+    ss, q = np.einsum("...ij,...ij->...j", zeta, zeta), kept.sum(axis=-1)
     return _one_or_all(fit, [
         VarianceEstimate(ss[..., j] / dof, "reg", {"q": q}) if dof > 0
         else EstimatorError("no degrees of freedom for the residual regression")
@@ -377,17 +371,58 @@ def sigma_tau_reg(fit, phi: np.ndarray):
     ])
 
 
+def _spanned(e: np.ndarray, phi: np.ndarray) -> tuple:
+    """The residuals of e (..., n, r), in place, regressed on the columns
+    that span phi (..., n, q), and the (..., q) mask of the columns kept.
+
+    One Gauss-Jordan sweep of [phi'phi | phi'e] in column order keeps a
+    column whose pivot exceeds 1e-9 times its diagonal entry (its residual
+    on the columns kept before it exceeds about 3e-5 of its norm) and gives
+    the others coefficient 0 (Goodnight 1979).  ``_sweep``'s 1e-12 is too
+    tight here: a dependent indicator column's pivot rounds to 1e-11 of its
+    diagonal entry under weighted HH at n = 2000, an independent one's stays
+    above 1e-3.  An identically zero (n, q) phi raises ``EstimatorError``;
+    a stack's trial that keeps no column reads NaN."""
+    if phi.ndim < 2 or phi.shape[-1] == 0:
+        raise DomainError("phi must be an (n, q) matrix with q >= 1, or a stack of them")
+    _check_finite(phi=phi)
+    q, phi_t = phi.shape[-1], phi.swapaxes(-1, -2)
+    A = np.concatenate([phi_t @ phi, phi_t @ e], axis=-1, dtype=float)
+    floor = 1e-9 * np.diagonal(A, axis1=-2, axis2=-1)
+    keep = np.zeros(floor.shape, dtype=bool)
+    for j in range(q):
+        keep[..., j] = A[..., j, j] > floor[..., j]
+        row = A[..., j, j + 1 :] / np.where(keep[..., j], A[..., j, j], np.inf)[..., None]
+        A[..., :, j + 1 :] -= A[..., :, j, None] * row[..., None, :]  # row 0 if j is skipped
+        A[..., j, j + 1 :] = row  # columns up to j are not read again
+    if phi.ndim == 2 and not keep.any():
+        raise EstimatorError("feature matrix is identically zero")
+    A[~keep.any(axis=-1)] = np.nan
+    return np.subtract(e, phi @ A[..., q:], out=e), keep
+
+
+def reduce_columns(M: np.ndarray) -> np.ndarray:
+    """A (q,) mask of the columns of M, (n, q), that span its columns, or a
+    (m, q) mask of each trial's in a stack (m, n, q): the columns
+    ``sigma_tau_reg`` regresses on (``_spanned``).  An identically zero
+    matrix raises; in a stack, such a trial keeps no column."""
+    M = np.asarray(M, dtype=float)
+    return _spanned(np.empty(M.shape[:-1] + (0,)), M)[1]
+
+
 def _demeaned(e: np.ndarray, labels: np.ndarray) -> tuple:
     """Residual columns e, (..., n, r), less their within-stratum means, in
-    place, the strata given by integer labels (..., n); and each trial's
-    count of non-empty strata."""
+    place, the strata given by integer labels (..., n); and the (...,
+    strata) mask of the non-empty ones, the one-hot columns kept."""
+    if labels.min() < 0:
+        raise DomainError("stratum labels must be >= 0")
     n, strata = e.shape[-2], int(labels.max()) + 1
     cell = (labels.reshape(-1, n) + strata * np.arange(labels.size // n)[:, None]).ravel()
     counts = np.bincount(cell, minlength=labels.size // n * strata)
     for col in np.moveaxis(e, -1, 0):  # a view of each column, demeaned in place
         means = np.bincount(cell, col.ravel(), counts.size) / np.maximum(counts, 1)
         col -= means[cell].reshape(col.shape)
-    return e, np.count_nonzero(counts.reshape(-1, strata), axis=-1).reshape(labels.shape[:-1])
+    return e, (counts > 0).reshape(labels.shape[:-1] + (strata,))
 
 
 def _check_block(n: int, l: int):
@@ -727,8 +762,8 @@ def logistic_fit(y: np.ndarray, design: np.ndarray, max_iter: int = 50) -> Logis
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DomainError("design must be an (n, k) matrix matching y")
+    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[1] == 0:
+        raise DomainError("design must be an (n, k) matrix matching y, k >= 1")
     _check_finite(y=y, design=X)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DomainError("responses must be 0/1")

@@ -377,24 +377,25 @@ class TestAnalyze:
         assert rows["t_mb"]["block_length"] == str(int(math.isqrt(data.n)))
 
     @pytest.mark.parametrize(
-        "tests, reductions", [("t_ls,t_mb,t_mbj,t_mbb,t_boot", 0), ("t_ls,t_reg,t_mbj", 1)]
+        "tests, reduced", [("t_ls,t_mb,t_mbj,t_mbb,t_boot", 0), ("t_ls,t_reg,t_mbj", 1)]
     )
-    def test_features_are_reduced_only_for_t_reg(self, tmp_path, monkeypatch, tests, reductions):
-        from carlab import harness
-
-        data_path = tmp_path / "trial.csv"
-        _make_analysis_csv(data_path, n=60)
-        reduce, calls = harness.reduce_columns, []
-
-        def counted(phi):
-            calls.append(phi)
-            return reduce(phi)
-
-        monkeypatch.setattr(harness, "reduce_columns", counted)
-        out = str(tmp_path / "o.csv")
-        argv = ["analyze", "--data", str(data_path), "--tests", tests, "--out", out]
-        assert main(argv + ["--bootstrap-size", "10"]) == 0
-        assert len(calls) == reductions
+    def test_features_are_reduced_only_for_t_reg(self, tmp_path, tests, reduced):
+        """``analyze`` on phi with a repeated column writes the CSV it writes
+        on phi: ``t_reg`` regresses on the columns that span phi, and the
+        tests that do not read phi ignore it.  Only ``t_boot`` differs, as
+        it rerandomizes on the features as given, the repeat included."""
+        data = _make_analysis_csv(tmp_path / "trial.csv", n=60)
+        phi = np.column_stack([data.phi, data.phi[:, 2]])
+        _write_analysis_csv(tmp_path / "repeated.csv", data.y, data.t, data.x_obs, phi)
+        rows = []
+        for name in ("trial", "repeated"):
+            out = tmp_path / f"{name}.out.csv"
+            argv = ["analyze", "--data", str(tmp_path / f"{name}.csv"), "--tests", tests]
+            assert main(argv + ["--out", str(out), "--bootstrap-size", "10"]) == 0
+            rows.append(_read_rows(out))
+        boots = [r.pop("t_boot", None) for r in rows]  # None for both without t_boot
+        assert (boots[0] == boots[1]) == bool(reduced)
+        assert rows[0] == rows[1]
 
     def test_reg_without_phi_columns(self, tmp_path):
         n = 40

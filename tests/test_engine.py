@@ -292,6 +292,18 @@ class TestImbalanceMetrics:
             expect = float((signs @ col) ** 2) / float((col**2).mean())
             assert m[j] == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("assign", [[0.5] * 10 + [1.2] * 10, [np.nan] + [0] * 19],
+                             ids=["fractions", "nan"])
+    def test_non_whole_assignments_rejected(self, assign):
+        """Arm indices are not truncated: 0.5 is not arm 0."""
+        with pytest.raises(DomainError, match="^assignments must be whole arm indices"):
+            imbalance_metrics(assign, np.ones((20, 1)), 2, (0, 1))
+
+    def test_whole_float_assignments_read_as_indices(self):
+        X = np.random.default_rng(9).normal(size=(20, 3))
+        a = np.random.default_rng(10).integers(0, 3, size=20)
+        assert imbalance_metrics(a.astype(float), X, 3) == imbalance_metrics(a, X, 3)
+
     def test_zero_mean_square_errors(self):
         X = np.zeros((4, 1))
         with pytest.raises(DomainError):

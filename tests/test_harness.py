@@ -1,6 +1,9 @@
+import importlib.util
+import itertools
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,9 +172,9 @@ class TestReduceColumns:
     def test_a_nearly_dependent_column_is_dropped(self):
         """The sweep drops a column whose residual on the columns before it
         is at most about 3e-5 of its norm (a pivot at most 1e-9 of its
-        diagonal entry).  Pivoted QR's 1e-9 |R_00| rule kept the column at
-        1e-7, and its regression then failed the rcond guard; now it reads
-        as the regression without it."""
+        diagonal entry), and keeps one at 1e-3.  ``sigma_tau_reg`` regresses
+        on the columns it keeps: at 1e-7, directly or through ``run_test``,
+        it reads as the regression without that column, with q = 2."""
         u, v, noise = np.random.default_rng(8).normal(size=(3, 40))
         near = np.column_stack([np.ones(40), u, u + 1e-7 * v])
         far = np.column_stack([np.ones(40), u, u + 1e-3 * v])
@@ -179,11 +182,13 @@ class TestReduceColumns:
         assert reduce_columns(far).tolist() == [True, True, True]
         t = np.tile([1.0, 0.0], 20)
         fit = inference.lse_fit(inference.TrialDataset(u + t + noise, t))
-        with pytest.raises(EstimatorError, match="^ill-conditioned"):
-            inference.sigma_tau_reg(fit, near)
+        want = inference.sigma_tau_reg(fit, near[:, :2]).value
+        direct = inference.sigma_tau_reg(fit, near)
         got = harness.run_test("t_reg", fit, None, 0.05, 6, 10, None, None, near)[1]
-        assert got.value == pytest.approx(inference.sigma_tau_reg(fit, near[:, :2]).value, rel=1e-12)
-        assert got.params["q"] == 2
+        for v in (direct, got):
+            assert v.value == pytest.approx(want, rel=1e-12)
+            assert v.params["q"] == 2
+        assert inference.sigma_tau_reg(fit, far).params["q"] == 3
 
     def test_run_test_reduces_the_features_of_t_reg(self):
         """``run_test`` takes the balancing features as read: ``t_reg``
@@ -927,9 +932,10 @@ class TestSharedFit:
 
 
 class TestStackedRegression:
-    """``t_reg`` on a block's stacked fits, one ``sigma_tau_reg`` call, equals
-    each replicate's least-squares residual sum of squares on its dense
-    features over n - p - 2, from ``np.linalg.lstsq``."""
+    """``t_reg`` on a block's stacked fits, one ``sigma_tau_reg`` call on the
+    features as the engine took them, equals each replicate's least-squares
+    residual sum of squares on its dense features over n - p - 2, from
+    ``np.linalg.lstsq``, with q the rank of those features."""
 
     @staticmethod
     def _chunk(proc, n, m=6, seed=40):
@@ -942,29 +948,49 @@ class TestStackedRegression:
         Xs = [harness._covariates(spec, r) for r in rs]
         ((kept, inputs, roots, assigns),) = harness._assign_chunk(spec, spec.procedures, rs, Xs)
         assert kept == list(rs)
-        treat = (assigns == 0).astype(float)
-        rng = np.random.default_rng(seed)
-        y = np.stack(Xs)[..., :3].sum(axis=-1) + treat + rng.normal(size=(m, n))
-        x = np.stack(Xs)[..., :3]
-        fits = inference.lse_fit([inference.TrialDataset(y, treat, x[..., :p]) for p in (0, 1, 3)])
-        return harness.feature_spec(proc, spec.setting), fits, inputs, roots
+        return spec, Xs, inputs, roots, assigns
+
+    @staticmethod
+    def _block(monkeypatch, spec, Xs, inputs, roots, assigns):
+        """``_power_statistics`` on the chunk as one block: the (fits, phi,
+        estimates) of each ``sigma_tau_reg`` call it makes."""
+        calls, real = [], inference.sigma_tau_reg
+
+        def counted(fits, phi):
+            calls.append((fits, phi, real(fits, phi)))
+            return calls[-1][2]
+
+        def reduced(M):
+            pytest.fail("the harness reduced the features itself")
+
+        monkeypatch.setattr(harness, "sigma_tau_reg", counted)
+        monkeypatch.setattr(harness, "reduce_columns", reduced)
+        classes, rs = harness._fit_classes(spec), list(range(len(Xs)))
+        noises = [draw_noise(classes[0][0], spec.n, np.random.default_rng(r)) for r in rs]
+        args = (rs, Xs, noises, inputs, roots, assigns, itertools.repeat(None))
+        harness._power_statistics(spec, classes, 3, spec.procedures[0], ("t_reg",), *args)
+        return calls
 
     @staticmethod
     def _lstsq(fspec, fits, x, roots, j):
-        """Replicate j's estimate per fit, independently of ``reduce_columns``."""
+        """Replicate j's estimate per fit, and the rank of its features."""
         phi = x if roots is None else level_matrix(fspec, x)
         out = []
         for fit in fits:
             e = fit.residuals[j]
             zeta = e - phi @ np.linalg.lstsq(phi, e, rcond=None)[0]
             out.append(zeta @ zeta / (fit.n - fit.p - 2))
-        return out
+        return out, np.linalg.matrix_rank(phi)
 
-    def _agree(self, fspec, fits, inputs, roots, values, skip=()):
+    def _agree(self, spec, fits, inputs, roots, estimates, skip=()):
+        fspec = harness.feature_spec(spec.procedures[0], spec.setting)
+        values = harness._values(estimates, len(fits), len(inputs))
         for j, x in enumerate(inputs):
             if j not in skip:
-                want = self._lstsq(fspec, fits, x, roots, j)
+                want, rank = self._lstsq(fspec, fits, x, roots, j)
                 np.testing.assert_allclose(values[:, j], want, rtol=1e-12, atol=0)
+                assert all(v.params["q"][j] == rank for v in estimates)
+        return values
 
     @pytest.mark.parametrize(
         "name, n, weights",
@@ -973,51 +999,83 @@ class TestStackedRegression:
     )
     def test_one_call_per_block_equals_lstsq(self, name, n, weights, monkeypatch):
         """HH at n = 20 has q = 37 > n columns."""
-        fspec, fits, inputs, roots = self._chunk(procedure_preset(name, hh_weights=weights), n)
-        calls = []
-        real = inference.sigma_tau_reg
-        monkeypatch.setattr(harness, "sigma_tau_reg", lambda *a: calls.append(1) or real(*a))
-        values = harness._regression(fspec, fits, inputs, roots)
-        assert len(calls) == 1 and not np.isnan(values).any()
-        self._agree(fspec, fits, inputs, roots, values)
+        chunk = self._chunk(procedure_preset(name, hh_weights=weights), n)
+        ((fits, _, estimates),) = self._block(monkeypatch, *chunk)
+        spec, _, inputs, roots, _ = chunk
+        assert not np.isnan(self._agree(spec, fits, inputs, roots, estimates)).any()
 
     def test_stratified_demeaning_with_empty_strata(self, monkeypatch):
-        """At n = 20 most of SR's 27 strata are empty in every replicate."""
-        fspec, fits, inputs, roots = self._chunk(procedure_preset("SR"), n=20)
-        assert isinstance(fspec, Stratified)
+        """At n = 20 most of SR's 27 strata are empty in every replicate.  The
+        call takes the stratum labels, not their dense one-hot features."""
+        spec, Xs, inputs, roots, assigns = chunk = self._chunk(procedure_preset("SR"), n=20)
+        assert isinstance(harness.feature_spec(spec.procedures[0], spec.setting), Stratified)
         counts = [np.unique(x[:, 0]).size for x in inputs]
         assert max(counts) < 27
-        calls = []
-        monkeypatch.setattr(harness, "reduce_columns", lambda M: calls.append(1) or M)
-        values = harness._regression(fspec, fits, inputs, roots)
-        assert not calls  # no replicate takes the dense path
-        self._agree(fspec, fits, inputs, roots, values)
+        ((fits, phi, estimates),) = self._block(monkeypatch, *chunk)
+        assert np.issubdtype(phi.dtype, np.integer)
+        np.testing.assert_array_equal(phi, inputs[..., 0])
+        self._agree(spec, fits, inputs, roots, estimates)
+        np.testing.assert_array_equal(estimates[0].params["q"], counts)
 
     def test_a_rank_deficient_composite_replicate_is_reduced_in_the_stack(self, monkeypatch):
-        """Replicate 3's features repeat a column: one ``reduce_columns``
-        call on the whole stack drops it, and the stacked solve passes."""
-        fspec, fits, inputs, roots = self._chunk(procedure_preset("phi-CAR-BC"), n=40)
-        assert isinstance(fspec, Composite) and roots is None
+        """Replicate 3's features repeat a column: the one ``sigma_tau_reg``
+        call, on the block's own rows (no copy), regresses it on its other
+        three columns (q = 3), and the others on all four."""
+        spec, Xs, inputs, roots, assigns = self._chunk(procedure_preset("phi-CAR-BC"), n=40)
+        assert roots is None
         inputs = inputs.copy()
         inputs[3, :, 3] = inputs[3, :, 2]
-        calls = []
-        real = harness.reduce_columns
-        monkeypatch.setattr(harness, "reduce_columns", lambda M: calls.append(M.copy()) or real(M))
-        values = harness._regression(fspec, fits, inputs, roots)
-        assert len(calls) == 1 and np.array_equal(calls[0], inputs)
-        assert real(inputs[3]).sum() == 3
-        self._agree(fspec, fits, inputs, roots, values)
+        ((fits, phi, estimates),) = self._block(monkeypatch, spec, Xs, inputs, roots, assigns)
+        assert phi is inputs
+        self._agree(spec, fits, inputs, roots, estimates)
+        assert estimates[0].params["q"].tolist() == [4, 4, 4, 3, 4, 4]
 
-    def test_a_replicate_with_all_zero_features_fails_alone(self):
+    def test_a_replicate_with_all_zero_features_fails_alone(self, monkeypatch):
         """A composite term 0, or an ``Identity`` of a discrete covariate
-        that drew only 0s, can zero a replicate's features: it reads NaN,
-        and the block's other replicates stand."""
-        fspec, fits, inputs, roots = self._chunk(procedure_preset("phi-CAR-BC"), n=40)
+        that drew only 0s, can zero a replicate's features: it keeps no
+        column and reads NaN, and the block's other replicates stand."""
+        spec, Xs, inputs, roots, assigns = self._chunk(procedure_preset("phi-CAR-BC"), n=40)
         inputs = inputs.copy()
         inputs[2] = 0.0
-        values = harness._regression(fspec, fits, inputs, roots)
-        assert np.isnan(values[:, 2]).all()
-        self._agree(fspec, fits, inputs, roots, values, skip=(2,))
+        ((fits, _, estimates),) = self._block(monkeypatch, spec, Xs, inputs, roots, assigns)
+        values = self._agree(spec, fits, inputs, roots, estimates, skip=(2,))
+        assert np.isnan(values[:, 2]).all() and estimates[0].params["q"][2] == 0
+
+    def test_a_dense_block_sweeps_one_gram_and_makes_no_solve(self, monkeypatch):
+        """The block's ``t_reg`` estimator call forms phi'phi once, in its one
+        sweep (``inference._spanned``), and makes no ``_solve`` call: no
+        Gram of its own for a column mask first, and no LU solve after."""
+        chunk = self._chunk(procedure_preset("HH", hh_weights=(0.5, 2, 0.3)), n=40)
+        ((fits, phi, estimates),) = self._block(monkeypatch, *chunk)
+        calls = []
+
+        def counted(name):
+            real = getattr(inference, name)
+            return lambda *a: calls.append(name) or real(*a)
+
+        for name in ("_spanned", "_solve"):
+            monkeypatch.setattr(inference, name, counted(name))
+        got = harness._estimates("t_reg", fits, None, 3, None, None, None, phi)
+        assert calls == ["_spanned"]
+        for v, want in zip(got, estimates):
+            np.testing.assert_array_equal(v.value, want.value)
+
+
+class TestTracedNames:
+    def test_every_wrapped_name_resolves(self):
+        """``perfbench/tracing.py`` rebinds these (module, attribute) names of
+        ``carlab`` to time each layer: a renamed or deleted one fails here,
+        not in the tracer's install."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert len(tracing.WRAPPED) > 20
+        missing = [
+            f"carlab.{module}.{attr}" for module, attr, _ in tracing.WRAPPED
+            if not callable(getattr(importlib.import_module(f"carlab.{module}"), attr, None))
+        ]
+        assert not missing
 
 
 class TestFitCount:

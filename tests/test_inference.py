@@ -163,10 +163,17 @@ class TestSigmaTauReg:
         assert v.value == pytest.approx(float(centered @ centered) / (n - 2), rel=1e-12)
 
     def test_singular_feature_gram(self):
+        """A duplicated column adds nothing to the span: the estimate is the
+        regression on one of the two, with q = 1, the rank."""
         fit = lse_fit(_dataset([1.0, 2, 3, 4], [1, 0, 1, 0]))
-        phi = np.ones((4, 2))  # duplicated column
-        with pytest.raises(EstimatorError):
-            sigma_tau_reg(fit, phi)
+        v, one = sigma_tau_reg(fit, np.ones((4, 2))), sigma_tau_reg(fit, np.ones((4, 1)))
+        assert v.value == pytest.approx(one.value, rel=1e-12)
+        assert v.params["q"] == one.params["q"] == 1
+
+    def test_stratum_labels_must_be_non_negative(self):
+        fit = lse_fit(_dataset(np.arange(20.0), np.tile([1, 0], 10)))
+        with pytest.raises(DomainError, match="^stratum labels must be >= 0"):
+            sigma_tau_reg(fit, np.r_[-1, np.zeros(19, int)])
 
     def test_converges_to_noise_variance_under_balancing(self):
         # large trial balanced on (1, x1, x2, x3); no-covariate analysis
@@ -273,14 +280,21 @@ class TestResidualEstimatorSequences:
             sigma_tau_reg(fits[1], phi)
         assert isinstance(second, EstimatorError) and str(second) == str(one.value)
 
-    def test_a_collinear_phi_fails_every_fit_with_the_one_fit_error(self):
+    def test_a_collinear_phi_is_reduced_and_a_zero_phi_fails_every_fit(self):
+        """Each fit of the sequence regresses on the one column that spans a
+        repeated column (q = 1); an all-zero phi fails every fit with the
+        one-fit error."""
         fits = _nested_fits(3)
         phi = np.column_stack([np.ones(40), np.ones(40)])
+        for v, fit in zip(sigma_tau_reg(fits, phi), fits):
+            one = sigma_tau_reg(fit, phi[:, :1])
+            assert v.value == pytest.approx(one.value, rel=1e-12)
+            assert v.params["q"] == one.params["q"] == 1
         with pytest.raises(EstimatorError) as one:
-            sigma_tau_reg(fits[0], phi)
+            sigma_tau_reg(fits[0], 0 * phi)
         with pytest.raises(EstimatorError) as seq:
-            sigma_tau_reg(fits, phi)
-        assert str(seq.value) == str(one.value) == "singular feature regression"
+            sigma_tau_reg(fits, 0 * phi)
+        assert str(seq.value) == str(one.value) == "feature matrix is identically zero"
 
     @pytest.mark.parametrize("estimator, arg", [(sigma_tau_reg, np.ones((40, 1))), (sigma_tau_mb, 3)])
     def test_fits_must_share_t(self, estimator, arg):
@@ -753,14 +767,18 @@ class TestStackedFailures:
         self._agree(stacked.sigma_e2, singles, "sigma_e2")
         assert np.isnan(stacked.residuals[1:]).all() and np.isnan(stacked.gram_inv[1:]).all()
         # n = 5 leaves W1 its degrees of freedom: the stack's residual estimators
-        # on W1 fits equal their one-fit calls, and a singular phi fails its trial
+        # on W1 fits equal their one-fit calls; a collinear phi is regressed on
+        # its span (q = 1), and an all-zero phi fails its trial
         w1 = lse_fit(TrialDataset(y, t[[0, 1, 2, 4, 0]]))
         phi = np.concatenate([np.ones((5, 5, 1)), x[..., :1]], axis=-1)
         phi[2, :, 1] = 1.0
+        phi[4] = 0.0
         each = [_system(w1, j) for j in range(5)]
         reg = [self._one(sigma_tau_reg, f, p) for f, p in zip(each, phi)]
-        assert isinstance(reg[2], EstimatorError)
-        self._agree(sigma_tau_reg(w1, phi).value, reg)
+        assert reg[2].params["q"] == 1 and isinstance(reg[4], EstimatorError)
+        stacked = sigma_tau_reg(w1, phi)
+        self._agree(stacked.value, reg)
+        assert stacked.params["q"].tolist() == [2, 2, 1, 2, 0]
         self._agree(sigma_tau_mb(w1, 2).value, [sigma_tau_mb(f, 2) for f in each])
 
     def test_mbj_fails_a_trial_alone_within_its_block(self):
@@ -1033,11 +1051,6 @@ GUARDED = {
         lambda c: np.column_stack([_T, 1 - _T, _U, c]),
         FitError,
     ),
-    "sigma_tau_reg": (
-        lambda c: sigma_tau_reg(lse_fit(_dataset(_Y, _T)), np.column_stack([np.ones(40), _U, c])),
-        lambda c: np.column_stack([np.ones(40), _U, c]),
-        EstimatorError,
-    ),
     "logistic_fit": (  # one iteration: its step must be guarded too
         lambda c: logistic_fit(_Y, np.column_stack([np.ones(40), _U, c]), max_iter=1),
         lambda c: np.column_stack([np.ones(40), _U, c]),
@@ -1062,6 +1075,17 @@ class TestGuardRule:
         with pytest.raises(err, match="^ill-conditioned"):
             call(c)
 
+    @pytest.mark.parametrize("c", [_U, _U + 1e-7 * _V], ids=["exact", "near"])
+    def test_reg_skips_collinear_features(self, c):
+        """The residual regression needs only the span of phi, so it does not
+        follow the rule: a last column exactly, or at 1e-7, in the span of
+        the others is skipped, and the estimate is the regression on those
+        two, with q = 2."""
+        fit, phi = lse_fit(_dataset(_Y, _T)), np.column_stack([np.ones(40), _U])
+        v, want = sigma_tau_reg(fit, np.column_stack([phi, c])), sigma_tau_reg(fit, phi)
+        assert v.value == pytest.approx(want.value, rel=1e-12)
+        assert v.params["q"] == want.params["q"] == 2
+
     def test_one_solve_per_logistic_iteration(self, monkeypatch):
         calls, solve = [], inference._solve
 
@@ -1072,6 +1096,25 @@ class TestGuardRule:
         monkeypatch.setattr(inference, "_solve", counted)
         fit = logistic_fit(_Y, np.column_stack([np.ones(40), _T - 0.5, _U]))
         assert calls == ["weighted design"] * fit.iterations
+
+
+class TestZeroColumns:
+    """Features or a design without columns fail as a ``DomainError`` at
+    each entry point, not as a bare numpy or arithmetic error."""
+
+    def test_sigma_tau_reg(self):
+        fit = lse_fit(_dataset(_Y, _T))
+        with pytest.raises(DomainError, match="^phi must be an \\(n, q\\) matrix with q >= 1"):
+            sigma_tau_reg(fit, np.zeros((40, 0)))
+
+    def test_sigma_tau_bootstrap(self):
+        data = _dataset(_Y, _T, phi=np.zeros((40, 0)))
+        with pytest.raises(DomainError, match="q >= 1 input columns, got n=40, q=0"):
+            sigma_tau_bootstrap(data, EfronBiasedCoin(0.9), 10, np.random.default_rng(0))
+
+    def test_logistic_fit(self):
+        with pytest.raises(DomainError, match="^design must be an \\(n, k\\) matrix"):
+            logistic_fit(_Y, np.zeros((40, 0)))
 
 
 class TestEstimatorAgreement:
