@@ -12,13 +12,14 @@ per unit-trial, in a fresh process of its own; each power config records
 ``power_statistics_us``, the statistics layer: the time of a power run over
 the config's first 64 replicates, one chunk, less its ``harness._assign_chunk``
 calls, per (replicate, procedure), the median of 3 runs, also in a fresh
-process.
-``power_setting1.cfg`` also
-runs once more with ``--threads 2`` (``threads2``: its wall time, peak
-resident memory, exit code and whether its CSV SHA-256 equals the serial
-run's; a mismatch fails the script).  Records are
-kept in one JSON file under a label, so one file can hold the runs of a
-parent commit and of a change side by side:
+process.  Every record also holds ``rule_us``, the allocation-rule layer:
+for each built-in state-carrying policy, the median time of one
+``engine._thresholds`` call on a fixed (131, T) d over 2,000 calls, after one
+untimed call, in a fresh process.  ``power_setting1.cfg`` also runs once
+more with ``--threads 2`` (``threads2``: its wall time, peak resident memory,
+exit code and whether its CSV SHA-256 equals the serial run's; a mismatch
+fails the script).  Records are kept in one JSON file under a label, so one
+file can hold the runs of a parent commit and of a change side by side:
 
     python3 bench/run.py --out BENCH.json --label change
     python3 bench/run.py --out BENCH.json --label parent --repo ../parent
@@ -140,10 +141,38 @@ print(1e6 * statistics.median(times[1:]) / runs)
 """
 
 
-def _probe(code: str, cfg: Path, env) -> float:
-    out = subprocess.run([sys.executable, "-c", code, str(cfg)], env=env,
+# One allocation-rule probe: per built-in state-carrying policy, the median
+# time of one ``engine._thresholds`` call on a fixed (131, T) d over 2,000
+# calls, after one untimed call, in microseconds.
+_RULES = """
+import json, statistics, time
+import numpy as np
+from carlab import allocation, engine
+policies = {
+    "EfronBiasedCoin": (allocation.EfronBiasedCoin(0.9), 2),
+    "TwoTreatmentContinuous": (allocation.TwoTreatmentContinuous(3.0), 2),
+    "PocockSimonRank": (allocation.PocockSimonRank((0.8, 0.1, 0.1)), 3),
+    "MultiContinuous": (allocation.MultiContinuous(3.0), 3),
+}
+out = {}
+for name, (policy, T) in policies.items():
+    d = np.random.default_rng(0).normal(size=(131, T))
+    engine._thresholds(policy, d)
+    times = []
+    for _ in range(2000):
+        t0 = time.perf_counter()
+        engine._thresholds(policy, d)
+        times.append(time.perf_counter() - t0)
+    out[name] = round(1e6 * statistics.median(times), 3)
+print(json.dumps(out))
+"""
+
+
+def _probe(code: str, env, *args):
+    """The JSON a probe prints, run in a fresh process on ``args``."""
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                          capture_output=True, text=True, check=True)
-    return round(float(out.stdout), 4)
+    return json.loads(out.stdout)
 
 
 def _run_config(cfg: Path, quick: bool, env, work: Path, threads: int = 1) -> dict:
@@ -172,9 +201,9 @@ def _run_config(cfg: Path, quick: bool, env, work: Path, threads: int = 1) -> di
         "exit_code": proc.returncode,
     }
     if kind == "imbalance":  # runs that are mostly engine
-        row["engine_step_us"] = _probe(_ENGINE_STEP, cfg, env)
+        row["engine_step_us"] = round(_probe(_ENGINE_STEP, env, cfg), 4)
     elif threads == 1:
-        row["power_statistics_us"] = _probe(_POWER_STATISTICS, cfg, env)
+        row["power_statistics_us"] = round(_probe(_POWER_STATISTICS, env, cfg), 4)
     return row
 
 
@@ -212,6 +241,8 @@ def main(argv=None) -> int:
         "configs": {},
     }
     record["src_lines"], record["src_code_lines"] = _src_lines(repo)
+    record["rule_us"] = _probe(_RULES, env)
+    print(f"rule_us: {record['rule_us']}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in sorted((repo / "demos" / "configs").glob("*.cfg")):
             row = _run_config(cfg, args.quick, env, Path(tmp))

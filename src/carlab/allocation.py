@@ -13,6 +13,12 @@ tail, so far-from-balance states still receive a fixed small probability;
 cap = 3 is the conventional choice.  Any positive decreasing weight function
 would fit the same template; only the normal-tail variant is built in (see
 ``continuous_multi``).
+
+Each public rule is its argument checks plus a call of one private,
+check-free kernel (``_efron``, ``_tail``, ``_ranked``, ``_tails``), so each
+formula exists once.  The engine calls the kernels directly on parameters
+its policies validated when they were built and on inputs it checked once
+per call.
 """
 
 import functools
@@ -53,8 +59,7 @@ class EfronBiasedCoin:
     rho: float = 0.9
 
     def __post_init__(self):
-        if not (0.5 < self.rho < 1.0):
-            raise DomainError(f"biased-coin rho must lie in (0.5, 1), got {self.rho!r}")
+        _check_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -124,11 +129,27 @@ def _validate_kappa(kappa):
         raise DomainError(f"rank probabilities must sum to 1, got {sum(kappa)!r}")
 
 
+def _count(value, least: int, what: str) -> int:
+    """``value`` as an int: a whole number of at least ``least``."""
+    try:
+        whole = math.isfinite(value) and int(value) == value >= least
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise DomainError(f"{what} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_finite(x, what) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
     return arr
+
+
+def _check_rho(rho):
+    if not (0.5 < rho < 1.0):
+        raise DomainError(f"biased-coin rho must lie in (0.5, 1), got {rho!r}")
 
 
 def _check_cap(cap):
@@ -150,21 +171,49 @@ def _tie_shares(kappa: tuple) -> np.ndarray:
     return shares
 
 
+def _efron(diff, rho):
+    """Efron's rule: exactly rho, 1 - rho or 0.5, as rho - 0.5 and both sums
+    with 0.5 are exact for rho in (0.5, 1) (Sterbenz's lemma)."""
+    return 0.5 - np.sign(diff) * (rho - 0.5)
+
+
+def _tail(x, cap):
+    """Upper normal tail of x clamped to +-cap (``np.clip``'s values on
+    finite x)."""
+    return normal_upper_array(np.minimum(np.maximum(x, -cap), cap))
+
+
+def _ranked(imb, shares):
+    """Each arm's tie-group share of ``_tie_shares``, from its rank in the
+    rows of ``imb``."""
+    # lower[..., i, j] = 1 where arm j lies below arm i; arm i's tie group
+    # spans ranks (arms below i) .. T - (arms above i) - 1.  einsum sums the
+    # short axes faster than sum does.
+    lower = (imb[..., None, :] < imb[..., :, None]).astype(np.intp)
+    T = imb.shape[-1]
+    return shares[np.einsum("...ij->...i", lower), T - np.einsum("...ij->...j", lower)]
+
+
+def _tails(deviations, cap):
+    """Clamped upper normal tails of each row, normalized to sum 1."""
+    weights = _tail(deviations, cap)
+    return weights / np.add.reduce(weights, axis=-1, keepdims=True)
+
+
 def efron_two_treatment(diff, rho: float):
     """Probability of arm 1 given the (arm 1 minus arm 2) potential-imbalance
     difference: rho when the difference is negative, 1 - rho when positive,
     0.5 on an exact tie.  ``diff`` may be a scalar or an array of trials."""
     diff = _check_finite(diff, "imbalance difference")
-    if not (0.5 < rho < 1.0):
-        raise DomainError(f"biased-coin rho must lie in (0.5, 1), got {rho!r}")
-    return np.where(diff < 0.0, rho, np.where(diff > 0.0, 1.0 - rho, 0.5))[()]
+    _check_rho(rho)
+    return _efron(diff, rho)[()]
 
 
 def continuous_two_treatment(diff, cap: float):
     """Probability of arm 1: upper normal tail of the clamped difference."""
     diff = _check_finite(diff, "imbalance difference")
     _check_cap(cap)
-    return normal_upper_array(np.clip(diff, -cap, cap))[()]
+    return _tail(diff, cap)[()]
 
 
 def pocock_simon_multi(imbalances, kappa) -> np.ndarray:
@@ -182,23 +231,17 @@ def pocock_simon_multi(imbalances, kappa) -> np.ndarray:
         raise DomainError(
             f"rank probabilities have length {shares.shape[0] - 1} but {T} arms were given"
         )
-    # lower[..., i, j] = 1 where arm j lies below arm i; arm i's tie group
-    # spans ranks (arms below i) .. T - (arms above i) - 1.  einsum sums the
-    # short axes faster than sum does.
-    lower = (imb[..., None, :] < imb[..., :, None]).astype(np.intp)
-    return shares[np.einsum("...ij->...i", lower), T - np.einsum("...ij->...j", lower)]
+    return _ranked(imb, shares)
 
 
 def continuous_multi(deviations, cap: float) -> np.ndarray:
     """Normalized upper normal tails of clamped per-arm deviations, per row."""
     deviations = np.atleast_1d(_check_finite(deviations, "imbalance deviations"))
     _check_cap(cap)
-    weights = normal_upper_array(np.clip(deviations, -cap, cap))
-    return weights / weights.sum(axis=-1, keepdims=True)
+    return _tails(deviations, cap)
 
 
 def complete_randomization(treatments: int) -> np.ndarray:
     """Uniform probability vector over the arms."""
-    if int(treatments) != treatments or treatments < 2:
-        raise DomainError(f"need at least 2 arms, got {treatments!r}")
-    return np.full(int(treatments), 1.0 / treatments)
+    T = _count(treatments, 2, "arm count")
+    return np.full(T, 1.0 / T)

@@ -34,11 +34,16 @@ whose values are the blocks' sqrt-weights.  All the trials share one flat
 array of per-arm sums.  Each step gathers the sums at every trial's columns
 in one take, forms every trial's d = S phi_i in one einsum, calls each
 distinct policy's rule once over that policy's trials, compares one uniform
-per trial with the rule's cumulative thresholds in arm order, and adds the
-values to the drawn arms' columns in one scatter.  Every trial gets the
-assignments it would get alone, up to rounding (``_simulate``), and
-``assign_next`` is a one-unit call that continues a trial's sums, so seeded
-runs replay exactly.
+per trial with the rule's cumulative thresholds in arm order (with two arms,
+one comparison), and adds the values to the drawn arms' columns in one
+scatter.  The step calls ``allocation``'s check-free rule kernels, which do
+the public rules' floating-point operations without their checks: each
+policy is validated when it is built, and the inputs once per call, before
+the unit loop, on the pass that checks them finite, where the largest |value|
+also bounds every |d| so that no rule's arithmetic can overflow (inputs past
+that bound are rejected).  Every trial gets the assignments it would get
+alone, up to rounding (``_simulate``), and ``assign_next`` is a one-unit
+call that continues a trial's sums, so seeded runs replay exactly.
 
 Level columns with integer sqrt-weights keep d exact; with non-integer ones
 they are summed in another order than the dense product S phi_i, so their
@@ -47,22 +52,27 @@ trials are one comparison of the uniforms with its thresholds, with no unit
 loop.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# The check-free rule kernels are bound under the public rule names: a step
+# calls each rule through these globals, and tracing counts rule calls by them.
 from .allocation import (
     AllocationPolicy,
     CompleteRandomization,
     EfronBiasedCoin,
     MultiContinuous,
     PocockSimonRank,
+    _count,
+    _efron as efron_two_treatment,
+    _ranked as pocock_simon_multi,
+    _tail as continuous_two_treatment,
+    _tails as continuous_multi,
+    _tie_shares,
     check_policy,
     complete_randomization,
-    continuous_multi,
-    continuous_two_treatment,
-    efron_two_treatment,
-    pocock_simon_multi,
 )
 from .errors import DomainError
 
@@ -100,18 +110,10 @@ class TrialState:
         return self.sums - self.sums.mean(axis=0)
 
 
-def _check_arms(treatments) -> int:
-    if int(treatments) != treatments or treatments < 2:
-        raise DomainError(f"need at least 2 arms, got {treatments!r}")
-    return int(treatments)
-
-
 def new_trial(treatments: int, q: int) -> TrialState:
     """Fresh state with zero imbalance."""
-    treatments = _check_arms(treatments)
-    if int(q) != q or q < 1:
-        raise DomainError(f"feature dimension must be >= 1, got {q!r}")
-    q = int(q)
+    treatments = _count(treatments, 2, "arm count")
+    q = _count(q, 1, "feature dimension")
     return TrialState(
         treatments=treatments,
         q=q,
@@ -143,21 +145,22 @@ def potential_imbalances(state: TrialState, phi_x) -> np.ndarray:
 def _thresholds(policy: AllocationPolicy, d: np.ndarray) -> np.ndarray:
     """(trials, T - 1) cumulative probabilities of arms 0 .. T - 2 from the
     per-arm products d = S phi; the drawn arm is the number of thresholds at
-    or below the trial's uniform."""
+    or below the trial's uniform.  The rules run unchecked: the policy was
+    validated when built, and d is finite by ``_simulate``'s bound."""
     if isinstance(policy, CompleteRandomization):
-        cum = np.cumsum(complete_randomization(d.shape[1]))[:-1]
+        cum = np.add.accumulate(complete_randomization(d.shape[1]))[:-1]
         return np.broadcast_to(cum, (d.shape[0], cum.size))
     if isinstance(policy, PocockSimonRank):
-        p = pocock_simon_multi(d, policy.kappa)
+        p = pocock_simon_multi(d, _tie_shares(policy.kappa))
     elif isinstance(policy, MultiContinuous):
-        mean = d.sum(axis=1, keepdims=True) / d.shape[1]  # np.mean's value, not its overhead
+        mean = np.add.reduce(d, axis=1, keepdims=True) / d.shape[1]  # np.mean's value
         p = continuous_multi(2.0 * (d - mean), policy.cap)
     else:
         diff = 4.0 * (d[:, 0] - d[:, 1])  # two-arm scale
         if isinstance(policy, EfronBiasedCoin):
             return efron_two_treatment(diff, policy.rho)[:, None]
         return continuous_two_treatment(diff, policy.cap)[:, None]
-    return np.cumsum(p[:, :-1], axis=1)
+    return np.add.accumulate(p[:, :-1], axis=1)
 
 
 def assign_next(state: TrialState, phi_x, policy: AllocationPolicy, rng) -> int:
@@ -203,7 +206,7 @@ def simulate_assignments(
     depend on the rest of the call, up to the rounding noted in
     ``_simulate``.
     """
-    T = _check_arms(treatments)
+    T = _count(treatments, 2, "arm count")
     if isinstance(policy, AllocationPolicy):
         out = _simulate([_group(phi, policy, T, rng, uniforms, weights)], T, sums)[0]
         return out[0] if np.ndim(phi) == 2 else out
@@ -217,16 +220,17 @@ def simulate_assignments(
 
 
 def _group(phi, policy, T, rng, uniforms, weights) -> tuple:
-    """One procedure's checked (columns, values, policy, uniforms), the first
-    two (trials, n, width) and the uniforms (trials, n): a feature row is its
-    values on columns 0 .. q - 1, a row of level columns its columns with the
-    sqrt-weights as values."""
+    """One procedure's checked (columns, values, top, policy, uniforms), the
+    first two (trials, n, width), top the largest |value| and the uniforms
+    (trials, n): a feature row is its values on columns 0 .. q - 1, a row of
+    level columns its columns with the sqrt-weights as values."""
     phi = np.asarray(phi)
     if phi.ndim not in (2, 3):
         raise DomainError("feature matrix must be 2-d, or 3-d for a batch of trials")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != phi.shape[-1:] or not np.all(np.isfinite(weights)):
+        top = _largest(weights)
+        if weights.shape != phi.shape[-1:] or not math.isfinite(top):
             raise DomainError("level weights must be finite, one per level column")
         if not np.issubdtype(phi.dtype, np.integer):
             if not (np.all(np.isfinite(phi)) and np.all(phi == np.trunc(phi))):
@@ -237,7 +241,8 @@ def _group(phi, policy, T, rng, uniforms, weights) -> tuple:
         columns, values = phi, np.broadcast_to(weights, phi.shape)
     else:
         values = phi.astype(float, copy=False)
-        if not np.all(np.isfinite(values)):
+        top = _largest(values)
+        if not math.isfinite(top):
             raise DomainError("feature matrix must be finite")
         columns = np.broadcast_to(np.arange(phi.shape[-1]), phi.shape)
     if uniforms is None:
@@ -249,8 +254,14 @@ def _group(phi, policy, T, rng, uniforms, weights) -> tuple:
         raise DomainError("uniforms must be finite and in [0, 1)")
     check_policy(policy, T)
     if phi.ndim == 2:
-        return columns[None], values[None], policy, uniforms[None]
-    return columns, values, policy, uniforms
+        return columns[None], values[None], top, policy, uniforms[None]
+    return columns, values, top, policy, uniforms
+
+
+def _largest(x) -> float:
+    """The largest |entry| of a float array, 0 when empty and not finite
+    unless every entry is, without an array of |x|."""
+    return float(np.maximum(x.max(initial=0.0), -x.min(initial=0.0)))
 
 
 def _simulate(groups, T: int, sums=None) -> list:
@@ -263,8 +274,11 @@ def _simulate(groups, T: int, sums=None) -> list:
     time, rows padded to the widest input with zero values on column Q - 1,
     which no input uses.  A unit step gathers every trial's sums at the
     unit's columns from all T runs in one take, forms d = S phi of every
-    trial in one einsum, calls each policy's rule once, and adds the values
-    to the drawn arms' columns in one scatter.
+    trial in one einsum, calls each policy's rule kernel once, and adds the
+    values to the drawn arms' columns in one scatter.  The kernels run
+    unchecked, so the call is rejected up front when max(8, T) * W *
+    (max|sums| + n * max|value|) * max|value|, a bound on the rules' sums and
+    differences of d, exceeds the largest float.
 
     Zero padding leaves integer sums exact, but numpy's einsum may sum a
     padded row of non-integer values in another order than in a call of its
@@ -272,13 +286,13 @@ def _simulate(groups, T: int, sums=None) -> list:
     to 16 or more): an ulp in d, which moves an arm only at a tie or where a
     uniform lies within it of its threshold.
     """
-    n = groups[0][3].shape[1] if groups else 0
+    n = groups[0][4].shape[1] if groups else 0
     if any(u.shape[1] != n for *_, u in groups):
         raise DomainError("every batch of a call must have the same number of units")
     arm = np.min_scalar_type(-T)  # the smallest signed type holding every arm
     outs = [np.empty((len(u), n), dtype=arm) for *_, u in groups]
     live = {}  # policy -> its state-carrying groups
-    for g, (_, _, policy, u) in enumerate(groups):
+    for g, (*_, policy, u) in enumerate(groups):
         if isinstance(policy, CompleteRandomization) and sums is None:  # no state enters
             cum = _thresholds(policy, np.zeros((1, T)))[0]
             outs[g][...] = (u[..., None] >= cum).sum(axis=-1)
@@ -294,6 +308,11 @@ def _simulate(groups, T: int, sums=None) -> list:
     if B == 0:  # no state-carrying trial: empty batches only
         return outs
     W = max(groups[g][0].shape[2] for g, _ in spans)
+    # |sums| <= held + n * top and |d| <= W * (held + n * top) * top.
+    top = max(groups[g][2] for g, _ in spans)
+    held = 0.0 if sums is None else _largest(sums)
+    if not max(8, T) * W * (held + n * top) * top <= np.finfo(float).max:
+        raise DomainError("feature values too large: the imbalance products could overflow")
     Q = 2 + max(int(groups[g][0].max(initial=0)) for g, _ in spans)
     base = Q * np.arange(B)[:, None]  # each trial's offset in an arm's run
     m = max(1, min(n, _BLOCK_BYTES // (8 * B * (2 * W + 2))))  # units per block
@@ -311,7 +330,7 @@ def _simulate(groups, T: int, sums=None) -> list:
     for i0 in range(0, n, m):
         k = min(m, n - i0)
         for g, rows in spans:
-            columns, values, _, unif = groups[g]
+            columns, values, *_, unif = groups[g]
             w = columns.shape[2]
             np.add(columns[:, i0 : i0 + k].swapaxes(0, 1), base[rows], out=cols[:k, rows, :w])
             vals[:k, rows, :w] = values[:, i0 : i0 + k].swapaxes(0, 1)
@@ -321,7 +340,10 @@ def _simulate(groups, T: int, sums=None) -> list:
             np.einsum("tbw,bw->tb", part, vals[j], out=d.T)
             for policy, sl in rules:
                 thr[sl] = _thresholds(policy, d[sl])
-            np.sum(draws[j][:, None] >= thr, axis=1, out=arms[j])
+            if T == 2:
+                np.greater_equal(draws[j], thr[:, 0], out=arms[j])
+            else:
+                np.add.reduce(draws[j][:, None] >= thr, axis=1, out=arms[j])
             flat[cols[j] + B * Q * arms[j][:, None]] += vals[j]
         for g, rows in spans:
             outs[g][:, i0 : i0 + k] = arms[:k, rows].T

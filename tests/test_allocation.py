@@ -18,6 +18,7 @@ from carlab.allocation import (
     efron_two_treatment,
     pocock_simon_multi,
 )
+from carlab._normal import normal_upper_array
 from carlab.errors import DomainError
 
 mpmath.mp.dps = 40
@@ -180,3 +181,52 @@ def test_non_degenerate_lower_bounds(seed, T):
     mc = continuous_multi(imb - imb.mean(), cap)
     floor = (1.0 - (1.0 - mp_upper(cap))) / T  # smallest weight over largest total
     assert mc.min() >= floor - 1e-12
+
+
+# Each public rule is its checks plus a check-free kernel; the kernels must
+# give the bits of the formulas they replaced, including on signed zeros,
+# subnormals and values far beyond the clamp.
+RHOS = [np.nextafter(0.5, 1.0), 0.6, 2.0 / 3.0, 0.9, np.nextafter(1.0, 0.0)]
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300]
+finite = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=30), st.sampled_from(RHOS))
+def test_efron_kernel_is_the_where_form(diffs, rho):
+    diff = np.array(diffs)
+    expected = np.where(diff < 0, rho, np.where(diff > 0, 1 - rho, 0.5))
+    _same_bits(efron_two_treatment(diff, rho), expected)
+    _same_bits(efron_two_treatment(diff[0], rho), expected[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=30), st.sampled_from([0.5, 1.0, 3.0, 7.25]))
+def test_continuous_kernel_is_the_clip_form(diffs, cap):
+    diff = np.array(diffs)
+    expected = normal_upper_array(np.clip(diff, -cap, cap))
+    _same_bits(continuous_two_treatment(diff, cap), expected)
+    _same_bits(continuous_two_treatment(diff[0], cap), expected[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.lists(finite, min_size=10, max_size=10), st.integers(0, 2**32 - 1))
+def test_multi_kernels_are_the_parent_forms(T, pool, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(pool)[rng.integers(0, len(pool), size=(4, T))]  # ties likely
+    cap = 3.0
+    weights = normal_upper_array(np.clip(values, -cap, cap))
+    _same_bits(continuous_multi(values, cap), weights / weights.sum(axis=-1, keepdims=True))
+    kappa = tuple(sorted(map(float, rng.dirichlet(np.ones(T))), reverse=True))
+    expected = np.empty((4, T))
+    for r, row in enumerate(values):
+        for i in range(T):
+            lo, hi = int((row < row[i]).sum()), T - int((row > row[i]).sum())
+            expected[r, i] = sum(kappa[lo:hi]) / (hi - lo)
+    _same_bits(pocock_simon_multi(values, kappa), expected)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carlab import allocation
 from carlab.allocation import (
     CompleteRandomization,
     EfronBiasedCoin,
@@ -538,3 +539,89 @@ class TestSeveralProcedures:
         with pytest.raises(DomainError):
             simulate_assignments(Inputs([phi, phi[:, :4]]), (policy, policy), 2,
                                  uniforms=[u, u[:, :4]], weights=[None, None])
+
+
+def _four_rules():
+    return [
+        (EfronBiasedCoin(0.9), 2),
+        (TwoTreatmentContinuous(3.0), 2),
+        (PocockSimonRank((0.8, 0.1, 0.1)), 3),
+        (MultiContinuous(3.0), 3),
+    ]
+
+
+class TestOverflowRejected:
+    """The rules run unchecked, so inputs whose products S phi could overflow
+    are rejected once per call, before the unit loop and with no warning."""
+
+    @pytest.mark.parametrize("policy,T", _four_rules())
+    def test_large_features_raise_before_any_warning(self, policy, T):
+        with pytest.raises(DomainError, match="too large"):
+            simulate_assignments(np.full((6, 1), 1e200), policy, T,
+                                 rng=np.random.default_rng(0))
+        with pytest.raises(DomainError, match="too large"):
+            simulate_assignments(np.zeros((2, 6, 1), dtype=np.int64), policy, T,
+                                 uniforms=np.full((2, 6), 0.5), weights=[1e200])
+
+    @pytest.mark.parametrize("policy,T", _four_rules())
+    def test_large_sums_raise_in_assign_next(self, policy, T):
+        state = new_trial(T, 1)
+        state.sums[0] = 1e300
+        with pytest.raises(DomainError, match="too large"):
+            assign_next(state, [1e10], policy, np.random.default_rng(0))
+        assert state.sums[0, 0] == 1e300 and state.n == 0
+
+    @pytest.mark.parametrize("policy,T", _four_rules())
+    def test_large_features_within_the_bound_run(self, policy, T):
+        out = simulate_assignments(np.full((6, 1), 1e150), policy, T,
+                                   rng=np.random.default_rng(0))
+        assert out.shape == (6,) and out.min() >= 0 and out.max() < T
+
+
+class TestCountsChecked:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, "2"])
+    def test_a_bad_count_raises_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            new_trial(bad, 2)
+        with pytest.raises(DomainError):
+            new_trial(2, bad)
+        with pytest.raises(DomainError):
+            allocation.complete_randomization(bad)
+        with pytest.raises(DomainError):
+            simulate_assignments(np.zeros((4, 1)), EfronBiasedCoin(), bad,
+                                 rng=np.random.default_rng(0))
+
+    def test_whole_floats_count(self):
+        state = new_trial(3.0, 2.0)
+        assert (state.treatments, state.q) == (3, 2)
+        assert state.sums.shape == (3, 2)
+
+
+class TestRulesValidatedOnce:
+    """The engine calls the check-free rule kernels: policies are validated
+    when built and inputs once per call, so the rules' own checks never run."""
+
+    def test_no_rule_check_runs_in_the_engine(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(3, 40, 2))
+        cases = [(CompleteRandomization(), 2), (CompleteRandomization(), 3)] + _four_rules()
+        uniforms = [rng.random((3, 40)) for _ in cases]
+        three = [(p, u) for (p, T), u in zip(cases, uniforms) if T == 3]
+        inputs = Inputs([x.round(0), x, x])
+
+        def run():
+            alone = [simulate_assignments(x, p, T, uniforms=u)
+                     for (p, T), u in zip(cases, uniforms)]
+            together = simulate_assignments(inputs, tuple(p for p, _ in three), 3,
+                                            uniforms=[u for _, u in three])
+            return alone + together
+
+        expected = run()
+
+        def boom(*args):
+            raise AssertionError("a rule check ran inside the engine")
+
+        monkeypatch.setattr(allocation, "_check_finite", boom)
+        monkeypatch.setattr(allocation, "_check_cap", boom)
+        for got, want in zip(run(), expected):
+            np.testing.assert_array_equal(got, want)
