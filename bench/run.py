@@ -7,8 +7,11 @@ resident memory and its exit code, plus the versions, CPU count and commit
 it ran on, and the lines of its ``src/`` (``src_lines``, and
 ``src_code_lines`` without blank, comment and docstring lines).  Each
 imbalance config also records ``engine_step_us``, the engine-step layer: the
-median time of one ``harness._assign_chunk`` call on a 64-replicate chunk,
-per unit-trial, in a fresh process of its own; each power config records
+median time of the ``harness.simulate_assignments`` call inside one
+``harness._assign_chunk`` call on a 64-replicate chunk, per unit-trial, and
+``chunk_inputs_us``, the rest of that ``_assign_chunk`` call (the chunk's
+features and uniforms), also per unit-trial, in a fresh process of its own;
+each power config records
 ``power_statistics_us``, the statistics layer: the time of a power run over
 the config's first 64 replicates, one chunk, less its ``harness._assign_chunk``
 calls, per (replicate, procedure), the median of 3 runs, also in a fresh
@@ -95,22 +98,37 @@ def _src_lines(repo: Path) -> tuple:
     return lines, code
 
 
-# One engine-step probe: the median of 7 timed ``harness._assign_chunk`` calls
-# on one chunk of 64 replicates of the config, after one untimed call, in
-# microseconds per unit-trial (every procedure's trial counted).
+# One engine-step probe: over 7 timed ``harness._assign_chunk`` calls on one
+# chunk of 64 replicates of the config, after one untimed call, the median
+# time of the engine call inside (``harness.simulate_assignments``) and of the
+# rest of the call, in microseconds per unit-trial (every procedure's trial
+# counted).  The covariates are passed as a stack, which a checkout whose
+# ``_assign_chunk`` takes a list of matrices also reads, row by row.
 _ENGINE_STEP = """
-import statistics, sys, time
+import json, statistics, sys, time
+import numpy as np
 from carlab import config, harness
 with open(sys.argv[1], encoding="utf-8") as fh:
     spec = config.load_config(fh.read())
 rs = range(min(64, spec.replicates))
-Xs = [harness._covariates(spec, r) for r in rs]
-times = []
-for _ in range(8):
+X = np.stack([harness._covariates(spec, r) for r in rs])
+real, engine = harness.simulate_assignments, []
+def timed(*args, **kwargs):
     t0 = time.perf_counter()
-    harness._assign_chunk(spec, spec.procedures, rs, Xs)
-    times.append(time.perf_counter() - t0)
-print(1e6 * statistics.median(times[1:]) / (len(rs) * spec.n * len(spec.procedures)))
+    out = real(*args, **kwargs)
+    engine.append(time.perf_counter() - t0)
+    return out
+harness.simulate_assignments = timed
+steps, rest = [], []
+for _ in range(8):
+    engine.clear()
+    t0 = time.perf_counter()
+    harness._assign_chunk(spec, spec.procedures, rs, X)
+    steps.append(sum(engine))
+    rest.append(time.perf_counter() - t0 - steps[-1])
+units = len(rs) * spec.n * len(spec.procedures)
+print(json.dumps({"engine_step_us": 1e6 * statistics.median(steps[1:]) / units,
+                  "chunk_inputs_us": 1e6 * statistics.median(rest[1:]) / units}))
 """
 
 
@@ -201,7 +219,7 @@ def _run_config(cfg: Path, quick: bool, env, work: Path, threads: int = 1) -> di
         "exit_code": proc.returncode,
     }
     if kind == "imbalance":  # runs that are mostly engine
-        row["engine_step_us"] = round(_probe(_ENGINE_STEP, env, cfg), 4)
+        row.update({k: round(v, 4) for k, v in _probe(_ENGINE_STEP, env, cfg).items()})
     elif threads == 1:
         row["power_statistics_us"] = round(_probe(_POWER_STATISTICS, env, cfg), 4)
     return row

@@ -177,9 +177,9 @@ def _arm_mean(model, X, treat):
     X = np.asarray(X, dtype=float)
     treat = np.asarray(treat, dtype=float)
     beta = np.asarray(model.beta)
-    if X.shape[1] != beta.shape[0]:
+    if X.shape[-1] != beta.shape[0]:
         raise DomainError(
-            f"model has {beta.shape[0]} coefficients but covariates have {X.shape[1]} columns"
+            f"model has {beta.shape[0]} coefficients but covariates have {X.shape[-1]} columns"
         )
     mu = np.where(treat > 0.5, model.mu1, model.mu0)
     return mu + X @ beta
@@ -192,7 +192,7 @@ def mean_response(model: ResponseModel, X, treat) -> np.ndarray:
         return lin
     if isinstance(model, HeteroscedasticModel):
         X = np.asarray(X, dtype=float)
-        return lin + model.arm_factor(X[:, 0], X[:, 1], treat)
+        return lin + model.arm_factor(X[..., 0], X[..., 1], treat)
     if isinstance(model, LogisticModel):
         return 1.0 / (1.0 + np.exp(-lin))
     raise DomainError(f"unknown response model {model!r}")
@@ -202,7 +202,8 @@ def responses_given_noise(model: ResponseModel, X, treat, noise) -> np.ndarray:
     """Responses from a pre-drawn noise stream.
 
     ``noise`` is a standard-normal vector for the linear and heteroscedastic
-    models and a uniform(0,1) vector for the logistic model.
+    models and a uniform(0,1) vector for the logistic model, or an (m, n)
+    stack of them with (m, n) arms and (m, n, p) covariates.
     """
     noise = np.asarray(noise, dtype=float)
     treat = np.asarray(treat, dtype=float)
@@ -210,7 +211,7 @@ def responses_given_noise(model: ResponseModel, X, treat, noise) -> np.ndarray:
         return _arm_mean(model, X, treat) + model.sigma_eps * noise
     if isinstance(model, HeteroscedasticModel):
         X = np.asarray(X, dtype=float)
-        g = model.arm_factor(X[:, 0], X[:, 1], treat)
+        g = model.arm_factor(X[..., 0], X[..., 1], treat)
         return _arm_mean(model, X, treat) + g * (1.0 + model.sigma_eps * noise)
     if isinstance(model, LogisticModel):
         return (noise < mean_response(model, X, treat)).astype(float)

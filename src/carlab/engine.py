@@ -376,33 +376,38 @@ def imbalance_metrics(assignments, covariates, treatments, indices=(0, 1, 2, 3))
     j's deviations divided by (1 - 1/T) times the mean square of covariate j.
     For two arms these equal the classical squared sum of +-1 differences,
     normalized by the covariate mean square.  Assignments are arm indices:
-    whole numbers, checked unless their dtype is an integer one.
+    whole numbers, checked unless their dtype is an integer one.  One trial
+    gives floats and raises on a zero mean square; a stack, (m, n) with
+    (m, n, p), gives (m,) arrays, NaN where a trial's mean square is zero.
     """
     a = np.asarray(assignments)
     if not np.issubdtype(a.dtype, np.integer) and not (np.isfinite(a) & (a == np.round(a))).all():
         raise DomainError("assignments must be whole arm indices")
     X = np.asarray(covariates, dtype=float)
-    if X.ndim != 2 or X.shape[0] != a.shape[0]:
-        raise DomainError("covariates must be (n, p) matching the assignments")
-    T = int(treatments)
-    if a.size == 0:
+    if a.ndim not in (1, 2) or X.shape[:-1] != a.shape:
+        raise DomainError("covariates must be (n, p) matching the assignments, or stacks of them")
+    T = _count(treatments, 2, "arm count")
+    if a.shape[-1] == 0:
         raise DomainError("no assignments given")
-    if a.min() < 0 or a.max() >= T:
+    if np.any((a < 0) | (a >= T)):
         raise DomainError("assignment index out of range")
-    dev = (a[:, None] == np.arange(T)) - 1.0 / T
+    one = a.ndim == 1
+    a, X = (a[None], X[None]) if one else (a, X)
+    dev = (a[..., None] == np.arange(T)) - 1.0 / T
     scale = 1.0 - 1.0 / T
     out = {}
     for j in indices:
         if j == 0:
-            s = dev.sum(axis=0)
-            out[0] = float((s * s).sum()) / scale
-        else:
-            if j - 1 >= X.shape[1]:
-                raise DomainError(f"covariate index {j} out of range")
-            col = X[:, j - 1]
-            msq = float((col * col).mean())
-            if msq == 0.0:
-                raise DomainError(f"covariate {j} has zero mean square; metric undefined")
-            s = dev.T @ col
-            out[j] = float((s * s).sum()) / (scale * msq)
-    return out
+            s = dev.sum(axis=-2)
+            out[0] = (s * s).sum(axis=-1) / scale
+            continue
+        if j not in range(1, X.shape[-1] + 1):
+            raise DomainError(f"covariate index {j} out of range")
+        col = X[..., int(j) - 1]
+        msq = (col * col).mean(axis=-1)
+        if one and msq[0] == 0.0:
+            raise DomainError(f"covariate {j} has zero mean square; metric undefined")
+        s = (np.swapaxes(dev, -1, -2) @ col[..., None])[..., 0]
+        ss = (s * s).sum(axis=-1)
+        out[j] = np.divide(ss, scale * msq, out=np.full_like(ss, np.nan), where=msq != 0.0)
+    return {j: float(v[0]) for j, v in out.items()} if one else out

@@ -30,7 +30,11 @@ balances: per unit one flat column index per block (the block's offset plus
 its level index), and the blocks' sqrt-weights.  ``feature_matrix``
 evaluates a map over the rows of a covariate matrix, scattering an indicator
 map's level columns (``level_matrix``); ``apply_feature_map`` and
-``discretize`` are its and ``discretize_array``'s one-row forms.
+``discretize`` are its and ``discretize_array``'s one-row forms.  Both
+``level_columns`` and ``feature_matrix`` also take an (m, n, p) stack of
+trials and give each trial its own matrix's rows, with one exception: where
+one matrix's composite features are not finite it raises, while a stack
+returns that trial's rows as computed, for the caller to drop the trial.
 """
 
 import math
@@ -296,11 +300,11 @@ def _level_index_array(col: np.ndarray, levels, coord: int) -> np.ndarray:
 
 def _check_covariates(spec, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DomainError("covariate matrix must be 2-d")
+    if X.ndim not in (2, 3):
+        raise DomainError("covariate matrix must be 2-d, or a 3-d stack")
     if not np.all(np.isfinite(X)):
         raise DomainError("covariate matrix must be finite")
-    _check_coord_bounds(spec, X.shape[1])
+    _check_coord_bounds(spec, X.shape[-1])
     return X
 
 
@@ -309,51 +313,49 @@ def _roots(spec) -> np.ndarray:
 
 
 def level_columns(spec: FeatureMapSpec, X: np.ndarray) -> tuple:
-    """An indicator map's (n, blocks) flat column indices, each block's
+    """An indicator map's (..., n, blocks) flat column indices, each block's
     offset plus the unit's level index in it, and the blocks' (blocks,)
-    sqrt-weights: phi[i, cols[i, b]] = roots[b], zero elsewhere."""
+    sqrt-weights: phi[..., i, cols[..., i, b]] = roots[b], zero elsewhere."""
     X = _check_covariates(spec, X)
     blocks = _blocks(spec)
-    cols = np.empty((X.shape[0], len(blocks)), dtype=np.int64)
+    cols = np.empty(X.shape[:-1] + (len(blocks),), dtype=np.int64)
     off = 0
     for b, (coords, levels, _) in enumerate(blocks):
         idx = 0
         for c, lv in zip(coords, levels):
-            idx = idx * len(lv) + _level_index_array(X[:, c], lv, c)
-        cols[:, b] = off + idx
+            idx = idx * len(lv) + _level_index_array(X[..., c], lv, c)
+        cols[..., b] = off + idx
         off += _width(levels)
     return cols, _roots(spec)
 
 
 def level_matrix(spec: FeatureMapSpec, cols: np.ndarray) -> np.ndarray:
-    """An indicator map's dense (n, q) feature matrix from its level columns,
-    or a stack of them, (m, n, q) from (m, n, blocks)."""
+    """An indicator map's dense (..., n, q) features from its (..., n, blocks) level columns."""
     out = np.zeros(cols.shape[:-1] + (feature_dim(spec),))
     np.put_along_axis(out, cols, _roots(spec), axis=-1)
     return out
 
 
 def feature_matrix(spec: FeatureMapSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate phi row-wise over an (n, p) covariate matrix."""
+    """Evaluate phi row-wise over an (n, p) covariate matrix or an (m, n, p) stack."""
     if not isinstance(spec, Composite):
         return level_matrix(spec, level_columns(spec, X)[0])
     X = _check_covariates(spec, X)
-    n = X.shape[0]
     cols = []
-    with np.errstate(all="ignore"):  # a non-finite term raises DomainError below
+    with np.errstate(all="ignore"):  # one matrix's non-finite term raises DomainError below
         for t in spec.terms:
             if isinstance(t, Constant):
-                cols.append(np.full(n, t.value))
+                cols.append(np.full(X.shape[:-1], t.value))
             elif isinstance(t, Identity):
-                cols.append(X[:, t.coord])
+                cols.append(X[..., t.coord])
             elif isinstance(t, Product):
-                cols.append(X[:, t.left] * X[:, t.right])
+                cols.append(X[..., t.left] * X[..., t.right])
             elif isinstance(t, Power):
-                cols.append(X[:, t.coord] ** t.degree)
+                cols.append(X[..., t.coord] ** t.degree)
             else:
-                cols.append(np.where(X[:, t.coord] == t.level, math.sqrt(t.weight), 0.0))
-    out = np.column_stack(cols)
-    if not np.all(np.isfinite(out)):
+                cols.append(np.where(X[..., t.coord] == t.level, math.sqrt(t.weight), 0.0))
+    out = np.stack(cols, axis=-1)
+    if out.ndim == 2 and not np.all(np.isfinite(out)):
         raise DomainError("feature matrix is not finite")
     return out
 

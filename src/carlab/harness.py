@@ -10,15 +10,17 @@ so each working model is fitted once per replicate and every delta's
 statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
 model is fitted per delta, and its logistic tests run once per delta.
 
-A chunk's kept replicates are analysed as arrays, per procedure, in blocks
-of a bounded size: their working models are fitted in one ``lse_fit`` call
-on the stacked datasets (one Gram per chain of nested models), and
-``t_reg``, ``t_mb`` and ``t_mbj`` each make one estimator call on the
-stacked fits (``t_reg`` on the features as the engine took them: it
-demeans within strata under SR, and under every other map regresses on
-the columns that span each replicate's features).  The bootstraps make
-one call per replicate and procedure, over its fits, on one draw of
-resamples; a chunk's ``t_boot`` resamples are rerandomized together.
+A chunk is one stack: its covariates (and noise) are stacked once, and each
+feature map's engine inputs, each procedure's imbalance metrics and each
+response class are one call on it.  Its kept replicates (finite features)
+are analysed per procedure, in blocks of a bounded size: their working
+models are fitted in one ``lse_fit`` call on the stacked datasets (one Gram
+per chain of nested models), and ``t_reg``, ``t_mb`` and ``t_mbj`` each make
+one estimator call on the stacked fits (``t_reg`` on the features as the
+engine took them: it demeans within strata under SR, and under every other
+map regresses on the columns that span each replicate's features).  The
+bootstraps make one call per replicate and procedure, over its fits, on one
+draw of resamples; a chunk's ``t_boot`` resamples are rerandomized together.
 Each test's statistics, replicates by deltas by working models, are one
 ``wald_statistics`` call, a failed fit or estimate reading NaN in its own
 cells.  Only ``carlab analyze`` builds test results (``run_test``), through
@@ -62,6 +64,7 @@ from .allocation import (
     MultiContinuous,
     PocockSimonRank,
     TwoTreatmentContinuous,
+    _count,
     check_policy,
 )
 from .datagen import (
@@ -171,10 +174,8 @@ class ProcedureSpec:
 
 def default_kappa(treatments: int) -> tuple:
     """Rank probabilities (0.8, rest equal)."""
-    if treatments < 2:
-        raise DomainError("need at least 2 arms")
-    rest = 0.2 / (treatments - 1)
-    return (0.8,) + (rest,) * (treatments - 1)
+    rest = _count(treatments, 2, "arm count") - 1
+    return (0.8,) + (0.2 / rest,) * rest
 
 
 def procedure_preset(
@@ -430,17 +431,14 @@ def feature_spec(proc: ProcedureSpec, setting: CovariateSetting):
     return Composite(terms=tuple(ones + [Identity(k) for k in range(observed.size)]))
 
 
-def _observed(fspec, setting: CovariateSetting, X: np.ndarray) -> np.ndarray:
-    """The covariates a feature map reads: the observed ones, in their
-    discrete view for an indicator map."""
-    observed = np.flatnonzero(setting.observed_mask)
+def _observed(fspec, setting: CovariateSetting, X) -> np.ndarray:
+    """The covariates a feature map reads, of an (n, p) matrix or (m, n, p)
+    stack: the observed ones, in their discrete view for an indicator map."""
+    x = np.asarray(X, dtype=float)[..., setting.observed_mask]
     if isinstance(fspec, Composite):
-        return X[:, observed]
-    return np.column_stack([
-        X[:, c] if int(c) in setting.discrete_levels
-        else discretize_array(X[:, c], _THRESHOLDS).astype(float)
-        for c in observed
-    ])
+        return x
+    declared = np.isin(np.flatnonzero(setting.observed_mask), list(setting.discrete_levels))
+    return np.where(declared, x, discretize_array(x, _THRESHOLDS))
 
 
 def build_phi(proc: ProcedureSpec, setting: CovariateSetting, X: np.ndarray):
@@ -512,19 +510,15 @@ def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTa
 
 
 def _imbalance_rows(spec: ExperimentSpec, rs: range) -> list:
-    """An imbalance study's rows of a range of replicates: per procedure,
-    (its name, ``rs``, their (replicates, metrics) values), NaN where a
-    replicate failed."""
-    Xs, rows = [_covariates(spec, r) for r in rs], []
-    runs = _assign_chunk(spec, spec.procedures, rs, Xs)
+    """An imbalance study's rows of a range of replicates: per procedure, (its
+    name, ``rs``, their (replicates, metrics) values) from one
+    ``imbalance_metrics`` call on its kept trials, NaN where one failed."""
+    X, rows = np.stack([_covariates(spec, r) for r in rs]), []
+    runs = _assign_chunk(spec, spec.procedures, rs, X)
     for proc, (kept, *_, assigns) in zip(spec.procedures, runs):
         values = np.full((len(rs), len(spec.metrics)), np.nan)
-        for k, assign in zip(kept, assigns):
-            try:
-                got = imbalance_metrics(assign, Xs[k], spec.treatments, spec.metrics)
-            except DomainError:
-                continue  # the row stays NaN: a failed replicate
-            values[k] = [got[j] for j in spec.metrics]
+        got = imbalance_metrics(assigns, X[kept], spec.treatments, spec.metrics)
+        values[kept] = np.column_stack(list(got.values()))
         rows.append((proc.name, rs, values))
     return rows
 
@@ -554,19 +548,19 @@ def _run_chunks(spec: ExperimentSpec, threads: int):
             yield rows(spec, rs)
 
 
-def _assign_chunk(spec: ExperimentSpec, procs, rs: range, Xs: list) -> list:
+def _assign_chunk(spec: ExperimentSpec, procs, rs: range, X) -> list:
     """Per procedure of ``procs``, its engine batch for a range of replicates
-    and the batch's assignments, every procedure's batch randomized in one
-    engine call: (kept, inputs, roots, assigns), the first three as
-    ``_chunk_inputs`` gives them and ``assigns`` (kept, n).  Procedures with
-    the same feature map share its batch, and each replicate draws its
-    uniforms from its own procedure stream.  A replicate whose features raise
-    ``DomainError`` is not kept, so it fails in that procedure's cells only."""
+    (covariates ``X``) and the batch's assignments, every procedure's batch
+    randomized in one engine call: (kept, inputs, roots, assigns), the first
+    three as ``_chunk_inputs`` gives them and ``assigns`` (kept, n).  Procedures
+    with the same feature map share its batch, and each replicate draws its
+    uniforms from its own procedure stream.  A replicate whose features are
+    not finite is not kept, so it fails in that procedure's cells only."""
     fspecs = [feature_spec(proc, spec.setting) for proc in procs]
     maps = {}  # feature map -> (kept replicates, batch, roots)
     for proc, fspec in zip(procs, fspecs):
         if fspec not in maps:
-            maps[fspec] = _chunk_inputs(spec, proc, fspec, Xs)
+            maps[fspec] = _chunk_inputs(spec, proc, fspec, X)
     built = [maps[fspec] for fspec in fspecs]
     uniforms = []
     for proc, (kept, _, _) in zip(procs, built):
@@ -583,25 +577,20 @@ def _assign_chunk(spec: ExperimentSpec, procs, rs: range, Xs: list) -> list:
     return [(kept, batch, roots, out) for (kept, batch, roots), out in zip(built, outs)]
 
 
-def _chunk_inputs(spec: ExperimentSpec, proc: ProcedureSpec, fspec, Xs: list) -> tuple:
-    """A feature map's engine batch for a chunk's covariates: the kept indices
-    into ``Xs`` (features that do not raise ``DomainError``), their stacked
-    inputs, and the sqrt-weights of an indicator map, which enters as level
-    columns (None otherwise).  Complete randomization's inputs have no columns."""
-    levels = isinstance(fspec, (Stratified, Marginal, HuHu))
-    width = 0 if fspec is None else input_width(fspec)
-    batch = np.zeros((len(Xs), spec.n, width), dtype=np.int32 if levels else float)
-    roots, kept = None, []
-    for k, X in enumerate(Xs):
-        try:
-            if levels:
-                batch[k], roots = level_columns(fspec, _observed(fspec, spec.setting, X))
-            elif fspec is not None:
-                batch[k] = build_phi(proc, spec.setting, X)
-            kept.append(k)
-        except DomainError:
-            pass
-    return kept, batch if len(kept) == len(Xs) else batch[kept], roots
+def _chunk_inputs(spec: ExperimentSpec, proc: ProcedureSpec, fspec, X) -> tuple:
+    """A feature map's engine batch for a chunk's (m, n, p) covariates, in one
+    call on the stack: the kept indices into ``X`` (trials with finite
+    features: all under an indicator map, as drawn covariates are on their
+    levels), their inputs, and an indicator map's sqrt-weights, which enters
+    as level columns (None otherwise).  CR's inputs have no columns."""
+    batch, roots = np.zeros((len(X), spec.n, 0)), None
+    if isinstance(fspec, Composite):
+        batch = build_phi(proc, spec.setting, X)
+    elif fspec is not None:
+        cols, roots = level_columns(fspec, _observed(fspec, spec.setting, X))
+        batch = cols.astype(np.int32)
+    kept = np.flatnonzero(np.isfinite(batch).all(axis=(1, 2))).tolist()
+    return kept, batch if len(kept) == len(X) else batch[kept], roots
 
 
 def _power_tests(spec: ExperimentSpec, proc: ProcedureSpec) -> tuple:
@@ -654,14 +643,15 @@ def _power_rows(spec: ExperimentSpec, rs: range) -> list:
     width = len(classes) * (widest + 3)  # each class's design and y
     step = max(1, _STACK_BYTES // (8 * spec.n * width))  # replicates analysed together
     rows = [(proc.name, rs, np.full((len(rs), len(_cells(spec, proc))), np.nan)) for proc in procs]
-    Xs = [_covariates(spec, r) for r in rs]
-    noises = [draw_noise(model0, spec.n, _stream(spec.base_seed, r, _TAG_NOISE)) for r in rs]
-    runs = _assign_chunk(spec, procs, rs, Xs)
+    X = np.stack([_covariates(spec, r) for r in rs])
+    noise = np.stack([draw_noise(model0, spec.n, _stream(spec.base_seed, r, _TAG_NOISE))
+                      for r in rs])
+    runs = _assign_chunk(spec, procs, rs, X)
     for proc, (*_, values), (kept, inputs, roots, assigns) in zip(procs, rows, runs):
         boots = _boot_resamples(spec, proc, [rs[k] for k in kept], inputs, roots)
         for b in range(0, len(kept), step):  # the kept replicates, block by block
             ks, cut = kept[b : b + step], slice(b, b + step)
-            args = [rs[k] for k in ks], [Xs[k] for k in ks], [noises[k] for k in ks]
+            args = [rs[k] for k in ks], X[ks], noise[ks]
             stats = _power_statistics(spec, classes, lblock, proc, _power_tests(spec, proc), *args,
                                       inputs[cut], roots, assigns[cut], boots).reshape(len(ks), -1)
             values[ks] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
@@ -679,29 +669,30 @@ def _boot_resamples(spec, proc, rs, inputs, roots):
     return rerandomized_resamples(inputs, proc.policy, spec.bootstrap_size, rngs, roots)
 
 
-def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs, roots, assigns,
+def _power_statistics(spec, classes, lblock, proc, tests, rs, X, noise, inputs, roots, assigns,
                       boots):
     """The (replicates, deltas, working models, ``tests``) statistics of a
     block of a chunk's kept replicates ``rs`` under one procedure (their
-    rows ``inputs`` of its engine batch, sqrt-weights ``roots``), NaN where a
-    fit or estimator fails.  Every class's working models are fitted in one
-    ``lse_fit`` call on the replicates' stacked datasets.  ``t_mb`` and
-    ``t_mbj`` make one estimator call over those fits (``_estimates``), and
-    so does ``t_reg``, on SR's stratum labels, a composite map's ``inputs``
-    themselves, and otherwise the dense features of the level columns;
-    ``t_mbb`` and ``t_boot`` make one per replicate, on the datasets of its
-    fits that did not fail, built once for both on one t and one y per class
-    (``t_boot`` on the next of ``boots``, the chunk's iterator of resamples,
-    ``_boot_resamples``), and the logistic tests one per replicate and
-    class.  Each test's statistics are one ``wald_statistics`` call on the
-    block's effect estimates and scales."""
+    (m, n, p) covariates ``X``, (m, n) noise, rows ``inputs`` of its engine
+    batch, sqrt-weights ``roots``), NaN where a fit or estimator fails.
+    Each class's responses are one ``responses_given_noise`` call, and every
+    class's working models are fitted in one ``lse_fit`` call on the stacked
+    datasets.  ``t_mb`` and ``t_mbj`` make one estimator call over those fits
+    (``_estimates``), and so does ``t_reg``, on SR's stratum labels, a
+    composite map's ``inputs`` themselves, and otherwise the dense features
+    of the level columns; ``t_mbb`` and ``t_boot`` make one per replicate, on
+    the datasets of its fits that did not fail, built once for both on one t
+    and one y per class (``t_boot`` on the next of ``boots``, the chunk's
+    iterator of resamples, ``_boot_resamples``), and the logistic tests one
+    per replicate and class.  Each test's statistics are one
+    ``wald_statistics`` call on the block's effect estimates and scales."""
     shape = (len(rs), len(spec.deltas), len(spec.working_models))
     treat = (assigns == 0).astype(float)
     widest = max((_WORKING_MODELS[wm] for wm in spec.working_models), key=len)
-    x = np.stack([X[:, list(widest)] for X in Xs])  # each working model's covariates a prefix
+    x = np.asarray(X)[..., list(widest)]  # each working model's covariates a prefix
     ys, datas, runs = [], [], []  # runs: (slice of deltas, shifts, working model index) per fit
     for model, dis, shifts in classes:
-        ys.append(np.stack([responses_given_noise(model, *a) for a in zip(Xs, treat, noises)]))
+        ys.append(responses_given_noise(model, X, treat, noise))
         for wi, wm in enumerate(spec.working_models):
             datas.append(TrialDataset(y=ys[-1], t=treat, x_obs=x[..., : len(_WORKING_MODELS[wm])]))
             runs.append((dis, shifts, wi))
@@ -718,8 +709,8 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, Xs, noises, inputs
         taus[:, dis, wi] = fit.tau_hat[:, None] + shifts
     for ti, test in enumerate(tests):
         if test in LOGISTIC_TESTS:  # the design ignores the working model: one fit per class
-            for j, (X, t) in enumerate(zip(Xs, treat)):
-                covariates = (X[:, spec.setting.observed_mask],) if test == "t_oracle" else ()
+            for j, (xj, t) in enumerate(zip(X, treat)):
+                covariates = (xj[:, spec.setting.observed_mask],) if test == "t_oracle" else ()
                 design = np.column_stack([np.ones(spec.n), t - 0.5, *covariates])
                 for y, (_, dis, _) in zip(ys, classes):
                     res = _attempt(logistic_wald_test, y[j], design, 1, spec.alpha, test)

@@ -116,6 +116,19 @@ class TestResponses:
         y2 = gen_responses(model, X, t, np.random.default_rng(9))
         np.testing.assert_array_equal(y1, y2)
 
+    @pytest.mark.parametrize(
+        "model", [LinearModel(mu1=0.5), HeteroscedasticModel(mu1=0.5), LogisticModel(mu1=0.5)],
+        ids=["linear", "hetero", "logistic"],
+    )
+    def test_a_stack_is_each_trial_alone(self, model):
+        rng = np.random.default_rng(10)
+        X, t = rng.normal(size=(4, 30, 3)), rng.integers(0, 2, size=(4, 30)).astype(float)
+        noise = np.stack([draw_noise(model, 30, rng) for _ in range(4)])
+        y, mean = responses_given_noise(model, X, t, noise), mean_response(model, X, t)
+        for k in range(4):
+            np.testing.assert_array_equal(y[k], responses_given_noise(model, X[k], t[k], noise[k]))
+            np.testing.assert_array_equal(mean[k], mean_response(model, X[k], t[k]))
+
 
 class TestLocalAlternative:
     def test_effect_rule(self):

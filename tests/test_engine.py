@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,6 +311,48 @@ class TestImbalanceMetrics:
         X = np.zeros((4, 1))
         with pytest.raises(DomainError):
             imbalance_metrics([0, 1, 0, 1], X, 2, (1,))
+
+    def test_zero_mean_square_trial_reads_nan_in_a_stack(self):
+        rng = np.random.default_rng(12)
+        X, a = rng.normal(size=(3, 20, 2)), rng.integers(0, 2, size=(3, 20))
+        X[1, :, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = imbalance_metrics(a, X, 2, (0, 1, 2))
+        assert np.isnan(got[1][1]) and not np.isnan(np.delete(got[1], 1)).any()
+        for k in (0, 2):
+            alone = imbalance_metrics(a[k], X[k], 2, (0, 1, 2))
+            assert [got[j][k] for j in (0, 1, 2)] == list(alone.values())
+        assert [got[0][1], got[2][1]] == list(imbalance_metrics(a[1], X[1], 2, (0, 2)).values())
+        with pytest.raises(DomainError, match="covariate 1 has zero mean square"):
+            imbalance_metrics(a[1], X[1], 2, (1,))
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_a_stack_is_each_trial_alone(self, T):
+        rng = np.random.default_rng(T)
+        X, a = rng.normal(1.0, 1.0, size=(7, 40, 3)), rng.integers(0, T, size=(7, 40))
+        got = imbalance_metrics(a, X, T)
+        assert list(got) == [0, 1, 2, 3]
+        for j, values in got.items():
+            assert values.shape == (7,)
+            assert values.tolist() == [imbalance_metrics(a[k], X[k], T)[j] for k in range(7)]
+
+    @pytest.mark.parametrize("treatments", [1, 2.5, np.nan], ids=["one", "fraction", "nan"])
+    def test_arm_count_must_be_whole(self, treatments):
+        with pytest.raises(DomainError, match="^arm count must be a whole number >= 2"):
+            imbalance_metrics([0, 1, 0, 1], np.ones((4, 1)), treatments, (0,))
+
+    @pytest.mark.parametrize("index", [-1, 1.5, 4, np.nan])
+    def test_metric_index_must_name_a_covariate(self, index):
+        """Index -1 is not covariate x3, and 1.5 is no covariate at all."""
+        X = np.random.default_rng(13).normal(size=(10, 3))
+        with pytest.raises(DomainError, match=r"^covariate index \S+ out of range"):
+            imbalance_metrics([0, 1] * 5, X, 2, (0, index))
+
+    def test_whole_float_metric_index_reads_as_a_covariate(self):
+        X = np.random.default_rng(14).normal(size=(10, 3))
+        a = [0, 1, 1, 0, 0, 0, 1, 1, 1, 0]
+        assert imbalance_metrics(a, X, 2, (2.0,))[2.0] == imbalance_metrics(a, X, 2, (2,))[2]
 
     def test_total_imbalance_helper(self):
         st = new_trial(2, 2)

@@ -94,6 +94,18 @@ class TestApply:
             with pytest.raises(DomainError, match="feature matrix is not finite"):
                 feature_matrix(Composite(terms=(Constant(1.0), term)), X)
 
+    @pytest.mark.parametrize("term", [Power(0, -1.0), Power(0, 0.5), Product(0, 0)])
+    def test_a_stack_returns_a_non_finite_trial_without_a_numpy_warning(self, term):
+        """In a stack the trial that one matrix would reject keeps its rows
+        as computed; the other trial's are its own matrix's."""
+        spec = Composite(terms=(Constant(1.0), term))
+        good, bad = np.full((3, 1), 2.0), np.array([[0.0], [-1.0], [1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = feature_matrix(spec, np.stack([good, bad]))
+        np.testing.assert_array_equal(phi[0], feature_matrix(spec, good))
+        assert not np.isfinite(phi[1]).all()
+
     def test_coordinate_out_of_range(self):
         spec = Composite(terms=(Identity(3),))
         with pytest.raises(DomainError):
@@ -266,6 +278,37 @@ class TestFeatureMatrix:
         spec = Marginal(coords=(0,), levels=((0.0, 1.0),))
         with pytest.raises(DomainError):
             feature_matrix(spec, np.array([[0.0], [7.0]]))
+        with pytest.raises(DomainError):  # in a stack too
+            feature_matrix(spec, np.array([[[0.0], [1.0]], [[0.0], [7.0]]]))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Stratified(coords=(0, 1), levels=((0.0, 1.0, 2.0), (0.0, 1.0))),
+            Marginal(coords=(1, 0), levels=((0.0, 1.0), (0.0, 1.0, 2.0)), weights=(2.0, 0.5)),
+            HuHu(coords=(0, 1), levels=((0.0, 1.0, 2.0), (0.0, 1.0)), w0=0.3,
+                 w_margins=(1.0, 2.0), w_stratum=0.5),
+            Composite(terms=(Constant(), Identity(2), Product(0, 2), Power(2, 3.0),
+                             Indicator(1, 1.0, 2.0))),
+        ],
+        ids=["stratified", "marginal", "huhu", "composite"],
+    )
+    def test_a_stack_is_each_matrix_alone(self, spec):
+        rng = np.random.default_rng(43)
+        X = np.stack(
+            [rng.integers(0, 3, size=(4, 25)), rng.integers(0, 2, size=(4, 25)),
+             rng.normal(size=(4, 25))], axis=-1
+        ).astype(float)
+        phi = feature_matrix(spec, X)
+        assert phi.shape == (4, 25, feature_dim(spec))
+        for k in range(4):
+            np.testing.assert_array_equal(phi[k], feature_matrix(spec, X[k]))
+        if not isinstance(spec, Composite):
+            cols, roots = level_columns(spec, X)
+            for k in range(4):
+                alone = level_columns(spec, X[k])
+                np.testing.assert_array_equal(cols[k], alone[0])
+                np.testing.assert_array_equal(roots, alone[1])
 
 
 class TestDiscretize:
@@ -300,6 +343,8 @@ class TestDiscretize:
             expected = [sum(v > t for t in th[:-1]) + int(v >= th[-1]) for v in vals]
             assert discretize_array(vals, th).tolist() == expected
             assert [discretize(v, th) for v in vals] == expected
+            stack = np.stack([vals, vals[::-1]])  # any shape, entry by entry
+            assert discretize_array(stack, th).tolist() == [expected, expected[::-1]]
 
 
 

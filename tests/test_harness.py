@@ -89,6 +89,17 @@ class TestPresets:
     def test_default_kappa(self):
         assert default_kappa(3) == (0.8, pytest.approx(0.1), pytest.approx(0.1))
 
+    def test_default_kappa_whole_float(self):
+        assert default_kappa(3.0) == (0.8, pytest.approx(0.1), pytest.approx(0.1))
+
+    @pytest.mark.parametrize("treatments", [1, 2.5, math.nan], ids=["one", "fraction", "nan"])
+    def test_arm_count_must_be_whole(self, treatments):
+        with pytest.raises(DomainError, match="^arm count must be a whole number >= 2"):
+            default_kappa(treatments)
+        if treatments != 1:
+            with pytest.raises(DomainError, match="^arm count must be a whole number >= 2"):
+                procedure_preset("PS", treatments)
+
     def test_two_arm_policies(self):
         assert isinstance(procedure_preset("SR").policy, EfronBiasedCoin)
         assert isinstance(procedure_preset("phi-CAR-Con").policy, TwoTreatmentContinuous)
@@ -599,9 +610,9 @@ class TestRunners:
         real = harness.build_phi
 
         def build_phi(proc, setting, X):
-            if X is Xs[2]:
-                raise DomainError("injected")
-            return real(proc, setting, X)
+            phi = real(proc, setting, X)
+            phi[2] = np.inf  # replicate 2's features are not finite
+            return phi
 
         monkeypatch.setattr(harness, "build_phi", build_phi)
         ((kept, kept_inputs, _, kept_assigns),) = harness._assign_chunk(spec, procs, rs, Xs)
@@ -1369,6 +1380,40 @@ RULES = {
 }
 
 
+class TestStackedChunk:
+    @pytest.mark.parametrize("kind", ["imbalance", "power"])
+    def test_one_call_per_chunk_and_map_or_procedure(self, kind, monkeypatch):
+        """A chunk builds each composite map's features in one call on its
+        stacked covariates (phi-CAR-BC and phi-CAR-Con share theirs), and an
+        imbalance chunk scores each procedure's trials in one call."""
+        names = ("CR", "SR", "PS", "phi-CAR-Ma", "phi-CAR-BC", "phi-CAR-Con")
+        spec = ExperimentSpec(
+            kind=kind, n=500, setting=CovariateSetting("S1"), replicates=140, base_seed=5,
+            procedures=tuple(procedure_preset(name) for name in names),
+            **(dict(model="setting1", tests=("t_ls",)) if kind == "power" else {}),
+        )
+        chunks = math.ceil(spec.replicates / engine.batch_size(spec.n, 4))  # 1 + x1..x3
+        assert chunks == 2
+        calls = {"build_phi": 0, "feature_matrix": 0, "imbalance_metrics": 0}
+
+        def counted(name):
+            real = getattr(harness, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counted(name))
+        table = harness._study(spec, kind, 1)
+        assert not table.failures
+        metrics = {"imbalance": chunks * len(names), "power": 0}[kind]
+        assert calls == {"build_phi": chunks * 2, "feature_matrix": chunks * 2,
+                         "imbalance_metrics": metrics}
+
+
 class TestSharedLoop:
     """A chunk's procedures advance in one unit loop: each procedure gets the
     assignments of a one-procedure ``simulate_assignments`` on its inputs and
@@ -1390,9 +1435,10 @@ class TestSharedLoop:
         real_phi = harness.build_phi
 
         def build_phi(proc, setting, X):
-            if X is Xs[2] and proc.feature == failing:
-                raise DomainError("injected")
-            return real_phi(proc, setting, X)
+            phi = real_phi(proc, setting, X)
+            if proc.feature == failing:
+                phi[2] = np.inf  # replicate 2's features are not finite
+            return phi
 
         calls = {}
 
