@@ -8,7 +8,8 @@ models, runs the requested tests, and reports rejection rates.  Under the
 linear models (setting1, setting2) delta shifts only the treated arm's mean,
 so each working model is fitted once per replicate and every delta's
 statistic is the shared fit's, with tau_hat + delta / sqrt(n); the logistic
-model is fitted per delta, and its logistic tests run once per delta.
+model is fitted per delta, and each logistic test is one stacked fit per
+delta (its design ignores the working model).
 
 A chunk is one stack: its covariates (and noise) are stacked once, and each
 feature map's engine inputs, each procedure's imbalance metrics and each
@@ -18,7 +19,9 @@ models are fitted in one ``lse_fit`` call on the stacked datasets (one Gram
 per chain of nested models), and ``t_reg``, ``t_mb`` and ``t_mbj`` each make
 one estimator call on the stacked fits (``t_reg`` on the features as the
 engine took them: it demeans within strata under SR, and under every other
-map regresses on the columns that span each replicate's features).  The
+map regresses on the columns that span each replicate's features), and
+``t_logi`` and ``t_oracle`` each one ``logistic_fit`` call per delta on the
+stacked logistic designs, a replicate's failed fit NaN in its cells.  The
 bootstraps make one call per replicate and procedure, over its fits, on one
 draw of resamples; a chunk's ``t_boot`` resamples are rerandomized together.
 Each test's statistics, replicates by deltas by working models, are one
@@ -97,7 +100,7 @@ from .inference import (
     TrialDataset,
     adjusted_test,
     block_length,
-    logistic_wald_test,
+    logistic_fit,
     lse_fit,
     reduce_columns,
     rerandomized_resamples,
@@ -512,12 +515,14 @@ def run_imbalance_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTa
 def _imbalance_rows(spec: ExperimentSpec, rs: range) -> list:
     """An imbalance study's rows of a range of replicates: per procedure, (its
     name, ``rs``, their (replicates, metrics) values) from one
-    ``imbalance_metrics`` call on its kept trials, NaN where one failed."""
+    ``imbalance_metrics`` call on its kept trials (``X`` itself, not a copy,
+    when every trial is kept), NaN where one failed."""
     X, rows = np.stack([_covariates(spec, r) for r in rs]), []
     runs = _assign_chunk(spec, spec.procedures, rs, X)
     for proc, (kept, *_, assigns) in zip(spec.procedures, runs):
         values = np.full((len(rs), len(spec.metrics)), np.nan)
-        got = imbalance_metrics(assigns, X[kept], spec.treatments, spec.metrics)
+        got = imbalance_metrics(assigns, X if len(kept) == len(X) else X[kept], spec.treatments,
+                                spec.metrics)
         values[kept] = np.column_stack(list(got.values()))
         rows.append((proc.name, rs, values))
     return rows
@@ -622,9 +627,10 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     is fitted per delta (``_fit_classes``).  A chunk's kept replicates are
     analysed together per procedure (``_power_statistics``), in blocks whose
     stacked designs stay within ``_STACK_BYTES``: one stacked fit, and one
-    estimator call per linear test (``t_reg`` under every feature map),
-    ``t_mbb`` and ``t_boot`` one per replicate, ``t_boot`` on resamples
-    rerandomized for the chunk first (``_boot_resamples``).
+    estimator call per linear test (``t_reg`` under every feature map), one
+    stacked ``logistic_fit`` per logistic test and class, ``t_mbb`` and
+    ``t_boot`` one per replicate, ``t_boot`` on resamples rerandomized for
+    the chunk first (``_boot_resamples``).
     """
     return _study(spec, "power", threads)
 
@@ -683,13 +689,16 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, X, noise, inputs, 
     of the level columns; ``t_mbb`` and ``t_boot`` make one per replicate, on
     the datasets of its fits that did not fail, built once for both on one t
     and one y per class (``t_boot`` on the next of ``boots``, the chunk's
-    iterator of resamples, ``_boot_resamples``), and the logistic tests one
-    per replicate and class.  Each test's statistics are one
-    ``wald_statistics`` call on the block's effect estimates and scales."""
+    iterator of resamples, ``_boot_resamples``).  Each logistic test is one
+    ``logistic_fit`` call per class on the block's stacked designs (an
+    intercept, t - 1/2 and, for ``t_oracle``, the observed covariates), its
+    treatment coefficient's Wald statistic read into every working model's
+    cell.  Each other test's statistics are one ``wald_statistics`` call on
+    the block's effect estimates and scales."""
     shape = (len(rs), len(spec.deltas), len(spec.working_models))
     treat = (assigns == 0).astype(float)
-    widest = max((_WORKING_MODELS[wm] for wm in spec.working_models), key=len)
-    x = np.asarray(X)[..., list(widest)]  # each working model's covariates a prefix
+    # each working model's covariates are a prefix of the widest's: viewed, not copied
+    x = np.asarray(X)[..., : max(len(_WORKING_MODELS[wm]) for wm in spec.working_models)]
     ys, datas, runs = [], [], []  # runs: (slice of deltas, shifts, working model index) per fit
     for model, dis, shifts in classes:
         ys.append(responses_given_noise(model, X, treat, noise))
@@ -709,12 +718,10 @@ def _power_statistics(spec, classes, lblock, proc, tests, rs, X, noise, inputs, 
         taus[:, dis, wi] = fit.tau_hat[:, None] + shifts
     for ti, test in enumerate(tests):
         if test in LOGISTIC_TESTS:  # the design ignores the working model: one fit per class
-            for j, (xj, t) in enumerate(zip(X, treat)):
-                covariates = (xj[:, spec.setting.observed_mask],) if test == "t_oracle" else ()
-                design = np.column_stack([np.ones(spec.n), t - 0.5, *covariates])
-                for y, (_, dis, _) in zip(ys, classes):
-                    res = _attempt(logistic_wald_test, y[j], design, 1, spec.alpha, test)
-                    stats[j, dis, :, ti] = getattr(res, "statistic", np.nan)
+            cols = spec.setting.observed_mask if test == "t_oracle" else []
+            design = np.dstack([np.ones_like(treat), treat - 0.5, np.asarray(X)[..., cols]])
+            for y, (_, dis, _) in zip(ys, classes):
+                stats[:, dis, :, ti] = logistic_fit(y, design).wald[:, 1, None, None]
             continue
         if test in RNG_TESTS:  # the variance estimates per fit, replicate and shift
             vs = np.full((len(fits), len(rs), len(classes[0][2])), np.nan)

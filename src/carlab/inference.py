@@ -47,10 +47,15 @@ drawn from its stream, the rerandomizing bootstrap's from
 together, in shared engine batches, each replicate reading its own stream,
 refills too; a single call and ``carlab analyze`` use a group of one.
 
-Single systems (the working-model fit and each logistic iteration) go
-through one guarded LU solve, ``_solve``, which also returns the inverse for
-a reciprocal-condition guard at 1e-12: a failing design raises instead of
-silently switching to a pseudo-inverse, and in a stack of systems reads NaN.
+``logistic_fit`` takes a stack too, y (m, n) and design (m, n, k): each
+IRLS iteration is one batched step over the trials still iterating, and a
+trial stops at the iteration where its one-fit call would stop.
+
+Single systems (the working-model fit and each logistic iteration of one
+trial, or of every trial of a stack at once) go through one guarded LU
+solve, ``_solve``, which also returns the inverse for a reciprocal-condition
+guard at 1e-12: a failing design raises instead of silently switching to a
+pseudo-inverse, and in a stack of systems reads NaN.
 The residual regression needs only the span of the features, which
 indicator maps make rank-deficient by construction: one sweep of their Gram
 (``_spanned``) skips each column within rounding of the span of those before
@@ -69,6 +74,7 @@ from operator import itemgetter
 import numpy as np
 
 from ._normal import normal_quantile, two_sided_p_value
+from .allocation import _count
 from .engine import batch_size, simulate_assignments
 from .errors import DomainError, EstimatorError, FitError
 
@@ -752,44 +758,60 @@ def adjusted_test(
 
 
 def logistic_fit(y: np.ndarray, design: np.ndarray, max_iter: int = 50) -> LogisticFit:
-    """Logistic regression by iteratively reweighted least squares.
+    """Logistic regression by iteratively reweighted least squares, of one
+    trial, y (n,) and design (n, k), or of a stack, y (m, n) and design
+    (m, n, k), every array of a stack's result with a leading trial axis.
 
     Convergence is declared when the deviance changes by less than 1e-10
     between successive iterates; the last iterate is returned with the
-    standard errors and deviance evaluated at it.  Complete separation
-    (diverging coefficients or a degenerate response) raises instead of
-    returning a garbage fit.
+    standard errors and deviance evaluated at it, and a converged system is
+    iterated no further.  Complete separation (diverging coefficients or a
+    degenerate response), a weighted design failing ``_solve``'s guard, and
+    no convergence in ``max_iter`` iterations raise ``FitError`` instead of
+    returning a garbage fit; a stack's such trials read NaN while the others
+    stand (``iterations`` counts the iterations each trial ran).
     """
+    max_iter = _count(max_iter, 1, "iteration cap")
     y = np.asarray(y, dtype=float)
     X = np.asarray(design, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[1] == 0:
-        raise DomainError("design must be an (n, k) matrix matching y, k >= 1")
+    if not 0 < y.ndim == X.ndim - 1 < 3 or X.shape[:-1] != y.shape or X.shape[-1] == 0:
+        raise DomainError("design must be an (n, k) matrix matching y, k >= 1, or a stack of them")
     _check_finite(y=y, design=X)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DomainError("responses must be 0/1")
-    if y.min() == y.max():
+    one, Y, X = y.ndim == 1, np.atleast_2d(y), X.reshape((-1,) + X.shape[-2:])
+    live = Y.min(axis=-1) < Y.max(axis=-1)  # identical responses: separation
+    if one and not live[0]:
         raise FitError("all responses identical: separation")
-    beta = np.zeros(X.shape[1])
-    dev_prev = math.inf
+    m, k, at = len(X), X.shape[-1], 0 if one else Ellipsis  # one system raises as it fails
+    beta, cov, dev = np.zeros((m, k)), np.empty((m, k, k)), np.full(m, math.inf)
+    its, good = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
     for it in range(1, max_iter + 1):
-        eta = np.clip(X @ beta, -30.0, 30.0)
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        Xs, ys = X[idx], Y[idx]
+        eta = np.clip((Xs @ beta[idx, :, None])[..., 0], -30.0, 30.0)
         p = 1.0 / (1.0 + np.exp(-eta))
         w = np.clip(p * (1.0 - p), 1e-10, None)
-        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
-        dev = -2.0 * float(y @ np.log(pc) + (1.0 - y) @ np.log(1.0 - pc))
-        z = eta + (y - p) / w
+        pc = np.clip(p, 1e-12, 1.0 - 1e-12)[..., None]
+        d = -2.0 * (ys[:, None] @ np.log(pc) + (1.0 - ys)[:, None] @ np.log(1.0 - pc))[:, 0, 0]
+        z = eta + (ys - p) / w
         # the next iterate, and the covariance at this one
-        step, cov = _solve(X.T @ (w[:, None] * X), X.T @ (w * z), FitError, "weighted design")
-        if abs(dev - dev_prev) < 1e-10:
-            se = np.sqrt(np.diag(cov))
-            return LogisticFit(
-                coef=beta, se=se, wald=beta / se, iterations=it, deviance=dev
-            )
-        dev_prev = dev
-        beta = step
-        if np.max(np.abs(beta)) > 30.0:
-            raise FitError("diverging coefficients: separation")
-    raise FitError(f"no convergence in {max_iter} iterations")
+        G, b = Xs.swapaxes(-1, -2) @ (w[..., None] * Xs), ((w * z)[:, None] @ Xs)[:, 0]
+        step, inv = _solve(G[at], b[at], FitError, "weighted design")
+        step, inv, conv = step.reshape(b.shape), inv.reshape(G.shape), np.abs(d - dev[idx]) < 1e-10
+        good[idx], cov[idx], dev[idx], its[idx] = conv & ~np.isnan(step[:, 0]), inv, d, it
+        beta[idx] = np.where(conv[:, None], beta[idx], step)
+        live[idx] = ~conv & (np.abs(step) <= 30.0).all(-1)  # a NaN step leaves as a diverging one
+    if one and not good[0]:
+        raise FitError(f"no convergence in {max_iter} iterations" if live[0]
+                       else "diverging coefficients: separation")
+    beta[~good], cov[~good], dev[~good] = np.nan, np.nan, np.nan
+    se = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    if one:
+        return LogisticFit(beta[0], se[0], beta[0] / se[0], int(its[0]), float(dev[0]))
+    return LogisticFit(beta, se, beta / se, its, dev)
 
 
 def logistic_wald_test(
@@ -799,10 +821,15 @@ def logistic_wald_test(
     alpha: float = 0.05,
     method: str = "t_logi",
 ) -> TestResult:
-    """Wald z-test for one coefficient of a logistic fit.
+    """Wald z-test for one coefficient (``contrast``, in 0 .. k - 1) of the
+    logistic fit of one trial, y (n,) and design (n, k).
 
     With the treatment column coded as (t - 1/2), the tested coefficient is
     the difference of the two arm effects.
     """
-    fit = logistic_fit(y, design)
-    return _wald_result(float(fit.wald[contrast]), alpha, method)
+    if np.ndim(y) != 1:
+        raise DomainError(f"a Wald test takes one trial's responses (n,), got shape {np.shape(y)}")
+    fit, k = logistic_fit(y, design), np.shape(design)[-1]
+    if _count(contrast, 0, "contrast") >= k:
+        raise DomainError(f"contrast must be below the design's {k} columns, got {contrast!r}")
+    return _wald_result(float(fit.wald[int(contrast)]), alpha, method)

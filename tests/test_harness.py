@@ -1112,9 +1112,9 @@ class TestFitCount:
         assert sum(calls) == 5 * 2 * 2 * per_delta  # fitted systems
 
     def test_one_logistic_fit_per_delta(self, monkeypatch):
-        """The logistic tests' design ignores the working model, so each runs
-        once per (replicate, procedure, delta) and fills every working model's
-        cell."""
+        """The logistic tests' design ignores the working model, so each is
+        one stacked fit per (block, procedure, delta), one trial per
+        replicate, and fills every working model's cell."""
         spec = ExperimentSpec(
             kind="power",
             n=100,
@@ -1129,14 +1129,15 @@ class TestFitCount:
         )
         calls = []
 
-        def counting(*args):
-            calls.append(args[-1])
-            return inference.logistic_wald_test(*args)
+        def counting(y, design):
+            calls.append((design.shape[-1], len(y)))
+            return inference.logistic_fit(y, design)
 
-        monkeypatch.setattr(harness, "logistic_wald_test", counting)
+        monkeypatch.setattr(harness, "logistic_fit", counting)
         slots = _slot_rows(spec)
-        assert sorted(set(calls)) == ["t_logi", "t_oracle"]
-        assert len(calls) == 4 * 2 * 2 * 2
+        assert sorted(set(k for k, _ in calls)) == [2, 5]  # t_logi's design, t_oracle's
+        assert len(calls) == 2 * 2 * 2  # one chunk and one block: per (procedure, delta, test)
+        assert sum(m for _, m in calls) == 4 * 2 * 2 * 2  # the stacked trials: one fit each
         for rows in slots.values():  # (delta, working model, test) cells
             cells = rows.reshape(spec.replicates, 2, 3, 4)
             for ti in (1, 2):

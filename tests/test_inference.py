@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -1010,6 +1011,84 @@ class TestLogistic:
         design = np.column_stack([np.ones(n), x])
         with pytest.raises(FitError):
             logistic_fit(y, design)
+
+    @staticmethod
+    def _stack(m=6, n=50, seed=41):
+        rng = np.random.default_rng(seed)
+        t = (rng.random((m, n)) < 0.5).astype(float)
+        x = rng.normal(size=(m, n))
+        eta = 0.3 + 1.2 * (t - 0.5) + 0.8 * x
+        y = (rng.random((m, n)) < 1 / (1 + np.exp(-eta))).astype(float)
+        return y, np.stack([np.ones((m, n)), t - 0.5, x], axis=-1)
+
+    def test_a_stack_is_each_trial_alone(self):
+        y, design = self._stack()
+        fit = logistic_fit(y, design)
+        assert fit.coef.shape == fit.se.shape == fit.wald.shape == (6, 3)
+        for i in range(6):
+            one = logistic_fit(y[i], design[i])
+            assert fit.iterations[i] == one.iterations
+            np.testing.assert_allclose(fit.coef[i], one.coef, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(fit.se[i], one.se, rtol=1e-12, atol=0)
+            assert fit.deviance[i] == pytest.approx(one.deviance, rel=1e-12, abs=0)
+
+    def test_a_stack_fails_trial_by_trial(self):
+        """Trials that would raise alone (identical responses, a perfectly
+        separated response, an exactly collinear column) read NaN, and the
+        others stand, with no warning."""
+        y, design = self._stack()
+        y[1] = 1.0
+        y[3] = design[3, :, 2] > 0
+        design[4, :, 2] = 2.0 * design[4, :, 1]
+        for i in (1, 3, 4):
+            with pytest.raises(FitError):
+                logistic_fit(y[i], design[i])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = logistic_fit(y, design)
+        for a in (fit.coef, fit.se, fit.wald):
+            np.testing.assert_array_equal(np.isnan(a).any(axis=-1), [0, 1, 0, 1, 1, 0])
+        np.testing.assert_array_equal(np.isnan(fit.deviance), [0, 1, 0, 1, 1, 0])
+        for i in (0, 2, 5):
+            np.testing.assert_allclose(fit.coef[i], logistic_fit(y[i], design[i]).coef,
+                                       rtol=1e-12, atol=0)
+
+    def test_one_solve_per_iteration_of_the_slowest_trial(self, monkeypatch):
+        calls, solve = [], inference._solve
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return solve(*args)
+
+        monkeypatch.setattr(inference, "_solve", counted)
+        y, design = self._stack()
+        fit = logistic_fit(y, design)
+        assert len(calls) == fit.iterations.max() > fit.iterations.min()
+        # each iteration solves the trials still iterating
+        assert calls == [int((fit.iterations >= it).sum()) for it in range(1, len(calls) + 1)]
+
+    @pytest.mark.parametrize("max_iter", [2.5, float("nan"), 0, "3", None])
+    def test_rejects_a_bad_iteration_cap(self, max_iter):
+        y, design = self._stack(m=1)
+        with pytest.raises(DomainError, match="^iteration cap must be a whole number"):
+            logistic_fit(y[0], design[0], max_iter=max_iter)
+
+    @pytest.mark.parametrize("contrast", [5, 3, -1, 1.5, float("nan"), "1"])
+    def test_wald_test_rejects_a_bad_contrast(self, contrast):
+        y, design = self._stack(m=1)
+        with pytest.raises(DomainError, match="^contrast must be"):
+            logistic_wald_test(y[0], design[0], contrast=contrast)
+
+    def test_wald_test_rejects_a_stack(self):
+        y, design = self._stack(m=2)
+        with pytest.raises(DomainError, match="^a Wald test takes one trial"):
+            logistic_wald_test(y, design)
+
+    def test_wald_test_reads_the_named_contrast(self):
+        y, design = self._stack(m=1)
+        fit = logistic_fit(y[0], design[0])
+        for c in (0, 1, 2, 2.0):
+            assert logistic_wald_test(y[0], design[0], contrast=c).statistic == fit.wald[int(c)]
 
 
 class TestNonFiniteInput:
