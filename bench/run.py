@@ -15,10 +15,13 @@ each power config records
 ``power_statistics_us``, the statistics layer: the time of a power run over
 the config's first 64 replicates, one chunk, less its ``harness._assign_chunk``
 calls, per (replicate, procedure), the median of 3 runs, also in a fresh
-process.  Every record also holds ``rule_us``, the allocation-rule layer:
-for each built-in state-carrying policy, the median time of one
-``engine._thresholds`` call on a fixed (131, T) d over 2,000 calls, after one
-untimed call, in a fresh process.  ``power_setting1.cfg`` also runs once
+process, and ``engine_calls``, that run's ``simulate_assignments`` calls
+through ``harness`` and ``inference``.  A ``t_boot`` procedure's first engine
+batch of resamples runs inside ``_assign_chunk``, so ``power_statistics_us``
+leaves that batch out.  Every record also holds ``rule_us``, the
+allocation-rule layer: for each built-in state-carrying policy, the median
+time of one ``engine._thresholds`` call on a fixed (131, T) d over 2,000
+calls, after one untimed call, in a fresh process.  ``power_setting1.cfg`` also runs once
 more with ``--threads 2`` (``threads2``: its wall time, peak resident memory,
 exit code and whether its CSV SHA-256 equals the serial run's; a mismatch
 fails the script).  Records are kept in one JSON file under a label, so one
@@ -134,10 +137,13 @@ print(json.dumps({"engine_step_us": 1e6 * statistics.median(steps[1:]) / units,
 
 # One statistics probe: a power run over the config's first 64 replicates
 # (one chunk) timed less its ``harness._assign_chunk`` calls, in microseconds
-# per (replicate, procedure), the median of 3 runs after an untimed one.
+# per (replicate, procedure), the median of 3 runs after an untimed one, and
+# the run's engine calls (``simulate_assignments`` through ``harness`` and
+# ``inference``).  The timed-out ``_assign_chunk`` holds, besides the chunk's
+# assignments, each ``t_boot`` procedure's first engine batch of resamples.
 _POWER_STATISTICS = """
-import dataclasses, statistics, sys, time
-from carlab import config, harness
+import dataclasses, json, statistics, sys, time
+from carlab import config, harness, inference
 with open(sys.argv[1], encoding="utf-8") as fh:
     spec = config.load_config(fh.read())
 spec = dataclasses.replace(spec, replicates=min(64, spec.replicates))
@@ -148,14 +154,22 @@ def timed(*args):
     assign.append(time.perf_counter() - t0)
     return out
 harness._assign_chunk = timed
+calls = []
+for module in (harness, inference):
+    def counted(*args, engine=module.simulate_assignments, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+    module.simulate_assignments = counted
 runs = spec.replicates * sum(1 for p in spec.procedures if harness._power_tests(spec, p))
 times = []
 for _ in range(4):
     assign.clear()
+    calls.clear()
     t0 = time.perf_counter()
     harness.run_power_experiment(spec)
     times.append(time.perf_counter() - t0 - sum(assign))
-print(1e6 * statistics.median(times[1:]) / runs)
+print(json.dumps({"power_statistics_us": 1e6 * statistics.median(times[1:]) / runs,
+                  "engine_calls": len(calls)}))
 """
 
 
@@ -221,7 +235,7 @@ def _run_config(cfg: Path, quick: bool, env, work: Path, threads: int = 1) -> di
     if kind == "imbalance":  # runs that are mostly engine
         row.update({k: round(v, 4) for k, v in _probe(_ENGINE_STEP, env, cfg).items()})
     elif threads == 1:
-        row["power_statistics_us"] = round(_probe(_POWER_STATISTICS, env, cfg), 4)
+        row.update({k: round(v, 4) for k, v in _probe(_POWER_STATISTICS, env, cfg).items()})
     return row
 
 

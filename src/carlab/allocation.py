@@ -129,14 +129,14 @@ def _validate_kappa(kappa):
         raise DomainError(f"rank probabilities must sum to 1, got {sum(kappa)!r}")
 
 
-def _count(value, least: int, what: str) -> int:
-    """``value`` as an int: a whole number of at least ``least``."""
+def _count(value, least: int, what: str, error=DomainError) -> int:
+    """``value`` as an int: a whole number of at least ``least``, else ``error``."""
     try:
         whole = math.isfinite(value) and int(value) == value >= least
     except (TypeError, ValueError):
         whole = False
     if not whole:
-        raise DomainError(f"{what} must be a whole number >= {least}, got {value!r}")
+        raise error(f"{what} must be a whole number >= {least}, got {value!r}")
     return int(value)
 
 

@@ -23,7 +23,8 @@ map regresses on the columns that span each replicate's features), and
 ``t_logi`` and ``t_oracle`` each one ``logistic_fit`` call per delta on the
 stacked logistic designs, a replicate's failed fit NaN in its cells.  The
 bootstraps make one call per replicate and procedure, over its fits, on one
-draw of resamples; a chunk's ``t_boot`` resamples are rerandomized together.
+draw of resamples; a chunk's ``t_boot`` resamples are rerandomized together,
+each procedure's first engine batch of them in the chunk's own engine call.
 Each test's statistics, replicates by deltas by working models, are one
 ``wald_statistics`` call, a failed fit or estimate reading NaN in its own
 cells.  Only ``carlab analyze`` builds test results (``run_test``), through
@@ -35,11 +36,13 @@ Determinism: every replicate draws from generators seeded by mixing
 count and of which other procedures or tests appear in the run; a
 resampling test's stream, one per (replicate, procedure, test), serves every
 delta and working model.  Replicates run in consecutive chunks, and one
-engine call randomizes every procedure's trials of a chunk in one unit loop;
-a trial's assignments do not depend on the rest of the call.  A chunk is a
-function of (spec, range of replicates) that returns its replicates' rows;
-the study alone writes them into per-replicate slots and folds these in
-slot order, so identical (config, seed) produce identical output bytes.
+engine call randomizes every procedure's trials of a chunk in one unit loop,
+and in a power study also the first batch of each ``t_boot`` procedure's
+resamples; a trial's assignments do not depend on the rest of the call.  A
+chunk is a function of (spec, range of replicates) that returns its
+replicates' rows; the study alone writes them into per-replicate slots and
+folds these in slot order, so identical (config, seed) produce identical
+output bytes.
 
 Procedure presets mirror the standard comparison set: complete randomization
 (CR), stratified biased-coin randomization on discretized covariates (SR),
@@ -98,12 +101,12 @@ from .features import (
 )
 from .inference import (
     TrialDataset,
+    _resampling,
     adjusted_test,
     block_length,
     logistic_fit,
     lse_fit,
     reduce_columns,
-    rerandomized_resamples,
     shifted_value,
     sigma_tau_bootstrap,
     sigma_tau_mb,
@@ -299,8 +302,7 @@ def check_test_params(alpha: float, bootstrap_size: int):
     """Level and bootstrap size of the tests, for a power study or an analysis."""
     if not (0.0 < alpha <= 0.5):
         raise ConfigError(f"alpha must lie in (0, 0.5], got {alpha}")
-    if bootstrap_size < 2:
-        raise ConfigError(f"bootstrap_size must be >= 2, got {bootstrap_size}")
+    _count(bootstrap_size, 2, "bootstrap_size", ConfigError)
 
 
 def check_grids(grids: dict):
@@ -560,26 +562,37 @@ def _assign_chunk(spec: ExperimentSpec, procs, rs: range, X) -> list:
     three as ``_chunk_inputs`` gives them and ``assigns`` (kept, n).  Procedures
     with the same feature map share its batch, and each replicate draws its
     uniforms from its own procedure stream.  A replicate whose features are
-    not finite is not kept, so it fails in that procedure's cells only."""
+    not finite is not kept, so it fails in that procedure's cells only.  In a
+    power study the call also rerandomizes each ``t_boot`` procedure's first
+    engine batch of resamples (``_boot_resamples``), and each run ends in its
+    kept replicates' iterator of resamples (None without ``t_boot``).  Those
+    resamples are the ones ``rerandomized_resamples`` gives, up to the padding
+    rounding noted in ``engine._simulate``: their rows are padded to the
+    widest input of the call."""
+    if not procs:  # a power study none of whose procedures has a test
+        return []
     fspecs = [feature_spec(proc, spec.setting) for proc in procs]
     maps = {}  # feature map -> (kept replicates, batch, roots)
     for proc, fspec in zip(procs, fspecs):
         if fspec not in maps:
             maps[fspec] = _chunk_inputs(spec, proc, fspec, X)
     built = [maps[fspec] for fspec in fspecs]
-    uniforms = []
-    for proc, (kept, _, _) in zip(procs, built):
-        uniforms.append(np.empty((len(kept), spec.n)))
+    groups, firsts, resumes = [], [], []  # engine groups: (inputs, policy, uniforms, roots)
+    for i, (proc, (kept, batch, roots)) in enumerate(zip(procs, built)):
+        uniforms = np.empty((len(kept), spec.n))
         for j, k in enumerate(kept):
-            uniforms[-1][j] = _stream(spec.base_seed, rs[k], _name_tag(proc.name)).random(spec.n)
-    outs = simulate_assignments(
-        Inputs(batch for _, batch, _ in built),
-        tuple(proc.policy for proc in procs),
-        spec.treatments,
-        uniforms=uniforms,
-        weights=[roots for *_, roots in built],
-    )
-    return [(kept, batch, roots, out) for (kept, batch, roots), out in zip(built, outs)]
+            uniforms[j] = _stream(spec.base_seed, rs[k], _name_tag(proc.name)).random(spec.n)
+        groups.append((batch, proc.policy, uniforms, roots))
+        drawn = _boot_resamples(spec, proc, [rs[k] for k in kept], batch, roots)
+        if drawn:  # t_boot's first batch of resamples joins the call; its arms resume them
+            firsts.append((drawn[0], proc.policy, drawn[1], roots))
+            resumes.append((i, drawn[2]))
+    inputs, policies, uniforms, weights = zip(*groups, *firsts)
+    outs = simulate_assignments(Inputs(inputs), policies, spec.treatments, uniforms=uniforms,
+                                weights=weights)
+    runs = [(kept, batch, roots, out) for (kept, batch, roots), out in zip(built, outs)]
+    boots = {i: resume(arms) for (i, resume), arms in zip(resumes, outs[len(procs) :])}
+    return [run + (boots.get(i),) for i, run in enumerate(runs)] if spec.kind == "power" else runs
 
 
 def _chunk_inputs(spec: ExperimentSpec, proc: ProcedureSpec, fspec, X) -> tuple:
@@ -630,7 +643,8 @@ def run_power_experiment(spec: ExperimentSpec, threads: int = 1) -> ResultTable:
     estimator call per linear test (``t_reg`` under every feature map), one
     stacked ``logistic_fit`` per logistic test and class, ``t_mbb`` and
     ``t_boot`` one per replicate, ``t_boot`` on resamples rerandomized for
-    the chunk first (``_boot_resamples``).
+    the chunk first (``_boot_resamples``): each procedure's first engine batch
+    of them in the chunk's engine call (``_assign_chunk``), the rest as read.
     """
     return _study(spec, "power", threads)
 
@@ -653,11 +667,11 @@ def _power_rows(spec: ExperimentSpec, rs: range) -> list:
     noise = np.stack([draw_noise(model0, spec.n, _stream(spec.base_seed, r, _TAG_NOISE))
                       for r in rs])
     runs = _assign_chunk(spec, procs, rs, X)
-    for proc, (*_, values), (kept, inputs, roots, assigns) in zip(procs, rows, runs):
-        boots = _boot_resamples(spec, proc, [rs[k] for k in kept], inputs, roots)
+    for proc, (*_, values), (kept, inputs, roots, assigns, boots) in zip(procs, rows, runs):
+        Xk, noisek = (X, noise) if len(kept) == len(X) else (X[kept], noise[kept])  # views
         for b in range(0, len(kept), step):  # the kept replicates, block by block
             ks, cut = kept[b : b + step], slice(b, b + step)
-            args = [rs[k] for k in ks], X[ks], noise[ks]
+            args = [rs[k] for k in ks], Xk[cut], noisek[cut]
             stats = _power_statistics(spec, classes, lblock, proc, _power_tests(spec, proc), *args,
                                       inputs[cut], roots, assigns[cut], boots).reshape(len(ks), -1)
             values[ks] = np.where(np.isnan(stats), np.nan, abs(stats) >= crit)
@@ -665,14 +679,17 @@ def _power_rows(spec: ExperimentSpec, rs: range) -> list:
 
 
 def _boot_resamples(spec, proc, rs, inputs, roots):
-    """Per kept replicate ``rs`` of a chunk, in order: the resamples
-    ``rerandomized_resamples`` draws from its ``t_boot`` stream as they are
-    read, on its row of the batch ``inputs`` (sqrt-weights ``roots``), the
-    chunk's first B resamples rerandomized together (None without ``t_boot``)."""
-    if "t_boot" not in _power_tests(spec, proc):
-        return itertools.repeat(None)
+    """The draw half (``_resampling``) of the ``t_boot`` resamples of a chunk's
+    kept replicates ``rs``, each on its row of the batch ``inputs``
+    (sqrt-weights ``roots``) and drawn from its ``t_boot`` stream: the input
+    rows and uniforms of their first engine batch, which ``_assign_chunk``
+    stacks in the chunk's engine call, and the function that takes that
+    batch's arms and returns each replicate's iterator of resamples, in
+    order (None outside a power study, without ``t_boot`` or kept replicates)."""
+    if spec.kind != "power" or "t_boot" not in _power_tests(spec, proc) or not rs:
+        return None
     rngs = [_stream(spec.base_seed, r, _name_tag(proc.name, "t_boot")) for r in rs]
-    return rerandomized_resamples(inputs, proc.policy, spec.bootstrap_size, rngs, roots)
+    return _resampling(inputs, proc.policy, spec.bootstrap_size, rngs, roots)
 
 
 def _power_statistics(spec, classes, lblock, proc, tests, rs, X, noise, inputs, roots, assigns,

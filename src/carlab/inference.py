@@ -66,9 +66,10 @@ stack) instead of returning rounding noise.
 """
 
 import math
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -602,8 +603,7 @@ def _resampled(datas: list, pieces, B: int, what: str, method: str, **params):
     ``params``, until every refit has failed; a resample whose design fails
     the sweep's guard fails the estimates of the members not yet read.
     """
-    if B < 2:
-        raise DomainError("bootstrap size must be >= 2")
+    B = _count(B, 2, "bootstrap size")
     t0, n = datas[0].t, datas[0].n
     out = [[] for _ in datas]
     kept, run = 0, 0
@@ -625,7 +625,7 @@ def _resampled(datas: list, pieces, B: int, what: str, method: str, **params):
         if isinstance(taus, list):
             tau, kappa = np.concatenate(taus, axis=1)
             v_B = float(np.var(tau, ddof=1))
-            extra = dict(params, B=int(B), v_B=v_B, tau=tau, kappa=kappa)
+            extra = dict(params, B=B, v_B=v_B, tau=tau, kappa=kappa)
             out[j] = VarianceEstimate(value=n * v_B / 4.0, method=method, params=extra)
     return out
 
@@ -651,6 +651,7 @@ def sigma_tau_mbb(data, l: int, B: int, rng):
     datas = _shared(data, TrialDataset, "refitted datasets", "t", "phi")
     t0, n = datas[0].t, datas[0].n
     _check_block(n, l)
+    B = _count(B, 2, "bootstrap size")
     rows = chain([B], repeat(1))
     starts = (rng.integers(0, n - l + 1, size=(r, n // l + 1)) for r in rows)
     idx = ((s[:, :, None] + np.arange(l)).reshape(len(s), -1)[:, :n] for s in starts)
@@ -687,44 +688,66 @@ def sigma_tau_bootstrap(data, policy, B: int, rng, drawn=None):
 
 
 def rerandomized_resamples(inputs, policy, B: int, rngs, weights=None):
-    """Yield each replicate's rerandomizing-bootstrap resamples in turn, each
-    drawing its unit indices I and then its n uniforms from the replicate's
-    generator in ``rngs``, re-run under ``policy`` on the replicate's input
-    rows at I.  A replicate's resamples come as an endless iterator of
-    pieces, each a (m, n) block of indices I and the (m, n) 0/1 treated
-    indicators t*, drawn as they are read: B resamples, then one per piece.
-    Read it by count, never with ``list()``; moving on to the next replicate
-    drops what is left of its B.
+    """An iterator of each replicate's rerandomizing-bootstrap resamples in
+    turn, each drawing its unit indices I and then its n uniforms from the
+    replicate's generator in ``rngs``, re-run under ``policy`` on the
+    replicate's input rows at I.  A replicate's resamples come as an endless
+    iterator of pieces, each a (m, n) block of indices I and the (m, n) 0/1
+    treated indicators t*: B resamples (a whole number >= 2), then one per
+    piece.  Read it by count, never with ``list()``; moving on to the next
+    replicate drops what is left of its B.
 
     ``inputs`` holds each replicate's (n, q) feature matrix or, with
     ``weights``, an indicator map's (n, blocks) level columns, ``weights``
     being the blocks' sqrt-weights (``features.level_columns``).  The B
     resamples of consecutive replicates are rerandomized together, in
     engine batches of at most ``batch_size(n, q or blocks)`` trials, one
-    batch at a time; a trial's arms do not depend on its batch, so each
-    replicate gets the resamples it would get alone.
+    batch at a time: the first is drawn and rerandomized in this call (the
+    draw half ``_resampling``, then its engine call; a power study's chunk
+    runs that batch in its own engine call instead), the later ones and the
+    refills as they are read.  Every batch here has rows of one width, and a
+    trial's arms do not depend on its batch, so each replicate gets the
+    resamples it would get alone.  In a chunk's call the first batch's rows
+    are padded to the call's widest input, which can move an arm by the
+    rounding noted in ``engine._simulate``.
     """
+    x, u, resume = _resampling(inputs, policy, B, rngs, weights)
+    return resume(simulate_assignments(x, policy, 2, uniforms=u, weights=weights))
+
+
+def _resampling(inputs, policy, B: int, rngs, weights):
+    """The draw half of ``rerandomized_resamples``: the input rows and
+    uniforms of its first engine batch, drawn, and the function that takes
+    that batch's arms and returns the replicates' iterator, which draws and
+    rerandomizes each later batch and refill as it is read.  The batch may
+    run in any engine call, beside other trials (up to the padding rounding
+    noted in ``engine._simulate``)."""
+    B = _count(B, 2, "bootstrap size")
     n, width = np.shape(inputs[0])
-
-    def pieces(rows, size):  # a piece is a copy, so no batch outlives its pieces' reading
-        while batch := list(islice(rows, size)):
-            idx, treated = _rerandomized(batch, inputs, policy, weights)
-            start = 0
-            for k, run in groupby(batch, key=itemgetter(0)):
-                stop = start + len(list(run))
-                yield k, (idx[start:stop].copy(), treated[start:stop].astype(float))
-                start = stop
-            del idx, treated
-
     rows = ((k, rng) for k, rng in enumerate(rngs) for _ in range(B))
-    for k, group in groupby(pieces(rows, batch_size(n, width)), key=itemgetter(0)):
-        yield map(itemgetter(1), chain(group, pieces(repeat((k, rngs[k])), 1)))
+    first = list(islice(rows, size := batch_size(n, width)))
+    idx, u, x = _drawn(first, inputs)
+
+    def pieces(batch, idx, arms):  # a piece is a copy, so no batch outlives its pieces' reading
+        runs = Counter(k for k, _ in batch)  # each replicate's rows, in batch order
+        for (k, m), stop in zip(runs.items(), accumulate(runs.values())):
+            yield k, (idx[stop - m : stop].copy(), (arms[stop - m : stop] == 0).astype(float))
+
+    def rerandomized(rows, size):
+        while batch := list(islice(rows, size)):
+            yield from pieces(batch, *_rerandomized(batch, inputs, policy, weights))
+
+    def resume(arms):
+        drawn = chain(pieces(first, idx, arms), rerandomized(rows, size))
+        for k, group in groupby(drawn, key=itemgetter(0)):
+            yield map(itemgetter(1), chain(group, rerandomized(repeat((k, rngs[k])), 1)))
+
+    return x, u, resume
 
 
-def _rerandomized(batch, inputs, policy, weights):
-    """Unit indices (int32) and treated flags of one engine batch of resamples,
-    given as (replicate, generator) rows; a function of its own, so the batch's
-    uniforms and engine input are freed before its pieces are read."""
+def _drawn(batch, inputs):
+    """Unit indices (int32), uniforms and input rows of one engine batch of
+    resamples, given as (replicate, generator) rows."""
     n, width = np.shape(inputs[0])
     idx, u = np.empty((len(batch), n), dtype=np.int32), np.empty((len(batch), n))
     x = np.empty((len(batch), n, width), dtype=np.asarray(inputs[0]).dtype)
@@ -732,7 +755,15 @@ def _rerandomized(batch, inputs, policy, weights):
         idx[j] = rng.integers(0, n, size=n)
         u[j] = rng.random(n)
         x[j] = np.take(inputs[k], idx[j], axis=0)
-    return idx, simulate_assignments(x, policy, 2, uniforms=u, weights=weights) == 0
+    return idx, u, x
+
+
+def _rerandomized(batch, inputs, policy, weights):
+    """Unit indices and arms of one engine batch of resamples; a function of
+    its own, so the batch's uniforms and engine input are freed before its
+    pieces are read."""
+    idx, u, x = _drawn(batch, inputs)
+    return idx, simulate_assignments(x, policy, 2, uniforms=u, weights=weights)
 
 
 def shifted_value(v: VarianceEstimate, n: int, shift: float) -> float:

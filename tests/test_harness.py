@@ -29,7 +29,15 @@ from carlab.datagen import (
     with_effect,
 )
 from carlab.errors import ConfigError, DomainError, EstimatorError, FitError
-from carlab.features import Composite, Stratified, feature_dim, level_matrix
+from carlab.features import (
+    Composite,
+    Identity,
+    Power,
+    Product,
+    Stratified,
+    feature_dim,
+    level_matrix,
+)
 from carlab.harness import (
     AsymptoticParams,
     ExperimentSpec,
@@ -531,6 +539,21 @@ class TestRunners:
         with pytest.raises(ConfigError, match=f"^threads must be >= 1, got {threads}$"):
             run(spec, threads=threads)
 
+    @pytest.mark.parametrize("size", [2.5, float("nan"), "10", 1],
+                             ids=["half", "nan", "str", "one"])
+    def test_bootstrap_size_must_be_whole(self, size):
+        spec = ExperimentSpec(**{**vars(_tiny_power_spec(replicates=2)), "bootstrap_size": size})
+        with pytest.raises(ConfigError, match="^bootstrap_size must be a whole number >= 2"):
+            run_power_experiment(spec)
+        with pytest.raises(ConfigError, match="^bootstrap_size must be a whole number >= 2"):
+            harness.check_test_params(0.05, size)
+
+    def test_whole_float_bootstrap_size_reads_as_its_int(self):
+        spec = ExperimentSpec(**{**vars(_tiny_power_spec(replicates=3)), "bootstrap_size": 6,
+                                 "tests": ("t_ls", "t_mbb", "t_boot")})
+        as_float = ExperimentSpec(**{**vars(spec), "bootstrap_size": 6.0})
+        assert run_power_experiment(as_float).rows == run_power_experiment(spec).rows
+
     def test_seed_shift_stays_within_four_se(self):
         t1 = run_power_experiment(_tiny_power_spec(seed=101, replicates=150))
         t2 = run_power_experiment(_tiny_power_spec(seed=202, replicates=150))
@@ -630,6 +653,17 @@ class TestRunners:
         )
         with pytest.raises(ConfigError, match="none of t_reg applies to procedures CR"):
             run_power_experiment(spec)
+
+    def test_a_chunk_without_tested_procedures_has_no_rows(self, monkeypatch):
+        """Past validation, a power chunk none of whose procedures has a test
+        gives no rows and makes no engine call."""
+        spec = ExperimentSpec(
+            kind="power", n=30, setting=CovariateSetting("S1"),
+            procedures=(procedure_preset("CR"),), replicates=4, model="setting1",
+            tests=("t_reg", "t_boot"),  # neither runs under complete randomization
+        )
+        monkeypatch.setattr(harness, "simulate_assignments", lambda *a, **k: pytest.fail())
+        assert harness._power_rows(spec, range(4)) == []
 
     @pytest.mark.parametrize(
         "tests, scattered",
@@ -926,10 +960,9 @@ class TestSharedFit:
         rs = range(spec.replicates)
         runs = harness._assign_chunk(spec, spec.procedures, rs, Xs)
         lblock = inference.block_length(spec.n, spec.block_rule)
-        for proc, (kept, inputs, roots, assigns) in zip(spec.procedures, runs):
+        for proc, (kept, inputs, roots, assigns, boots) in zip(spec.procedures, runs):
             assert kept == list(rs)  # every replicate is kept, and rs starts at 0
             tests = harness._power_tests(spec, proc)
-            boots = harness._boot_resamples(spec, proc, list(rs), inputs, roots)
             args = (list(rs), Xs, noises, inputs, roots, assigns, boots)
             stats = harness._power_statistics(spec, classes, lblock, proc, tests, *args)
             for r in rs:
@@ -957,7 +990,7 @@ class TestStackedRegression:
         )
         rs = range(m)
         Xs = [harness._covariates(spec, r) for r in rs]
-        ((kept, inputs, roots, assigns),) = harness._assign_chunk(spec, spec.procedures, rs, Xs)
+        ((kept, inputs, roots, assigns, _),) = harness._assign_chunk(spec, spec.procedures, rs, Xs)
         assert kept == list(rs)
         return spec, Xs, inputs, roots, assigns
 
@@ -1186,7 +1219,8 @@ class TestResamplingDrawCount:
     delta grid and working models: one estimator call over every fit; the
     jackknife once per (chunk, procedure), over the chunk's stacked trials.
     The bootstrap's resamples of a chunk's replicates are rerandomized
-    together, in ceil(R * B / batch) engine calls per procedure."""
+    together, in ceil(R * B / batch) engine batches per procedure, the first
+    in the chunk's own engine call."""
 
     @pytest.mark.parametrize("model", ["setting1", "logistic"])
     @pytest.mark.parametrize("deltas", [(0.0,), (0.0, 4.0, 9.0)])
@@ -1223,18 +1257,31 @@ class TestResamplingDrawCount:
         count(harness, "sigma_tau_bootstrap", True)
         count(harness, "sigma_tau_mbb", True)
         count(harness, "sigma_tau_mbj", False)
-        count(inference, "simulate_assignments", False)
+        trials = []  # per engine call, through the harness or the bootstrap: its groups' trials
+        for module in (harness, inference):
+
+            def grouped(phi, *args, real=module.simulate_assignments, **kwargs):
+                trials.append([len(x) for x in (phi if isinstance(phi, engine.Inputs) else [phi])])
+                return real(phi, *args, **kwargs)
+
+            monkeypatch.setattr(module, "simulate_assignments", grouped)
         monkeypatch.setattr(inference, "batch_size", lambda n, q: 4)
         table = run_power_experiment(spec)
         assert not table.failures
-        runs = spec.replicates * len(spec.procedures)
+        procs = len(spec.procedures)
+        runs = spec.replicates * procs
+        batches = math.ceil(spec.replicates * spec.bootstrap_size / 4)
         assert calls == {
             "sigma_tau_bootstrap": runs,
             "sigma_tau_mbb": runs,
-            "sigma_tau_mbj": len(spec.procedures),  # the 4 replicates are one chunk
-            "simulate_assignments": len(spec.procedures)
-            * math.ceil(spec.replicates * spec.bootstrap_size / 4),
+            "sigma_tau_mbj": procs,  # the 4 replicates are one chunk
         }
+        assert len(trials) == 1 + procs * (batches - 1)  # each first batch in the chunk's call
+        chunk, *later = trials
+        assert chunk[:procs] == [spec.replicates] * procs  # the chunk's own assignments
+        resampled = chunk[procs:] + [m for groups in later for m in groups]
+        assert sum(resampled) == runs * spec.bootstrap_size  # each resample rerandomized once
+        assert max(resampled) <= 4
 
 
     def test_only_the_bootstraps_build_a_refit_stream(self, monkeypatch):
@@ -1332,20 +1379,91 @@ class TestPooledBootstrap:
 
     @pytest.mark.parametrize("batch", [None, 7])
     def test_no_engine_call_stacks_more_than_a_batch(self, batch, monkeypatch):
-        sizes = []
-        real = inference.simulate_assignments
+        sizes = []  # (trials, batch) of each group of resamples, the chunk's call first
         limit = engine.batch_size if batch is None else (lambda n, q: batch)
         monkeypatch.setattr(inference, "batch_size", limit)
+        procs = len(self.spec.procedures)
 
-        def recording(phi, *args, **kwargs):
-            sizes.append((len(phi), limit(*np.shape(phi)[1:])))
-            return real(phi, *args, **kwargs)
+        def recording(module, resampled):
+            real = module.simulate_assignments
 
-        monkeypatch.setattr(inference, "simulate_assignments", recording)
+            def call(phi, *args, **kwargs):
+                sizes.extend((len(x), limit(*np.shape(x)[1:])) for x in resampled(phi))
+                return real(phi, *args, **kwargs)
+
+            monkeypatch.setattr(module, "simulate_assignments", call)
+
+        recording(harness, lambda phi: phi[procs:])  # after the chunk's own assignments
+        recording(inference, lambda phi: [phi])
         run_power_experiment(self.spec)
         assert sizes and all(m <= size for m, size in sizes)
         if batch is not None:  # 120 resamples per procedure: 17 batches of 7, one of 1
-            assert [m for m, _ in sizes] == ([7] * 17 + [1]) * len(self.spec.procedures)
+            assert [m for m, _ in sizes] == [7] * procs + ([7] * 16 + [1]) * procs
+
+
+    @staticmethod
+    def _read(drawn, rows):
+        """A replicate's next ``rows`` resamples: indices and treated flags."""
+        got = []
+        while sum(len(idx) for idx, _ in got) < rows:
+            got.append(next(drawn))
+        return [np.concatenate(parts) for parts in zip(*got)]
+
+    def _assert_alone(self, procs):
+        """Each replicate of a chunk of ``procs`` gets the resamples, and the
+        refills after them, that ``rerandomized_resamples`` gives it alone on
+        its stream."""
+        spec = ExperimentSpec(**{**vars(self.spec), "procedures": procs})
+        rs, B = range(spec.replicates), spec.bootstrap_size
+        X = np.stack([harness._covariates(spec, r) for r in rs])
+        runs = harness._assign_chunk(spec, procs, rs, X)
+        for proc, (kept, inputs, roots, _, boots) in zip(procs, runs, strict=True):
+            assert kept == list(rs)  # rs starts at 0
+            for r, drawn in zip(rs, boots, strict=True):
+                stream = harness._stream(spec.base_seed, r, harness._name_tag(proc.name, "t_boot"))
+                own = inference.rerandomized_resamples([inputs[r]], proc.policy, B, [stream], roots)
+                alone = next(own)
+                for rows in (B, 1, 1, 1):  # the B resamples, then three refills
+                    for got, want in zip(self._read(drawn, rows), self._read(alone, rows)):
+                        np.testing.assert_array_equal(got, want, err_msg=f"{proc.name} {r}")
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_a_chunk_call_gives_each_replicate_its_resamples_alone(self, batch, monkeypatch):
+        """Each t_boot procedure's first batch of resamples runs in the chunk's
+        engine call, its rows padded to the chunk's widest input; each
+        replicate still gets the resamples it gets alone."""
+        if batch is not None:  # later batches rerandomized on their own
+            monkeypatch.setattr(inference, "batch_size", lambda n, q: batch)
+        hh = procedure_preset("HH", hh_weights=(0.5, 2.0, 0.3))  # non-integer sqrt-weights
+        self._assert_alone(tuple(hh if p.name == "HH" else p for p in self.spec.procedures))
+
+    def test_composite_rows_padded_past_eight_columns_keep_their_resamples(self):
+        """A 6-column composite map beside a 9-column one: the narrower
+        procedure's non-integer rows are padded to 9 columns, the widths at
+        which ``engine._simulate`` notes einsum may round d differently; at
+        these inputs no resample moves."""
+        six = (Identity(0), Identity(1), Identity(2), Product(0, 1), Power(0, 2), Power(1, 2))
+        nine = six + (Product(0, 2), Product(1, 2), Power(2, 2))
+        self._assert_alone((procedure_preset("phi-CAR-Con", terms=six),
+                            procedure_preset("phi-CAR-BC", terms=nine)))
+
+    def test_first_batches_holding_every_resample_make_one_engine_call(self, monkeypatch):
+        """12 replicates of B = 10 fit each procedure's first batch: the
+        chunk's one engine call rerandomizes all 120, beside its 12 trials."""
+        calls, real = [], harness.simulate_assignments
+
+        def chunk_call(phi, *args, **kwargs):
+            calls.append([len(x) for x in phi])
+            return real(phi, *args, **kwargs)
+
+        def elsewhere(*args, **kwargs):
+            pytest.fail("a resample was rerandomized outside the chunk's engine call")
+
+        monkeypatch.setattr(harness, "simulate_assignments", chunk_call)
+        monkeypatch.setattr(inference, "simulate_assignments", elsewhere)
+        assert not run_power_experiment(self.spec).failures
+        procs = len(self.spec.procedures)
+        assert calls == [[12] * procs + [120] * procs]
 
 
 def test_an_imbalance_run_randomizes_each_procedure_in_one_batch(monkeypatch):
@@ -1413,6 +1531,33 @@ class TestStackedChunk:
         metrics = {"imbalance": chunks * len(names), "power": 0}[kind]
         assert calls == {"build_phi": chunks * 2, "feature_matrix": chunks * 2,
                          "imbalance_metrics": metrics}
+
+
+    def test_blocks_of_a_wholly_kept_chunk_view_its_stack(self, monkeypatch):
+        """With every replicate kept, each block's covariates are a slice of
+        the chunk's stack, not a copy of its rows."""
+        spec = ExperimentSpec(
+            kind="power", n=40, setting=CovariateSetting("S1"), model="setting1",
+            procedures=(procedure_preset("SR"), procedure_preset("phi-CAR-BC")), replicates=6,
+            base_seed=9, tests=("t_ls", "t_reg"),
+        )
+        stacks, blocks = [], []
+        assign, statistics = harness._assign_chunk, harness._power_statistics
+
+        def chunk(spec, procs, rs, X):
+            stacks.append(X)
+            return assign(spec, procs, rs, X)
+
+        def block(*args):
+            blocks.append(args[6])  # the block's covariates
+            return statistics(*args)
+
+        monkeypatch.setattr(harness, "_assign_chunk", chunk)
+        monkeypatch.setattr(harness, "_power_statistics", block)
+        monkeypatch.setattr(harness, "_STACK_BYTES", 1)  # a block per replicate
+        assert not run_power_experiment(spec).failures
+        assert len(stacks) == 1 and len(blocks) == 2 * spec.replicates
+        assert all(np.shares_memory(X, stacks[0]) for X in blocks)
 
 
 class TestSharedLoop:

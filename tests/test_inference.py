@@ -457,6 +457,34 @@ class TestSigmaTauBootstrap:
         assert v.value == pytest.approx(data.n * v.params["v_B"] / 4.0, rel=1e-12)
 
 
+class TestBootstrapSize:
+    """A bootstrap size is a whole number of at least 2: any other value is a
+    carlab error from each bootstrap, and a whole float counts as its int."""
+
+    policy = EfronBiasedCoin(0.9)
+
+    def _calls(self, B):
+        data = TestSigmaTauBootstrap()._carlike_dataset(40, np.random.default_rng(20))
+        rng = np.random.default_rng(21)
+        return {
+            "boot": lambda: sigma_tau_bootstrap(data, self.policy, B, rng),
+            "mbb": lambda: sigma_tau_mbb(data, 4, B, rng),
+            "resamples": lambda: rerandomized_resamples([data.phi], self.policy, B, [rng]),
+        }
+
+    @pytest.mark.parametrize("B", [2.5, float("nan"), "10", 1], ids=["half", "nan", "str", "one"])
+    @pytest.mark.parametrize("method", ["boot", "mbb", "resamples"])
+    def test_non_whole_size_is_a_domain_error(self, method, B):
+        with pytest.raises(DomainError, match="bootstrap size must be a whole number >= 2"):
+            self._calls(B)[method]()
+
+    @pytest.mark.parametrize("method", ["boot", "mbb"])
+    def test_whole_float_size_reads_as_its_int(self, method):
+        whole, as_float = self._calls(10)[method](), self._calls(10.0)[method]()
+        assert as_float.params["B"] == 10 and isinstance(as_float.params["B"], int)
+        np.testing.assert_array_equal(as_float.params["tau"], whole.params["tau"])
+
+
 class TestDroppedResamples:
     """At n = 5 a resample empties an arm every few draws.  The resampling
     estimators drop it and take the next one drawn, as a loop that draws,
